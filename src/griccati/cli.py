@@ -95,13 +95,6 @@ def _rel_diff(a: float, b: float) -> float:
     return abs(a - b) / (1.0 + max(abs(a), abs(b)))
 
 
-def _reference_for(problem, X_ref, tol):
-    """Resolve the reference solution: verify a supplied one or search."""
-    if X_ref is not None:
-        return find_reference(problem, ReferenceConfig(), tol, X_ref=X_ref)
-    return find_reference(problem, ReferenceConfig(), tol)
-
-
 def cmd_validate(args) -> int:
     tol = _tolerance(args)
     problem, _ = load_problem(args.problem)
@@ -139,7 +132,7 @@ def cmd_solve(args) -> int:
         traj = solve_full(problem, tol)
         run.results["method_used"] = "full"
     else:
-        ref = _reference_for(problem, X_ref, tol)
+        ref = find_reference(problem, ReferenceConfig(), tol, X_ref=X_ref)
         run.results["reference_found"] = ref.found
         run.results["reference_iterations"] = ref.iterations
         if not ref.found:
@@ -169,7 +162,7 @@ def cmd_solve(args) -> int:
                     cres = solve_closed_form(problem, rd, tol)
                     traj = cres.trajectory
                     run.results["method_used"] = "closed-form"
-                    run.results["horizon_prime"] = cres.horizon_prime
+                    run.results["horizon_prime"] = cres.reduced_steps
                     run.residuals["checkpoint_off_norm"] = cres.checkpoint_off_norm
                 except NumericalRefusal as exc:
                     traj = solve_full(problem, tol)
@@ -228,7 +221,7 @@ def cmd_analyze(args) -> int:
     solution = None
     if vrep.passed:
         try:
-            ref = _reference_for(problem, X_ref, tol)
+            ref = find_reference(problem, ReferenceConfig(), tol, X_ref=X_ref)
         except ReferenceRejectedError as exc:
             run.results["reference_found"] = False
             run.reason = str(exc)
@@ -437,8 +430,21 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse with usage errors reported as input errors.
+
+    argparse exits 2 on a bad command line, which would read as a numerical
+    refusal; a malformed command line is an input problem like a malformed
+    file.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="griccati",
         description="Finite-horizon LQ solver with singular-weight support and reduction diagnostics",
     )

@@ -1,325 +1,70 @@
-"""Closed-form solution of the reduced homogeneous recursion.
+"""Closed-form phase two of the reduced solve: the Gramian formula.
 
-Around a fixed point Psi of the reduced recursion (Psi = 0 by default) the
-whole backward sweep collapses to matrix powers: a Stein equation built from
-the fixed point's closed loop yields parameter matrices (K1, K2), and each
-step is recovered as Psi_t = Lambda_t Xi_t^{-1}.  The route is exact but
-fragile, every denominator is checked and the module refuses (rather than
-degrades) when a check fails; callers fall back to the iterative step.
+After the nu full steps of the hybrid solver only the trailing block Psi
+moves, and its backward sweep can be written down without iterating.  With
+the full curvature R_full = R + B^T X B invertible, let C = B2 R_full^{-1} B2^T,
+P_s = Z^s and W_s = sum_{j<s} Z^j C (Z^j)^T, so that W_0 = 0 and
+W_{s+1} = C + Z W_s Z^T.  Then, s steps before the end of the reduced
+horizon T',
+
+    Psi_{T'-s} = P_s^T Psi_{T'} (I + W_s Psi_{T'})^{-1} P_s.
+
+Only positive powers of Z appear.  The rule refuses, raising
+NumericalRefusal, when R_full is singular or when some I + W_s Psi_{T'} is
+(which needs an indefinite Psi_{T'}); both are relative rank decisions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
-
 import numpy as np
 
-from .linalg import (
-    DEFAULT_TOL,
-    InternalInconsistencyError,
-    NumericalRefusal,
-    Tolerance,
-    check_symmetric,
-    pinv,
-    symmetrize,
-    within_residual,
-)
+from .linalg import DEFAULT_TOL, NumericalRefusal, Tolerance, is_nonsingular, symmetrize
 from .model import LQProblem
-from .grde import GrdeTrajectory, gain_and_projector, riccati_map
-from .reduction import ReductionData, checkpoint_blocks
+from .reduction import HybridSolveResult, ReductionData, _solve_reduced
 
 
-class SteinUnsolvableError(NumericalRefusal):
-    """The Stein equation has (numerically) reciprocal eigenvalue pairs."""
+def _nonsingular(M, M_inv, scale: float, tol: Tolerance) -> bool:
+    """is_nonsingular(M, tol, scale), with the SVD skipped where a bound settles it.
 
-
-def solve_stein(A, C, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Solve A Y A^T - Y + C = 0 for symmetric Y by Kronecker vectorisation.
-
-    Solvable exactly when no two eigenvalues of A multiply to 1; pairs
-    within cutoff of that raise SteinUnsolvableError.  The solution is
-    verified against the equation before being returned.
+    sigma_min >= 1 / ||M^{-1}||_F and sigma_max <= ||M||_F, so clearing the
+    cutoff these bounds give, with a margin of two for the rounding in
+    M_inv, passes only matrices the SVD test passes too.
     """
-    An = np.atleast_2d(np.asarray(A, dtype=float))
-    Cs = check_symmetric(C, tol, "Stein right-hand side")
-    d = An.shape[0]
-    if An.shape != (d, d):
-        raise ValueError(f"Stein coefficient must be square, got {An.shape}")
-    if Cs.shape[0] != d:
-        raise ValueError(f"Stein right-hand side has size {Cs.shape[0]}, expected {d}")
-    if d == 0:
-        return np.zeros((0, 0))
-
-    w = np.linalg.eigvals(An)
-    products = np.outer(w, w).ravel()
-    bad = np.abs(products - 1.0) <= tol.rank_rel * (1.0 + np.abs(products))
-    if np.any(bad):
-        raise SteinUnsolvableError(
-            "Stein equation unsolvable: eigenvalue product within cutoff of 1"
-        )
-
-    lhs = np.eye(d * d) - np.kron(An, An)
-    Y = np.linalg.solve(lhs, Cs.reshape(-1)).reshape(d, d)
-    Y = symmetrize(Y)
-    resid = float(np.linalg.norm(An @ Y @ An.T - Y + Cs))
-    scale = float(np.linalg.norm(Y) + np.linalg.norm(Cs))
-    if not within_residual(resid, scale, tol):
-        raise NumericalRefusal(f"Stein solve verified poorly (residual {resid:.3e})")
-    return Y
+    cutoff = tol.rank_rel * max(float(np.linalg.norm(M)), scale) * M.shape[0]
+    return 2.0 * cutoff * float(np.linalg.norm(M_inv)) < 1.0 or is_nonsingular(M, tol, scale)
 
 
-def stein_series(A, C, terms: int = 200) -> np.ndarray:
-    """Independent summation oracle: Y = sum_k A^k C (A^T)^k (needs rho(A) < 1)."""
-    An = np.atleast_2d(np.asarray(A, dtype=float))
-    Y = np.zeros_like(An)
-    term = np.asarray(C, dtype=float).copy()
-    for _ in range(terms):
-        Y = Y + term
-        term = An @ term @ An.T
-    return Y
-
-
-@dataclass(frozen=True)
-class ClosedFormData:
-    """All ingredients of the closed-form sweep for one reduced problem.
-
-    Psi is the fixed-point reference of the reduced recursion, A_Psi its
-    closed loop, K_Psi its gain, Y the Stein solution and K_star the
-    associated auxiliary gain.  horizon_prime = T - nu is the reduced
-    horizon, Psi_terminal the phase-one output the sweep must reproduce at
-    t = horizon_prime; K1 and K2 are filled in by closed_form_params.
-    """
-
-    Z: np.ndarray
-    B2: np.ndarray
-    R0: np.ndarray
-    Psi: np.ndarray
-    A_Psi: np.ndarray
-    K_Psi: np.ndarray
-    Y: np.ndarray
-    K_star: np.ndarray
-    horizon_prime: int
-    Psi_terminal: np.ndarray
-    K1: Optional[np.ndarray] = None
-    K2: Optional[np.ndarray] = None
-
-
-def prepare_closed_form(
-    rd: ReductionData,
-    horizon_prime: int,
-    Psi_terminal,
-    tol: Tolerance = DEFAULT_TOL,
-    Psi=None,
-) -> ClosedFormData:
-    """Build ClosedFormData from a reduction, defaulting to the Psi = 0 reference.
-
-    Refuses when the reference curvature R0 + B2^T Psi B2 is singular (the
-    closed-form algebra needs its inverse, not a pseudo-inverse).
-    """
+def gramian_sweep(Psi_terminal, steps: int, rd: ReductionData, tol: Tolerance = DEFAULT_TOL):
+    """Yield Psi_{T'-1}, ..., Psi_{T'-steps} from Psi_{T'} = Psi_terminal."""
+    if not is_nonsingular(rd.R_full, tol):
+        raise NumericalRefusal("closed form inapplicable: full curvature R_full is singular")
     d = rd.dim_reduced
-    Psi_ref = np.zeros((d, d)) if Psi is None else check_symmetric(Psi, tol, "reference Psi")
-    if Psi_ref.shape[0] != d:
-        raise ValueError(f"reference Psi has size {Psi_ref.shape[0]}, expected {d}")
-    terminal = check_symmetric(Psi_terminal, tol, "terminal Psi") if d else np.zeros((0, 0))
-    if terminal.shape[0] != d:
-        raise ValueError(f"terminal Psi has size {terminal.shape[0]}, expected {d}")
-    if horizon_prime < 0:
-        raise ValueError("reduced horizon must be non-negative")
-
-    curvature = rd.R0 + rd.B2.T @ Psi_ref @ rd.B2
-    if curvature.shape[0]:
-        s = np.linalg.svd(curvature, compute_uv=False)
-        if s[-1] <= tol.rank_rel * s[0] * curvature.shape[0] or s[0] == 0.0:
-            raise NumericalRefusal("closed form inapplicable: reference curvature is singular")
-        curv_inv = np.linalg.inv(curvature)
-    else:
-        curv_inv = curvature
-
-    K_Psi = curv_inv @ rd.B2.T @ Psi_ref @ rd.Z
-    A_Psi = rd.Z - rd.B2 @ K_Psi
-    C = rd.B2 @ curv_inv @ rd.B2.T
-    Y = solve_stein(A_Psi, C, tol)
-    K_star = K_Psi @ Y @ A_Psi.T - curv_inv @ rd.B2.T
-    return ClosedFormData(
-        Z=rd.Z,
-        B2=rd.B2,
-        R0=rd.R0,
-        Psi=Psi_ref,
-        A_Psi=A_Psi,
-        K_Psi=K_Psi,
-        Y=Y,
-        K_star=K_star,
-        horizon_prime=int(horizon_prime),
-        Psi_terminal=terminal,
-    )
+    Z = rd.Z
+    C = symmetrize(rd.B2 @ np.linalg.solve(rd.R_full, rd.B2.T))
+    Psi_norm = float(np.linalg.norm(Psi_terminal))
+    W = np.zeros((d, d))
+    P = np.eye(d)
+    for s in range(1, steps + 1):
+        W = symmetrize(C + Z @ W @ Z.T)
+        P = Z @ P
+        M = np.eye(d) + W @ Psi_terminal
+        try:
+            M_inv = np.linalg.inv(M)
+        except np.linalg.LinAlgError:
+            M_inv = None
+        # I + W_s Psi is a sum that may cancel, so it is judged against its parts.
+        if M_inv is None or not _nonsingular(M, M_inv, 1.0 + float(np.linalg.norm(W)) * Psi_norm, tol):
+            raise NumericalRefusal(f"closed form inapplicable: I + W_{s} Psi is singular")
+        yield symmetrize(P.T @ Psi_terminal @ (M_inv @ P))
 
 
-def closed_form_params(cf: ClosedFormData, tol: Tolerance = DEFAULT_TOL):
-    """Parameter matrices (K1, K2) fixing the terminal condition.
+def solve_closed_form(problem: LQProblem, rd: ReductionData, tol: Tolerance = DEFAULT_TOL) -> HybridSolveResult:
+    """Reduced solve whose phase two is the Gramian formula.
 
-    K2 = Psi - Psi_terminal and K1 = (A_Psi^{T'})^{-1} (I - Y K2), so that
-    Xi_{T'} = I and Lambda_{T'} = Psi_terminal exactly.  The T'-th power is
-    inverted through a rank check; a stable A_Psi at a long horizon
-    underflows it to numerical singularity, which raises NumericalRefusal
-    advising the iterative route.
+    Where the hybrid solver falls back, this raises NumericalRefusal with
+    the reason; nothing is silently approximated.
     """
-    d = cf.Z.shape[0]
-    K2 = cf.Psi - cf.Psi_terminal
-    power = np.linalg.matrix_power(cf.A_Psi, cf.horizon_prime)
-    if d:
-        s = np.linalg.svd(power, compute_uv=False)
-        if s[0] == 0.0 or s[-1] <= tol.rank_rel * s[0] * d:
-            raise NumericalRefusal(
-                "closed form inapplicable: A_Psi^{T'} numerically singular "
-                f"(horizon {cf.horizon_prime}); use the iterative reduced step"
-            )
-        K1 = np.linalg.solve(power, np.eye(d) - cf.Y @ K2)
-    else:
-        K1 = np.zeros((0, 0))
-    return K1, K2
-
-
-def with_params(cf: ClosedFormData, tol: Tolerance = DEFAULT_TOL) -> ClosedFormData:
-    K1, K2 = closed_form_params(cf, tol)
-    return replace(cf, K1=K1, K2=K2)
-
-
-@dataclass(frozen=True)
-class ClosedFormTrajectory:
-    """Per-step matrices of the closed-form sweep.
-
-    Xi, Lambda, Psi have horizon_prime + 1 entries (t = 0 .. T'); Omega has
-    horizon_prime entries (no input at the terminal step).  Omega is
-    exported for completeness and consumed by nothing downstream.
-    """
-
-    Xi: tuple
-    Lambda: tuple
-    Psi: tuple
-    Omega: tuple
-
-
-def closed_form_trajectory(cf: ClosedFormData, tol: Tolerance = DEFAULT_TOL) -> ClosedFormTrajectory:
-    """Evaluate Xi_t, Lambda_t, Omega_t, Psi_t = Lambda_t Xi_t^{-1} for all t.
-
-        Xi_t     = A_Psi^t K1 + Y (A_Psi^T)^{T'-t} K2
-        Lambda_t = Psi A_Psi^t K1 + (Psi Y - I) (A_Psi^T)^{T'-t} K2
-        Omega_t  = -K_Psi A_Psi^t K1 - K_star (A_Psi^T)^{T'-t-1} K2
-
-    Refuses on any numerically singular Xi_t, and enforces the terminal
-    consistency Psi_{T'} = Psi_terminal.
-    """
-    if cf.K1 is None or cf.K2 is None:
-        cf = with_params(cf, tol)
-    d = cf.Z.shape[0]
-    Tp = cf.horizon_prime
-    powers = [np.eye(d)]
-    for _ in range(Tp):
-        powers.append(cf.A_Psi @ powers[-1])
-
-    Xi, Lam, Psi_list, Omega = [], [], [], []
-    for t in range(Tp + 1):
-        right = powers[Tp - t].T @ cf.K2
-        left = powers[t] @ cf.K1
-        cross = cf.Y @ right
-        Xi_t = left + cross
-        Lam_t = cf.Psi @ left + (cf.Psi @ cf.Y - np.eye(d)) @ right
-        if d:
-            s = np.linalg.svd(Xi_t, compute_uv=False)
-            # Xi_t is a sum of two sweep terms that may nearly cancel, so
-            # its smallest singular value is measured against their joint
-            # magnitude; testing against s[0] alone would wave through a
-            # 1 x 1 Xi_t of pure cancellation noise.
-            scale = max(float(s[0]), float(np.linalg.norm(left) + np.linalg.norm(cross)))
-            if s[0] == 0.0 or s[-1] <= tol.rank_rel * scale * d:
-                raise NumericalRefusal(
-                    f"closed form inapplicable: Xi_{t} numerically singular; "
-                    "use the iterative reduced step"
-                )
-            Psi_t = symmetrize(Lam_t @ np.linalg.inv(Xi_t))
-        else:
-            Psi_t = np.zeros((0, 0))
-        Xi.append(Xi_t)
-        Lam.append(Lam_t)
-        Psi_list.append(Psi_t)
-        if t < Tp:
-            Omega.append(-cf.K_Psi @ powers[t] @ cf.K1 - cf.K_star @ powers[Tp - t - 1].T @ cf.K2)
-
-    terminal_err = float(np.linalg.norm(Psi_list[Tp] - cf.Psi_terminal))
-    if not within_residual(terminal_err, float(np.linalg.norm(cf.Psi_terminal)), tol):
-        raise NumericalRefusal(
-            f"closed form terminal check failed (defect {terminal_err:.3e}); "
-            "use the iterative reduced step"
-        )
-    return ClosedFormTrajectory(tuple(Xi), tuple(Lam), tuple(Psi_list), tuple(Omega))
-
-
-@dataclass(frozen=True)
-class ClosedFormSolveResult:
-    trajectory: GrdeTrajectory
-    nu: int
-    dim_u: int
-    horizon_prime: int
-    checkpoint_off_norm: float
-    data: ClosedFormData
-
-
-def solve_closed_form(problem: LQProblem, rd: ReductionData, tol: Tolerance = DEFAULT_TOL) -> ClosedFormSolveResult:
-    """Full-problem driver for the closed-form route.
-
-    Runs the nu full steps, checks the block checkpoint, evaluates the
-    closed-form sweep on the trailing block, and reassembles trajectory and
-    gains.  Any structural or conditioning problem raises NumericalRefusal;
-    nothing is silently approximated.
-    """
-    T = problem.T
-    nu = rd.nu
-    triple = problem.triple
-    if T < nu:
-        raise NumericalRefusal(f"closed form inapplicable: horizon {T} shorter than nilpotency index {nu}")
-
-    cross = float(np.linalg.norm(rd.R_full - rd.R0))
-    if not within_residual(cross, float(np.linalg.norm(rd.R0)), tol):
-        raise NumericalRefusal(
-            "closed form inapplicable: reduced problem is not autonomous "
-            f"(input reaches the nilpotent coordinates, cross-term norm {cross:.3e})"
-        )
-
-    X = [None] * (T + 1)
-    X[T] = symmetrize(problem.P)
-    for t in range(T - 1, T - nu - 1, -1):
-        X[t] = riccati_map(X[t + 1], triple, tol)
-    Delta = X[T - nu] - rd.X_circ
-    D11, D12, D22 = checkpoint_blocks(Delta, rd)
-    off_norm = float(max(np.linalg.norm(D11), np.linalg.norm(D12)))
-    if off_norm > tol.residual_rel * (1.0 + float(np.linalg.norm(Delta))):
-        raise NumericalRefusal(
-            f"closed form inapplicable: checkpoint block structure violated (off-norm {off_norm:.3e})"
-        )
-
-    cf = with_params(
-        prepare_closed_form(rd, T - nu, D22, tol),
-        tol,
-    )
-    sweep = closed_form_trajectory(cf, tol)
-
-    k = rd.dim_u
-    n = problem.n
-    for t in range(T - nu):
-        pad = np.zeros((n, n))
-        pad[k:, k:] = sweep.Psi[t]
-        X[t] = symmetrize(rd.X_circ + rd.T_orth @ pad @ rd.T_orth.T)
-
-    K = [None] * T
-    G = [None] * T
-    for t in range(T):
-        K[t], G[t] = gain_and_projector(X[t + 1], triple, tol)
-    return ClosedFormSolveResult(
-        trajectory=GrdeTrajectory(tuple(X), tuple(K), tuple(G)),
-        nu=nu,
-        dim_u=k,
-        horizon_prime=T - nu,
-        checkpoint_off_norm=off_norm,
-        data=cf,
-    )
+    result = _solve_reduced(problem, rd, tol, gramian_sweep)
+    if result.used_fallback:
+        raise NumericalRefusal(f"closed form inapplicable: {result.fallback_reason}")
+    return result

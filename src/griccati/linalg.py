@@ -15,10 +15,9 @@ import numpy as np
 class NumericalRefusal(RuntimeError):
     """Raised when a method declines to produce numbers it cannot stand behind.
 
-    Examples: a closed-form path hitting a singular denominator, a Stein
-    equation with reciprocal eigenvalue pairs, matrix powers too ill
-    conditioned to invert.  Callers are expected to fall back to a slower,
-    safer route rather than treat this as a bug.
+    Examples: a closed-form path hitting a singular denominator or a
+    singular curvature it must invert.  Callers are expected to fall back
+    to a slower, safer route rather than treat this as a bug.
     """
 
 

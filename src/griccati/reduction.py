@@ -7,13 +7,13 @@ nilpotent leading block, and after nu backward steps the difference
 Delta_t = X_t - X vanishes on U entirely: every later step only moves the
 trailing diagonal block Psi_t.  The hybrid solver therefore runs nu full
 steps, checks the predicted block structure, and iterates the small
-homogeneous recursion for the rest of the horizon.
+homogeneous recursion for the rest of the horizon.  The closed form in
+closedform shares that driver and replaces only the iteration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -148,11 +148,12 @@ def _reduced_step_with_base(Psi, base, rd: ReductionData, tol: Tolerance) -> np.
 
 @dataclass(frozen=True)
 class HybridSolveResult:
-    """Trajectory plus the diagnostics of the hybrid strategy.
+    """Trajectory plus the diagnostics of a reduced solve.
 
-    used_fallback is set when the structural checkpoint failed and the
-    result was recomputed by the plain full recursion; the measured block
-    norms that triggered the fallback are kept either way.
+    used_fallback is set when the horizon was shorter than nu or the
+    structural checkpoint failed, and fallback_reason says which; the
+    hybrid solver then recomputes the trajectory with the plain full
+    recursion.  The measured block norms are kept either way.
     """
 
     trajectory: GrdeTrajectory
@@ -174,35 +175,49 @@ def checkpoint_blocks(Delta, rd: ReductionData):
     return D[:k, :k], D[:k, k:], D[k:, k:]
 
 
-def solve_hybrid(problem: LQProblem, rd: ReductionData, tol: Tolerance = DEFAULT_TOL) -> HybridSolveResult:
-    """Hybrid backward solve: nu full steps, then the reduced recursion.
+def _iterate_reduced(Psi, steps: int, rd: ReductionData, tol: Tolerance):
+    """Phase-two rule of the hybrid solver: step the trailing block.
 
-    After nu full steps the difference to the reference solution is checked
-    to be confined to the trailing diagonal block; beyond tolerance the
-    solver falls back to the full recursion and reports the measured norms.
-    Phase two steps the trailing block only and reassembles
-    X_t = X_ref + T diag(0, Psi_t) T^T; the gains are recomputed from the
-    assembled X_{t+1} exactly as in the full solver.  Horizons shorter than
-    nu are delegated to the full solver as well.
+    One backward step inverts the full curvature
+    R + B^T X_{t+1} B = R_full + B2^T Psi B2, available from the reduced
+    data alone.
+    """
+    for _ in range(steps):
+        Psi = _reduced_step_with_base(Psi, rd.R_full, rd, tol)
+        yield Psi
+
+
+def _solve_reduced(problem: LQProblem, rd: ReductionData, tol: Tolerance, phase_two) -> HybridSolveResult:
+    """The reduced solve shared by the hybrid and the closed-form routes.
+
+    Runs the nu full steps, checks that the difference to the reference is
+    confined to the trailing block, reassembles
+    X_t = X_ref + T diag(0, Psi_t) T^T from phase_two(Psi_{T'}, T', rd, tol),
+    which yields Psi_{T'-1}, ..., Psi_0, and recomputes the gains from the
+    assembled X_{t+1} exactly as in the full solver.  When the horizon is
+    shorter than nu or the checkpoint fails, the result has used_fallback
+    set, its reason, and trajectory None; the caller decides what follows.
     """
     T = problem.T
     nu = rd.nu
     triple = problem.triple
 
-    if T < nu:
-        traj = solve_full(problem, tol)
+    def inapplicable(reason, off_norm=0.0, threshold=0.0):
         return HybridSolveResult(
-            trajectory=traj,
+            trajectory=None,
             nu=nu,
             dim_u=rd.dim_u,
             dim_reduced=rd.dim_reduced,
             full_steps=T,
             reduced_steps=0,
-            checkpoint_off_norm=0.0,
-            checkpoint_threshold=0.0,
+            checkpoint_off_norm=off_norm,
+            checkpoint_threshold=threshold,
             used_fallback=True,
-            fallback_reason=f"horizon {T} shorter than nilpotency index {nu}",
+            fallback_reason=reason,
         )
+
+    if T < nu:
+        return inapplicable(f"horizon {T} shorter than nilpotency index {nu}")
 
     X = [None] * (T + 1)
     X[T] = symmetrize(problem.P)
@@ -214,28 +229,12 @@ def solve_hybrid(problem: LQProblem, rd: ReductionData, tol: Tolerance = DEFAULT
     off_norm = float(max(np.linalg.norm(D11), np.linalg.norm(D12)))
     threshold = tol.residual_rel * (1.0 + float(np.linalg.norm(Delta)))
     if off_norm > threshold:
-        traj = solve_full(problem, tol)
-        return HybridSolveResult(
-            trajectory=traj,
-            nu=nu,
-            dim_u=rd.dim_u,
-            dim_reduced=rd.dim_reduced,
-            full_steps=T,
-            reduced_steps=0,
-            checkpoint_off_norm=off_norm,
-            checkpoint_threshold=threshold,
-            used_fallback=True,
-            fallback_reason="checkpoint block structure violated",
-        )
+        return inapplicable("checkpoint block structure violated", off_norm, threshold)
 
-    # Phase two: only the trailing block moves.  One backward step inverts
-    # the full curvature R + B^T X_{t+1} B = R_full + B2^T Psi B2, which is
-    # available from the reduced data alone.
+    # Phase two: only the trailing block moves.
     k = rd.dim_u
-    Psi = D22
-    for t in range(T - nu - 1, -1, -1):
-        Psi = _reduced_step_with_base(Psi, rd.R_full, rd, tol)
-        pad = np.zeros((rd.T_orth.shape[0],) * 2)
+    pad = np.zeros((problem.n, problem.n))
+    for t, Psi in zip(range(T - nu - 1, -1, -1), phase_two(D22, T - nu, rd, tol)):
         pad[k:, k:] = Psi
         X[t] = symmetrize(rd.X_circ + rd.T_orth @ pad @ rd.T_orth.T)
 
@@ -243,9 +242,8 @@ def solve_hybrid(problem: LQProblem, rd: ReductionData, tol: Tolerance = DEFAULT
     G = [None] * T
     for t in range(T):
         K[t], G[t] = gain_and_projector(X[t + 1], triple, tol)
-    traj = GrdeTrajectory(tuple(X), tuple(K), tuple(G))
     return HybridSolveResult(
-        trajectory=traj,
+        trajectory=GrdeTrajectory(tuple(X), tuple(K), tuple(G)),
         nu=nu,
         dim_u=rd.dim_u,
         dim_reduced=rd.dim_reduced,
@@ -255,6 +253,20 @@ def solve_hybrid(problem: LQProblem, rd: ReductionData, tol: Tolerance = DEFAULT
         checkpoint_threshold=threshold,
         used_fallback=False,
     )
+
+
+def solve_hybrid(problem: LQProblem, rd: ReductionData, tol: Tolerance = DEFAULT_TOL) -> HybridSolveResult:
+    """Hybrid backward solve: nu full steps, then the reduced recursion.
+
+    After nu full steps the difference to the reference solution is checked
+    to be confined to the trailing diagonal block; beyond tolerance, or on
+    a horizon shorter than nu, the solver falls back to the full recursion
+    and reports why, with the measured norms.
+    """
+    result = _solve_reduced(problem, rd, tol, _iterate_reduced)
+    if result.used_fallback:
+        result = replace(result, trajectory=solve_full(problem, tol))
+    return result
 
 
 @dataclass(frozen=True)

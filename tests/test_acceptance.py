@@ -16,7 +16,7 @@ from griccati.cgdare import (
     find_reference,
     gdare_residual,
 )
-from griccati.closedform import prepare_closed_form, solve_stein, with_params, closed_form_trajectory
+from griccati.closedform import gramian_sweep
 from griccati.grde import optimal_cost, solve_full
 from griccati.linalg import NumericalRefusal, Tolerance, kernel_basis, pinv, symmetrize
 from griccati.model import random_problem
@@ -28,10 +28,10 @@ from griccati.pencil import (
     mu_bookkeeping,
     n_singular_criterion,
 )
-from griccati.reduction import build_reduction, checkpoint_blocks, delta_recursion_check, reduced_step, solve_hybrid
+from griccati.reduction import build_reduction, checkpoint_blocks, delta_recursion_check, solve_hybrid
 
 from conftest import PHI, multi_root_family, scalar_j_problem, scalar_two_step
-from test_closedform import _synthetic_rd
+from test_closedform import _iterated, _synthetic_rd, scalar_gramian_limit
 
 
 def test_criterion_01_oracle_equivalence(corpus200):
@@ -60,12 +60,11 @@ def test_criterion_02_scalar_goldens():
     ref = find_reference(problem)
     assert ref.found
     rd = build_reduction(problem, ref.solution)
-    C = rd.B2 @ pinv(rd.R0) @ rd.B2.T
-    Y = solve_stein(rd.Z, C)
-    assert abs(Y[0, 0] - 0.4472135955) <= 1e-9
+    W = scalar_gramian_limit(rd)
+    assert abs(W - 0.4472135955) <= 1e-9
     print(
         f"[criterion 02] PASS — phi err {abs(res.solution.X[0,0]-PHI):.1e}, "
-        f"X=(1.5,1,0), Stein err {abs(Y[0,0]-1/np.sqrt(5)):.1e}"
+        f"X=(1.5,1,0), Gramian limit err {abs(W-1/np.sqrt(5)):.1e}"
     )
 
 
@@ -226,16 +225,11 @@ def test_criterion_08_closed_form_vs_iterated():
         rd = _synthetic_rd(Z, B2, R0)
         Tp = 2 + attempts % 9
         try:
-            cf = with_params(prepare_closed_form(rd, Tp, term))
-            sweep = closed_form_trajectory(cf)
+            sweep = list(gramian_sweep(term, Tp, rd))
         except NumericalRefusal:
             continue
-        seq = [np.asarray(term, dtype=float)]
-        for _ in range(Tp):
-            seq.append(reduced_step(seq[-1], rd))
-        seq = seq[::-1]
-        for t in range(Tp + 1):
-            rel = np.linalg.norm(sweep.Psi[t] - seq[t]) / (1.0 + np.linalg.norm(seq[t]))
+        for got, want in zip(sweep, _iterated(term, Tp, rd)):
+            rel = np.linalg.norm(got - want) / (1.0 + np.linalg.norm(want))
             worst = max(worst, float(rel))
         done += 1
     assert done == 30
@@ -243,11 +237,9 @@ def test_criterion_08_closed_form_vs_iterated():
 
     # Refusals must be raised, not approximated around.
     with pytest.raises(NumericalRefusal):
-        prepare_closed_form(_synthetic_rd([[0.5]], [[1.0]], [[0.0]]), 3, np.zeros((1, 1)))
+        next(gramian_sweep(np.zeros((1, 1)), 3, _synthetic_rd([[0.5]], [[1.0]], [[0.0]])))
     with pytest.raises(NumericalRefusal):
-        closed_form_trajectory(
-            with_params(prepare_closed_form(_synthetic_rd([[0.5]], [[1.0]], [[1.0]]), 4, [[-1.0]]))
-        )
+        next(gramian_sweep(np.array([[-1.0]]), 4, _synthetic_rd([[0.5]], [[1.0]], [[1.0]])))
     print(f"[criterion 08] PASS — 30 reduced problems, worst sweep rel err {worst:.2e}, refusals raised")
 
 

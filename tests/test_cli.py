@@ -128,26 +128,45 @@ def test_solve_reduced_without_reference_falls_back(tmp_path, capsys):
 
 
 def test_solve_closed_form_refusal_falls_back(tmp_path, capsys):
-    from test_reduction import _drift_singular_problem
-    from griccati.cgdare import find_reference
-    from griccati.reduction import build_reduction
+    # A horizon shorter than the nilpotency index leaves no reduced sweep.
+    from griccati.model import random_problem
 
-    for seed in (101, 102, 104, 107, 110):
-        problem = _drift_singular_problem(seed)
-        res = find_reference(problem)
-        if not res.found:
-            continue
-        rd = build_reduction(problem, res.solution)
-        if rd.dim_u == 0 or np.linalg.norm(rd.B1) < 1e-3:
-            continue
-        path = _write(tmp_path, problem, name=f"drift{seed}.json")
-        code, report, _ = _run(capsys, ["solve", path, "--method", "closed-form"])
-        assert code == 2
-        assert report["status"] == "fallback"
-        assert "autonomous" in report["reason"]
-        assert report["results"]["method_used"] == "full"
-        return
-    pytest.fail("no usable drift-singular instance")
+    problem = random_problem(4, 1, 2100, "nilpotent_block", horizon=1, nilpotent_dim=3)
+    path = _write(tmp_path, problem)
+    code, report, _ = _run(capsys, ["solve", path, "--method", "closed-form"])
+    assert code == 2
+    assert report["status"] == "fallback"
+    assert "horizon" in report["reason"]
+    assert report["results"]["method_used"] == "full"
+
+
+def test_solve_closed_form_long_horizon(tmp_path, capsys):
+    from griccati.grde import solve_full
+    from griccati.model import random_problem
+
+    problem = random_problem(12, 2, 3, "nilpotent_block", horizon=500, nilpotent_dim=2)
+    path = _write(tmp_path, problem)
+    code, report, _ = _run(capsys, ["--json", "solve", path, "--method", "closed-form"])
+    assert code == 0
+    assert report["results"]["method_used"] == "closed-form"
+    assert report["results"]["horizon_prime"] == 500 - report["results"]["nu"]
+    assert "checkpoint_off_norm" in report["residuals"]
+    trace = float(np.trace(solve_full(problem).X[0]))
+    assert abs(report["results"]["X0_trace"] - trace) <= 1e-8 * (1.0 + abs(trace))
+
+
+def test_usage_error_exit_code(capsys):
+    # A malformed command line is an input error (1), not a refusal (2).
+    with pytest.raises(SystemExit) as exc:
+        main(["solve"])
+    assert exc.value.code == 1
+    assert "usage" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "p.json", "--method", "nope"])
+    assert exc.value.code == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
 
 
 def test_solve_uses_x_ref_from_file(tmp_path, capsys):

@@ -4,19 +4,11 @@ import numpy as np
 import pytest
 
 from griccati.cgdare import find_reference
-from griccati.closedform import (
-    SteinUnsolvableError,
-    closed_form_trajectory,
-    prepare_closed_form,
-    solve_closed_form,
-    solve_stein,
-    stein_series,
-    with_params,
-)
+from griccati.closedform import gramian_sweep, solve_closed_form
 from griccati.grde import solve_full
 from griccati.linalg import NumericalRefusal
 from griccati.model import random_problem
-from griccati.reduction import ReductionData, build_reduction, reduced_step
+from griccati.reduction import ReductionData, build_reduction, checkpoint_blocks, reduced_step, solve_hybrid
 
 from conftest import PHI, scalar_j_problem
 
@@ -45,77 +37,55 @@ def _synthetic_rd(Z, B2, R0, m=None):
     )
 
 
-def test_stein_scalar_golden():
-    # Z = phi^-2, C = B2 R0^-1 B2 = phi^-2: Y = C / (1 - Z^2) = 1/sqrt(5).
-    z = 2.0 - PHI
-    Y = solve_stein([[z]], [[z]])
-    assert abs(Y[0, 0] - 1.0 / np.sqrt(5.0)) <= 1e-9
-    assert abs(Y[0, 0] - 0.4472135955) <= 1e-9
+def _iterated(Psi_terminal, steps, rd):
+    """Psi_{T'-1}, ..., Psi_{T'-steps} by the plain reduced step."""
+    seq = [np.asarray(Psi_terminal, dtype=float)]
+    for _ in range(steps):
+        seq.append(reduced_step(seq[-1], rd))
+    return seq[1:]
 
 
-def test_stein_matches_series_oracle():
-    rng = np.random.default_rng(21)
-    for _ in range(20):
-        d = 1 + int(rng.integers(4))
-        A = rng.normal(size=(d, d))
-        rho = max(abs(np.linalg.eigvals(A)))
-        if rho > 0:
-            A = A * (0.8 * rng.random() / rho)
-        L = rng.normal(size=(d, d))
-        C = L @ L.T / d
-        Y = solve_stein(A, C)
-        Y_ref = stein_series(A, C, terms=400)
-        assert np.linalg.norm(Y - Y_ref) <= 1e-9 * (1.0 + np.linalg.norm(Y_ref))
-        assert np.linalg.norm(A @ Y @ A.T - Y + C) <= 1e-9 * (1.0 + np.linalg.norm(Y))
+def _max_rel_x(problem, traj):
+    full = solve_full(problem)
+    return max(float(np.linalg.norm(Xa - Xb) / (1.0 + np.linalg.norm(Xa))) for Xa, Xb in zip(full.X, traj.X))
 
 
-def test_stein_unsolvable_eigenvalue_products():
-    with pytest.raises(SteinUnsolvableError):
-        solve_stein([[1.0]], [[1.0]])
-    # Cross product 2 * 0.5 = 1 is just as fatal as a unit eigenvalue.
-    with pytest.raises(SteinUnsolvableError):
-        solve_stein(np.diag([2.0, 0.5]), np.eye(2))
+def scalar_gramian_limit(rd, steps=40):
+    """W_s of a 1 x 1 reduced problem, read back from the sweep output.
 
-
-def test_stein_input_checks():
-    with pytest.raises(ValueError, match="square"):
-        solve_stein(np.ones((2, 3)), np.eye(2))
-    with pytest.raises(ValueError, match="size"):
-        solve_stein(np.eye(2), np.eye(3))
-    with pytest.raises(ValueError):
-        solve_stein(np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
-    assert solve_stein(np.zeros((0, 0)), np.zeros((0, 0))).shape == (0, 0)
+    For d = 1 the formula reads psi_s = z^(2s) psi / (1 + w_s psi), so
+    w_s = (z^(2s) psi / psi_s - 1) / psi; returns w_steps.
+    """
+    psi = 1.0 - PHI
+    last = list(gramian_sweep(np.array([[psi]]), steps, rd))[-1][0, 0]
+    return (rd.Z[0, 0] ** (2 * steps) * psi / last - 1.0) / psi
 
 
 def test_scalar_params_frozen():
     # Decoupled scalar problem, T = 5: phase one leaves Psi_terminal =
-    # 1 - phi = -0.618034 at reduced horizon T' = 4, and the parameters are
-    #   K2 = phi - 1 = 0.6180339887
-    #   K1 = Z^-4 (1 - Y K2) = phi^8 (5 + sqrt 5)/10 = 33.99411663
+    # 1 - phi = -0.618034 at reduced horizon T' = 4.  Z = phi^-2 and
+    # C = B2 R_full^-1 B2^T = phi^-2, so W_s tends to C / (1 - Z^2) = 1/sqrt(5).
     problem = scalar_j_problem(5)
     res = find_reference(problem)
     rd = build_reduction(problem, res.solution)
     out = solve_closed_form(problem, rd)
-    cf = out.data
-    assert cf.horizon_prime == 4
-    assert abs(cf.Psi_terminal[0, 0] - (1.0 - PHI)) <= 1e-9
-    assert abs(cf.K2[0, 0] - 0.6180339887) <= 1e-9
-    assert abs(cf.K1[0, 0] - 33.99411663) <= 1e-6
-    assert abs(cf.Y[0, 0] - 0.4472135955) <= 1e-9
-    # And the assembled trajectory must equal the plain recursion.
+    assert out.reduced_steps == 4
     full = solve_full(problem)
+    Psi_terminal = checkpoint_blocks(full.X[problem.T - rd.nu] - rd.X_circ, rd)[2]
+    assert abs(Psi_terminal[0, 0] - (1.0 - PHI)) <= 1e-9
+    assert abs(scalar_gramian_limit(rd) - 0.4472135955) <= 1e-9
+    # And the assembled trajectory must equal the plain recursion.
     for Xa, Xb in zip(out.trajectory.X, full.X):
         assert np.linalg.norm(Xa - Xb) <= 1e-10
 
 
 def test_fixed_point_terminal_gives_constant_sweep():
-    # Psi_terminal equal to the reference fixed point: K2 = 0, and the sweep
-    # is constant.
+    # Psi_terminal equal to the fixed point 0 of the reduced recursion: the
+    # sweep stays there.
     rd = _synthetic_rd([[0.5]], [[1.0]], [[2.0]])
-    cf = with_params(prepare_closed_form(rd, 6, np.zeros((1, 1))))
-    assert abs(cf.K2[0, 0]) <= 1e-12
-    sweep = closed_form_trajectory(cf)
-    for P in sweep.Psi:
+    sweep = list(gramian_sweep(np.zeros((1, 1)), 6, rd))
+    assert len(sweep) == 6
+    for P in sweep:
         assert abs(P[0, 0]) <= 1e-12
 
 
@@ -140,67 +110,98 @@ def test_closed_form_matches_iteration_synthetic():
         rd = _synthetic_rd(Z, B2, R0)
         Tp = 2 + i % 9
         try:
-            cf = with_params(prepare_closed_form(rd, Tp, term))
-            sweep = closed_form_trajectory(cf)
+            sweep = list(gramian_sweep(term, Tp, rd))
         except NumericalRefusal:
-            continue  # legitimately ill-posed draw (e.g. Stein pair near 1)
-        seq = [np.asarray(term, dtype=float)]
-        for _ in range(Tp):
-            seq.append(reduced_step(seq[-1], rd))
-        seq = seq[::-1]
-        for t in range(Tp + 1):
-            scale = 1.0 + np.linalg.norm(seq[t])
-            assert np.linalg.norm(sweep.Psi[t] - seq[t]) <= 1e-8 * scale, (i, t)
+            continue  # an indefinite draw can make I + W_s Psi singular
+        for s, (got, want) in enumerate(zip(sweep, _iterated(term, Tp, rd))):
+            assert np.linalg.norm(got - want) <= 1e-12 * (1.0 + np.linalg.norm(want)), (i, s)
         done += 1
     assert done >= 30
 
 
-def test_refusal_singular_reference_curvature():
-    rd = _synthetic_rd([[0.5]], [[1.0]], [[0.0]])  # R0 = 0
-    with pytest.raises(NumericalRefusal, match="curvature"):
-        prepare_closed_form(rd, 3, np.zeros((1, 1)))
-
-
-def test_refusal_long_horizon_power_underflow():
-    # Stable Z with mixed decay rates at a huge reduced horizon: the fast
-    # direction of A_Psi^T' underflows to zero relative to the slow one, the
-    # power is numerically singular, and the parameter solve must refuse
-    # (advising the iterative path) rather than emit garbage.
+def test_long_horizon_mixed_decay_matches_iteration():
+    # Stable Z with mixed decay rates at a long reduced horizon: the fast
+    # direction of Z^s underflows relative to the slow one, which no
+    # positive-power formula minds.
     rd = _synthetic_rd(np.diag([0.9, 0.01]), np.eye(2), np.eye(2))
-    cf = prepare_closed_form(rd, 200, np.diag([-0.3, -0.2]))
-    with pytest.raises(NumericalRefusal, match="iterat"):
-        with_params(cf)
+    term = np.diag([-0.3, -0.2])
+    sweep = list(gramian_sweep(term, 200, rd))
+    for s, (got, want) in enumerate(zip(sweep, _iterated(term, 200, rd))):
+        assert np.linalg.norm(got - want) <= 1e-13 * (1.0 + np.linalg.norm(want)), s
 
 
-def test_refusal_singular_xi():
-    # Constructed so Xi vanishes one step before the terminal: Z = 0.5,
-    # B2 = R0 = 1 gives Y = 4/3, and Psi_terminal = -1 makes
-    # Xi_{T'-1} = z^{-1}(1 - Y K2) + Y z K2 = 0 exactly.
+def test_refusal_singular_reference_curvature():
+    rd = _synthetic_rd([[0.5]], [[1.0]], [[0.0]])  # R_full = 0
+    with pytest.raises(NumericalRefusal, match="curvature"):
+        next(gramian_sweep(np.zeros((1, 1)), 3, rd))
+    # The cutoff is relative: a tiny but well-conditioned curvature is fine.
+    rd = _synthetic_rd(np.diag([0.5, 0.4]), np.eye(2), 1e-12 * np.eye(2))
+    assert len(list(gramian_sweep(-np.eye(2), 3, rd))) == 3
+    rd = _synthetic_rd(np.diag([0.5, 0.4]), np.eye(2), 1e6 * np.diag([1.0, 1e-12]))
+    with pytest.raises(NumericalRefusal, match="curvature"):
+        next(gramian_sweep(np.zeros((2, 2)), 3, rd))
+
+
+def test_refusal_singular_gramian_denominator():
+    # Z = 0.5, B2 = R_full = 1 gives W_1 = C = 1, and Psi_terminal = -1
+    # makes I + W_1 Psi = 0 on the first step.
     rd = _synthetic_rd([[0.5]], [[1.0]], [[1.0]])
-    cf = with_params(prepare_closed_form(rd, 4, np.array([[-1.0]])))
-    assert abs(cf.Y[0, 0] - 4.0 / 3.0) <= 1e-12
-    with pytest.raises(NumericalRefusal, match="[Xx]i|singular"):
-        closed_form_trajectory(cf)
+    with pytest.raises(NumericalRefusal, match=r"I \+ W_1 Psi"):
+        next(gramian_sweep(np.array([[-1.0]]), 4, rd))
+    # A near-cancellation is caught too: a 1 x 1 I + W_1 Psi of -1e-12 is
+    # measured against the size of its parts, not against itself.
+    rd = _synthetic_rd([[0.5]], [[1e4]], [[1.0]])
+    with pytest.raises(NumericalRefusal, match=r"I \+ W_1 Psi"):
+        next(gramian_sweep(np.array([[-1e-8 * (1.0 + 1e-12)]]), 4, rd))
 
 
 def test_solve_closed_form_matches_full(nilpotent50):
     done = 0
     for problem, reference in nilpotent50:
-        if reference is None or problem.T > 30:
+        if reference is None:
             continue
-        if done >= 10:
-            break
         rd = build_reduction(problem, reference)
-        try:
-            out = solve_closed_form(problem, rd)
-        except NumericalRefusal:
-            continue  # e.g. Stein pairing; the hybrid path covers these
-        full = solve_full(problem)
-        for Xa, Xb in zip(out.trajectory.X, full.X):
-            scale = 1.0 + max(np.linalg.norm(Xa), np.linalg.norm(Xb))
-            assert np.linalg.norm(Xa - Xb) <= 1e-8 * scale
+        out = solve_closed_form(problem, rd)
+        assert out.reduced_steps == problem.T - rd.nu
+        assert _max_rel_x(problem, out.trajectory) <= 1e-10
         done += 1
-    assert done >= 5
+    assert done >= 45
+
+
+@pytest.mark.parametrize(
+    "seed, kind, horizon",
+    [
+        (11100363, "generic", 11),
+        (11200366, "generic", 11),
+        (11300375, "generic", 13),
+        (13600573, "generic", 16),
+        (80402447, "nilpotent_block", 12),
+    ],
+)
+def test_solve_closed_form_benchmark_corpus_problems(seed, kind, horizon):
+    # The Stein route missed the 1e-8 X limit on these 5x2 problems by up
+    # to 1.4e-7.
+    problem = random_problem(5, 2, seed, kind, horizon=horizon)
+    res = find_reference(problem)
+    assert res.found
+    out = solve_closed_form(problem, build_reduction(problem, res.solution))
+    assert _max_rel_x(problem, out.trajectory) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "n, seed, nilpotent_dim", [(20, 42, 15), (12, 3, 2)], ids=["headline", "live_psi"]
+)
+def test_solve_closed_form_long_horizon(n, seed, nilpotent_dim):
+    problem = random_problem(n, 2, seed, "nilpotent_block", horizon=500, nilpotent_dim=nilpotent_dim)
+    res = find_reference(problem)
+    assert res.found
+    rd = build_reduction(problem, res.solution)
+    out = solve_closed_form(problem, rd)
+    assert out.reduced_steps == 500 - rd.nu
+    assert _max_rel_x(problem, out.trajectory) <= 1e-8
+    # Same checkpoint and shape of result as the hybrid solve.
+    hyb = solve_hybrid(problem, rd)
+    assert (out.checkpoint_off_norm, out.full_steps) == (hyb.checkpoint_off_norm, hyb.full_steps)
 
 
 def test_solve_closed_form_short_horizon_refuses():
@@ -212,12 +213,24 @@ def test_solve_closed_form_short_horizon_refuses():
         solve_closed_form(problem, rd)
 
 
-def test_solve_closed_form_refuses_non_autonomous():
-    # If the input reaches the nilpotent coordinates the reduced problem is
-    # time-varying and the closed form must refuse explicitly.
+def test_solve_closed_form_refuses_violated_checkpoint():
+    # The rotation of another problem: the checkpoint must catch it.
+    problem = random_problem(4, 2, 1902, "nilpotent_block", horizon=10, nilpotent_dim=2)
+    res = find_reference(problem)
+    assert res.found
+    rd = build_reduction(problem, res.solution)
+    Qm, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(4, 4)))
+    with pytest.raises(NumericalRefusal, match="checkpoint"):
+        solve_closed_form(problem, dataclasses.replace(rd, T_orth=Qm))
+
+
+def test_solve_closed_form_non_autonomous_matches_full():
+    # The input reaches the nilpotent coordinates (R_full != R0).  Phase two
+    # inverts R_full, so the closed form applies as it stands.
     from test_reduction import _drift_singular_problem
 
-    for seed in (101, 102, 104, 107, 110):
+    checked = 0
+    for seed in range(101, 111):
         problem = _drift_singular_problem(seed)
         res = find_reference(problem)
         if not res.found:
@@ -225,10 +238,11 @@ def test_solve_closed_form_refuses_non_autonomous():
         rd = build_reduction(problem, res.solution)
         if rd.dim_u == 0 or np.linalg.norm(rd.B1) < 1e-3:
             continue
-        with pytest.raises(NumericalRefusal, match="autonomous"):
-            solve_closed_form(problem, rd)
-        return
-    pytest.fail("no drift-singular instance with unaligned input found")
+        assert np.linalg.norm(rd.R_full - rd.R0) > 1e-3
+        out = solve_closed_form(problem, rd)
+        assert _max_rel_x(problem, out.trajectory) <= 1e-12
+        checked += 1
+    assert checked >= 3
 
 
 def test_empty_reduced_block():
