@@ -21,6 +21,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    as_matrix,
     check_symmetric,
     inertia,
     nilpotent_eigenspace,
@@ -30,7 +31,7 @@ from .linalg import (
     within_residual,
 )
 from .model import LQProblem, PopovTriple
-from .grde import riccati_map
+from .grde import _curvature, backward_step, riccati_map
 
 
 class ReferenceRejectedError(ValueError):
@@ -40,8 +41,6 @@ class ReferenceRejectedError(ValueError):
 def gdare_residual(X, triple: PopovTriple, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """The defect D(X); its norm is zero exactly at generalised DARE solutions."""
     Xs = check_symmetric(X, tol, "candidate solution")
-    if Xs.shape[0] != triple.n:
-        raise ValueError(f"candidate has size {Xs.shape[0]}, expected {triple.n}")
     return Xs - riccati_map(Xs, triple, tol)
 
 
@@ -76,15 +75,12 @@ def closed_loop(X, triple: PopovTriple, tol: Tolerance = DEFAULT_TOL) -> CgdareS
     Xs = check_symmetric(X, tol, "candidate solution")
     if Xs.shape[0] != triple.n:
         raise ValueError(f"candidate has size {Xs.shape[0]}, expected {triple.n}")
-    A, B, S, R = triple.A, triple.B, triple.S, triple.R
-    R_X = symmetrize(R + B.T @ Xs @ B)
-    S_X = A.T @ Xs @ B + S
-    R_X_pinv = pinv(R_X, tol)
-    K_X = R_X_pinv @ S_X.T
+    A, B = triple.A, triple.B
+    R_X, S_X, K_X, G = _curvature(Xs, triple, tol)
     A_X = A - B @ K_X
-    resid = float(np.linalg.norm(gdare_residual(Xs, triple, tol)))
-    kercond = float(np.linalg.norm(S_X @ (np.eye(triple.m) - R_X_pinv @ R_X)))
-    kercond_ok = within_residual(kercond, float(np.linalg.norm(S_X)), tol)
+    # D(X) = X minus its backward step, taken from the same pseudo-inverse.
+    resid = float(np.linalg.norm(Xs - symmetrize(A.T @ Xs @ A - S_X @ K_X + triple.Q)))
+    kercond_ok = within_residual(float(np.linalg.norm(S_X @ G)), float(np.linalg.norm(S_X)), tol)
     # A_X can cancel to zero exactly (deadbeat loops), leaving pure rounding
     # noise; its kernel structure is judged against the size of its parents.
     loop_scale = float(np.linalg.norm(A)) + float(np.linalg.norm(B @ K_X))
@@ -94,7 +90,7 @@ def closed_loop(X, triple: PopovTriple, tol: Tolerance = DEFAULT_TOL) -> CgdareS
         triple=triple,
         residual_norm=resid,
         kernel_condition_ok=kercond_ok,
-        R_X=R_X,
+        R_X=symmetrize(R_X),
         S_X=S_X,
         K_X=K_X,
         A_X=A_X,
@@ -157,7 +153,7 @@ def find_reference(
         return ReferenceSearchResult(sol, True, 0, "supplied reference verified")
 
     X = np.zeros((triple.n, triple.n)) if config.seed_matrix is None else symmetrize(
-        np.asarray(config.seed_matrix, dtype=float)
+        as_matrix(config.seed_matrix, "seed matrix")
     )
     if X.shape != (triple.n, triple.n):
         raise ValueError(f"seed matrix has shape {X.shape}, expected ({triple.n}, {triple.n})")
@@ -169,7 +165,7 @@ def find_reference(
     plateau = 0
     it = 0
     for it in range(1, config.max_iter + 1):
-        X_next = riccati_map(X, triple, tol)
+        X_next = backward_step(X, triple, tol)[0]
         if not np.all(np.isfinite(X_next)) or np.linalg.norm(X_next) > config.divergence_norm:
             return ReferenceSearchResult(None, False, it, "iterates diverged")
         step = float(np.linalg.norm(X_next - X))
@@ -248,19 +244,17 @@ def difference_identity_residuals(X, Y, triple: PopovTriple, tol: Tolerance = DE
     """Residual norms of the two D(X) - D(Y) identities for a symmetric pair."""
     Xs = check_symmetric(X, tol, "X")
     Ys = check_symmetric(Y, tol, "Y")
-    A, B, S, R = triple.A, triple.B, triple.S, triple.R
+    A, B, R = triple.A, triple.B, triple.R
     Delta = Xs - Ys
 
-    R_X = R + B.T @ Xs @ B
-    R_Y = R + B.T @ Ys @ B
-    K_X = pinv(R_X, tol) @ (B.T @ Xs @ A + S.T)
-    K_Y = pinv(R_Y, tol) @ (B.T @ Ys @ A + S.T)
+    X_prev, K_X, _ = backward_step(Xs, triple, tol)
+    Y_prev, K_Y, _ = backward_step(Ys, triple, tol)
     A_X = A - B @ K_X
     A_Y = A - B @ K_Y
 
-    lhs = gdare_residual(Xs, triple, tol) - gdare_residual(Ys, triple, tol)
+    lhs = (Xs - X_prev) - (Ys - Y_prev)
     onestep = lhs - (Delta - A_Y.T @ Delta @ A_X)
-    quadratic = lhs - (Delta - A_Y.T @ Delta @ A_Y + A_Y.T @ Delta @ B @ pinv(R_X, tol) @ B.T @ Delta @ A_Y)
+    quadratic = lhs - (Delta - A_Y.T @ Delta @ A_Y + A_Y.T @ Delta @ B @ pinv(R + B.T @ Xs @ B, tol) @ B.T @ Delta @ A_Y)
     return float(np.linalg.norm(onestep)), float(np.linalg.norm(quadratic))
 
 

@@ -35,17 +35,32 @@ class GrdeTrajectory:
         return len(self.X) - 1
 
 
+def _curvature(X_next, triple: PopovTriple, tol: Tolerance):
+    """R_X = R + B^T X B, S_X = A^T X B + S and, from the one pinv of R_X,
+    the gain K = R_X^+ S_X^T and the projector G = I - R_X^+ R_X."""
+    XB = X_next @ triple.B
+    R_X = triple.R + triple.B.T @ XB
+    S_X = triple.A.T @ XB + triple.S
+    R_X_pinv = pinv(R_X, tol)
+    return R_X, S_X, R_X_pinv @ S_X.T, np.eye(triple.m) - R_X_pinv @ R_X
+
+
+def backward_step(X_next, triple: PopovTriple, tol: Tolerance = DEFAULT_TOL):
+    """(X_t, K_t, G_t) from X_{t+1}, all from one pinv of the curvature R_X.
+
+    X_t = A^T X A - S_X K + Q, re-symmetrised.  X_next must be symmetric and
+    is not checked; riccati_map is the checked entry point.
+    """
+    _, S_X, K, G = _curvature(X_next, triple, tol)
+    return symmetrize(triple.A.T @ X_next @ triple.A - S_X @ K + triple.Q), K, G
+
+
 def gain_and_projector(X_next, triple: PopovTriple, tol: Tolerance = DEFAULT_TOL):
     """Feedback gain K and null-space projector G for one backward step.
 
     K = (R + B^T X B)^+ (S^T + B^T X A),  G = I - (R + B^T X B)^+ (R + B^T X B).
     """
-    A, B, S, R = triple.A, triple.B, triple.S, triple.R
-    R_X = R + B.T @ X_next @ B
-    R_X_pinv = pinv(R_X, tol)
-    K = R_X_pinv @ (S.T + B.T @ X_next @ A)
-    G = np.eye(triple.m) - R_X_pinv @ R_X
-    return K, G
+    return _curvature(X_next, triple, tol)[2:]
 
 
 def riccati_map(X, triple: PopovTriple, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -57,11 +72,7 @@ def riccati_map(X, triple: PopovTriple, tol: Tolerance = DEFAULT_TOL) -> np.ndar
     Xs = check_symmetric(X, tol, "riccati_map input")
     if Xs.shape[0] != triple.n:
         raise ValueError(f"riccati_map input has size {Xs.shape[0]}, expected {triple.n}")
-    A, B, Q, S, R = triple.A, triple.B, triple.Q, triple.S, triple.R
-    S_X = A.T @ Xs @ B + S
-    R_X = R + B.T @ Xs @ B
-    X_prev = A.T @ Xs @ A - S_X @ pinv(R_X, tol) @ S_X.T + Q
-    return symmetrize(X_prev)
+    return backward_step(Xs, triple, tol)[0]
 
 
 def solve_full(problem: LQProblem, tol: Tolerance = DEFAULT_TOL) -> GrdeTrajectory:
@@ -73,8 +84,7 @@ def solve_full(problem: LQProblem, tol: Tolerance = DEFAULT_TOL) -> GrdeTrajecto
     G = [None] * problem.T
     X[problem.T] = symmetrize(problem.P)
     for t in range(problem.T - 1, -1, -1):
-        X[t] = riccati_map(X[t + 1], triple, tol)
-        K[t], G[t] = gain_and_projector(X[t + 1], triple, tol)
+        X[t], K[t], G[t] = backward_step(X[t + 1], triple, tol)
     return GrdeTrajectory(tuple(X), tuple(K), tuple(G))
 
 

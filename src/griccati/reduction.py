@@ -29,7 +29,7 @@ from .linalg import (
 )
 from .model import LQProblem
 from .cgdare import CgdareSolution
-from .grde import GrdeTrajectory, gain_and_projector, riccati_map, solve_full
+from .grde import GrdeTrajectory, backward_step, gain_and_projector, solve_full
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,6 @@ def build_reduction(problem: LQProblem, reference: CgdareSolution, tol: Toleranc
             f"reference solution not accepted (residual {reference.residual_norm:.3e}, "
             f"kernel condition {'ok' if reference.kernel_condition_ok else 'violated'})"
         )
-    n = problem.n
     U = reference.U
     U_c = orthonormal_complement(U, tol)
     T_orth = np.hstack([U, U_c]) if U.size else U_c
@@ -110,7 +109,6 @@ def build_reduction(problem: LQProblem, reference: CgdareSolution, tol: Toleranc
     X_rot = T_orth.T @ reference.X @ T_orth
     X11, X12, X22 = X_rot[:k, :k], X_rot[:k, k:], X_rot[k:, k:]
     R0 = symmetrize(problem.triple.R + B2.T @ X22 @ B2)
-    R_full = symmetrize(problem.triple.R + problem.triple.B.T @ reference.X @ problem.triple.B)
     return ReductionData(
         T_orth=T_orth,
         nu=reference.nu,
@@ -119,7 +117,7 @@ def build_reduction(problem: LQProblem, reference: CgdareSolution, tol: Toleranc
         B1=B1,
         B2=B2,
         R0=R0,
-        R_full=R_full,
+        R_full=reference.R_X,
         X_circ=reference.X,
         X_circ_blocks=(X11, X12, X22),
         lower_left_norm=lower_left,
@@ -190,13 +188,14 @@ def _iterate_reduced(Psi, steps: int, rd: ReductionData, tol: Tolerance):
 def _solve_reduced(problem: LQProblem, rd: ReductionData, tol: Tolerance, phase_two) -> HybridSolveResult:
     """The reduced solve shared by the hybrid and the closed-form routes.
 
-    Runs the nu full steps, checks that the difference to the reference is
-    confined to the trailing block, reassembles
-    X_t = X_ref + T diag(0, Psi_t) T^T from phase_two(Psi_{T'}, T', rd, tol),
-    which yields Psi_{T'-1}, ..., Psi_0, and recomputes the gains from the
-    assembled X_{t+1} exactly as in the full solver.  When the horizon is
-    shorter than nu or the checkpoint fails, the result has used_fallback
-    set, its reason, and trajectory None; the caller decides what follows.
+    Runs the nu full steps, keeping their gains, checks that the difference
+    to the reference is confined to the trailing block, reassembles
+    X_t = X_ref + U_c Psi_t U_c^T from phase_two(Psi_{T'}, T', rd, tol),
+    which yields Psi_{T'-1}, ..., Psi_0, and computes the remaining gains
+    from the assembled X_{t+1} exactly as in the full solver.  When the
+    horizon is shorter than nu or the checkpoint fails, the result has
+    used_fallback set, its reason, and trajectory None; the caller decides
+    what follows.
     """
     T = problem.T
     nu = rd.nu
@@ -220,9 +219,11 @@ def _solve_reduced(problem: LQProblem, rd: ReductionData, tol: Tolerance, phase_
         return inapplicable(f"horizon {T} shorter than nilpotency index {nu}")
 
     X = [None] * (T + 1)
+    K = [None] * T
+    G = [None] * T
     X[T] = symmetrize(problem.P)
     for t in range(T - 1, T - nu - 1, -1):
-        X[t] = riccati_map(X[t + 1], triple, tol)
+        X[t], K[t], G[t] = backward_step(X[t + 1], triple, tol)
 
     Delta = X[T - nu] - rd.X_circ
     D11, D12, D22 = checkpoint_blocks(Delta, rd)
@@ -232,15 +233,10 @@ def _solve_reduced(problem: LQProblem, rd: ReductionData, tol: Tolerance, phase_
         return inapplicable("checkpoint block structure violated", off_norm, threshold)
 
     # Phase two: only the trailing block moves.
-    k = rd.dim_u
-    pad = np.zeros((problem.n, problem.n))
+    U_c = rd.T_orth[:, rd.dim_u:]
     for t, Psi in zip(range(T - nu - 1, -1, -1), phase_two(D22, T - nu, rd, tol)):
-        pad[k:, k:] = Psi
-        X[t] = symmetrize(rd.X_circ + rd.T_orth @ pad @ rd.T_orth.T)
-
-    K = [None] * T
-    G = [None] * T
-    for t in range(T):
+        X[t] = symmetrize(rd.X_circ + U_c @ Psi @ U_c.T)
+    for t in range(T - nu):
         K[t], G[t] = gain_and_projector(X[t + 1], triple, tol)
     return HybridSolveResult(
         trajectory=GrdeTrajectory(tuple(X), tuple(K), tuple(G)),

@@ -11,6 +11,7 @@ from griccati.model import random_problem
 from griccati.reduction import ReductionData, build_reduction, checkpoint_blocks, reduced_step, solve_hybrid
 
 from conftest import PHI, scalar_j_problem
+from test_reduction import _assert_trajectories_match, _drift_singular_problem
 
 
 def _synthetic_rd(Z, B2, R0, m=None):
@@ -45,11 +46,6 @@ def _iterated(Psi_terminal, steps, rd):
     return seq[1:]
 
 
-def _max_rel_x(problem, traj):
-    full = solve_full(problem)
-    return max(float(np.linalg.norm(Xa - Xb) / (1.0 + np.linalg.norm(Xa))) for Xa, Xb in zip(full.X, traj.X))
-
-
 def scalar_gramian_limit(rd, steps=40):
     """W_s of a 1 x 1 reduced problem, read back from the sweep output.
 
@@ -77,6 +73,7 @@ def test_scalar_params_frozen():
     # And the assembled trajectory must equal the plain recursion.
     for Xa, Xb in zip(out.trajectory.X, full.X):
         assert np.linalg.norm(Xa - Xb) <= 1e-10
+    _assert_trajectories_match(out.trajectory, full, rtol=1e-10)
 
 
 def test_fixed_point_terminal_gives_constant_sweep():
@@ -163,7 +160,7 @@ def test_solve_closed_form_matches_full(nilpotent50):
         rd = build_reduction(problem, reference)
         out = solve_closed_form(problem, rd)
         assert out.reduced_steps == problem.T - rd.nu
-        assert _max_rel_x(problem, out.trajectory) <= 1e-10
+        _assert_trajectories_match(out.trajectory, solve_full(problem), rtol=1e-10)
         done += 1
     assert done >= 45
 
@@ -185,7 +182,7 @@ def test_solve_closed_form_benchmark_corpus_problems(seed, kind, horizon):
     res = find_reference(problem)
     assert res.found
     out = solve_closed_form(problem, build_reduction(problem, res.solution))
-    assert _max_rel_x(problem, out.trajectory) <= 1e-8
+    _assert_trajectories_match(out.trajectory, solve_full(problem), rtol=1e-8)
 
 
 @pytest.mark.parametrize(
@@ -198,7 +195,7 @@ def test_solve_closed_form_long_horizon(n, seed, nilpotent_dim):
     rd = build_reduction(problem, res.solution)
     out = solve_closed_form(problem, rd)
     assert out.reduced_steps == 500 - rd.nu
-    assert _max_rel_x(problem, out.trajectory) <= 1e-8
+    _assert_trajectories_match(out.trajectory, solve_full(problem), rtol=1e-8)
     # Same checkpoint and shape of result as the hybrid solve.
     hyb = solve_hybrid(problem, rd)
     assert (out.checkpoint_off_norm, out.full_steps) == (hyb.checkpoint_off_norm, hyb.full_steps)
@@ -227,8 +224,6 @@ def test_solve_closed_form_refuses_violated_checkpoint():
 def test_solve_closed_form_non_autonomous_matches_full():
     # The input reaches the nilpotent coordinates (R_full != R0).  Phase two
     # inverts R_full, so the closed form applies as it stands.
-    from test_reduction import _drift_singular_problem
-
     checked = 0
     for seed in range(101, 111):
         problem = _drift_singular_problem(seed)
@@ -240,7 +235,7 @@ def test_solve_closed_form_non_autonomous_matches_full():
             continue
         assert np.linalg.norm(rd.R_full - rd.R0) > 1e-3
         out = solve_closed_form(problem, rd)
-        assert _max_rel_x(problem, out.trajectory) <= 1e-12
+        _assert_trajectories_match(out.trajectory, solve_full(problem), rtol=1e-12)
         checked += 1
     assert checked >= 3
 
@@ -265,3 +260,4 @@ def test_empty_reduced_block():
     full = solve_full(problem)
     for Xa, Xb in zip(out.trajectory.X, full.X):
         assert np.linalg.norm(Xa - Xb) <= 1e-10
+    _assert_trajectories_match(out.trajectory, full, rtol=1e-10)

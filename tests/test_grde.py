@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from griccati import cgdare, grde
 from griccati.grde import (
     gain_and_projector,
     optimal_cost,
@@ -157,6 +158,60 @@ def test_simulate_horizon_mismatch():
     p2 = LQProblem(p1.triple, p1.P, 3, [1.0])
     with pytest.raises(ValueError, match="horizon"):
         simulate(p2, solve_full(p1))
+
+
+def test_one_pseudo_inverse_per_step(monkeypatch):
+    # X_t, K_t and G_t all follow from one pinv of the curvature, and
+    # closed_loop takes its residual, gain and kernel condition from one.
+    calls = []
+
+    def counting_pinv(*args):
+        calls.append(args[0])
+        return pinv(*args)
+
+    monkeypatch.setattr(grde, "pinv", counting_pinv)
+    monkeypatch.setattr(cgdare, "pinv", counting_pinv)
+    problem = random_problem(4, 2, 41, "singular_R", horizon=9)
+    solve_full(problem)
+    assert len(calls) == problem.T
+    calls.clear()
+    cgdare.closed_loop(np.eye(problem.n), problem.triple)
+    assert len(calls) == 1
+
+
+def _with_cross_weight(problem, rng):
+    """The problem with [a; R w][a; R w]^T added to its weight matrix.
+
+    The weight stays positive semidefinite and ker R does not move, so the
+    problem keeps its kind, but S becomes nonzero wherever R is.
+    """
+    t3 = problem.triple
+    a = rng.normal(size=problem.n)
+    b = t3.R @ rng.normal(size=problem.m)
+    triple = PopovTriple(t3.A, t3.B, t3.Q + np.outer(a, a), t3.S + np.outer(a, b), t3.R + np.outer(b, b))
+    return LQProblem(triple, problem.P, problem.T, problem.x0)
+
+
+def test_gains_match_their_definition():
+    tol = Tolerance()
+    rng = np.random.default_rng(12)
+    for kind in ("generic", "singular_R", "nilpotent_block"):
+        checked = 0
+        for seed in range(900, 912):
+            problem = _with_cross_weight(random_problem(4, 2, seed, kind, horizon=8), rng)
+            t3 = problem.triple
+            if not np.any(t3.S):
+                continue  # singular_R with R = 0 forces S = 0
+            traj = solve_full(problem)
+            for t in range(problem.T):
+                X = traj.X[t + 1]
+                R_X = t3.R + t3.B.T @ X @ t3.B
+                K = pinv(R_X, tol) @ (t3.S.T + t3.B.T @ X @ t3.A)
+                G = np.eye(problem.m) - pinv(R_X, tol) @ R_X
+                assert np.linalg.norm(traj.K[t] - K) <= 1e-12 * (1.0 + np.linalg.norm(K)), (kind, seed, t)
+                assert np.linalg.norm(traj.G[t] - G) <= 1e-12 * (1.0 + np.linalg.norm(G)), (kind, seed, t)
+            checked += 1
+        assert checked >= 8, kind
 
 
 def test_gain_and_projector_shapes():

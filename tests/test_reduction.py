@@ -20,9 +20,10 @@ from conftest import PHI, scalar_j_problem
 
 def _assert_trajectories_match(t_a, t_b, rtol=1e-8):
     assert t_a.horizon == t_b.horizon
-    for Xa, Xb in zip(t_a.X, t_b.X):
-        scale = 1.0 + max(np.linalg.norm(Xa), np.linalg.norm(Xb))
-        assert np.linalg.norm(Xa - Xb) <= rtol * scale
+    for field in ("X", "K", "G"):
+        for t, (Ma, Mb) in enumerate(zip(getattr(t_a, field), getattr(t_b, field))):
+            scale = 1.0 + max(np.linalg.norm(Ma), np.linalg.norm(Mb))
+            assert np.linalg.norm(Ma - Mb) <= rtol * scale, (field, t)
 
 
 def _drift_singular_problem(seed, n=3, m=2, T=10):
