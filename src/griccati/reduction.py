@@ -29,7 +29,7 @@ from .linalg import (
 )
 from .model import LQProblem
 from .cgdare import CgdareSolution
-from .grde import GrdeTrajectory, backward_step, gain_and_projector, solve_full
+from .grde import GrdeTrajectory, backward_step, solve_full
 
 
 @dataclass(frozen=True)
@@ -38,12 +38,11 @@ class ReductionData:
 
     T_orth = [U, U_c] is orthogonal; in its basis the closed loop of the
     reference solution reads [[N0, *], [0, Z]] with N0 nilpotent of index nu
-    and Z non-singular.  B1, B2 are the corresponding row blocks of B, and
-    X_circ_blocks = (X11, X12, X22) those of the reference solution.
-    R0 = R + B2^T X22 B2 is the reduced curvature at the reference;
-    R_full = R + B^T X B is the full curvature, which is what one backward
-    step actually inverts (the two agree whenever U^T B = 0, in particular
-    on problems whose nilpotent part is unreachable from the input).
+    and Z non-singular.  B1, B2 are the row blocks of T_orth^T B, and A2 =
+    U_c^T A the trailing one of T_orth^T A.  R_full = R + B^T X B and
+    S_full = A^T X B + S belong to the reference X = X_circ; at
+    X_circ + U_c Psi U_c^T they are R_full + B2^T Psi B2 and S_full +
+    A2^T Psi B2, so phase two needs no n x n product but its X_t output.
     """
 
     T_orth: np.ndarray
@@ -52,10 +51,10 @@ class ReductionData:
     Z: np.ndarray
     B1: np.ndarray
     B2: np.ndarray
-    R0: np.ndarray
+    A2: np.ndarray
     R_full: np.ndarray
+    S_full: np.ndarray
     X_circ: np.ndarray
-    X_circ_blocks: tuple
     lower_left_norm: float
     nilpotent_defect: float
 
@@ -105,43 +104,49 @@ def build_reduction(problem: LQProblem, reference: CgdareSolution, tol: Toleranc
         )
 
     B_rot = T_orth.T @ problem.triple.B
-    B1, B2 = B_rot[:k, :], B_rot[k:, :]
-    X_rot = T_orth.T @ reference.X @ T_orth
-    X11, X12, X22 = X_rot[:k, :k], X_rot[:k, k:], X_rot[k:, k:]
-    R0 = symmetrize(problem.triple.R + B2.T @ X22 @ B2)
     return ReductionData(
         T_orth=T_orth,
         nu=reference.nu,
         N0=N0,
         Z=Z,
-        B1=B1,
-        B2=B2,
-        R0=R0,
+        B1=B_rot[:k, :],
+        B2=B_rot[k:, :],
+        A2=U_c.T @ problem.triple.A,
         R_full=reference.R_X,
+        S_full=reference.S_X,
         X_circ=reference.X,
-        X_circ_blocks=(X11, X12, X22),
         lower_left_norm=lower_left,
         nilpotent_defect=defect,
     )
 
 
+def _reduced_curvature(Psi, rd: ReductionData, tol: Tolerance):
+    """B2^T Psi, R_X^+ for R_X = R_full + B2^T Psi B2, and from that one pinv
+    K = R_X^+ (S_full^T + B2^T Psi A2) and G = I - R_X^+ R_X."""
+    BtP = rd.B2.T @ Psi
+    R_X = rd.R_full + BtP @ rd.B2
+    R_X_pinv = pinv(R_X, tol)
+    return BtP, R_X_pinv, R_X_pinv @ (rd.S_full.T + BtP @ rd.A2), np.eye(R_X.shape[0]) - R_X_pinv @ R_X
+
+
+def _reduced_backward_step(Psi, rd: ReductionData, tol: Tolerance):
+    """grde.backward_step on the trailing block: (Psi_t, K_t, G_t) from an
+    unchecked symmetric Psi = Psi_{t+1}, all from one pinv of its curvature."""
+    BtP, R_X_pinv, K, G = _reduced_curvature(Psi, rd, tol)
+    BtPZ = BtP @ rd.Z
+    return symmetrize(rd.Z.T @ Psi @ rd.Z - BtPZ.T @ R_X_pinv @ BtPZ), K, G
+
+
 def reduced_step(Psi, rd: ReductionData, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """One backward step of the homogeneous reduced recursion.
 
-    Psi_prev = Z^T Psi Z - Z^T Psi B2 (R0 + B2^T Psi B2)^+ B2^T Psi Z.
+    Psi_prev = Z^T Psi Z - Z^T Psi B2 (R_full + B2^T Psi B2)^+ B2^T Psi Z.
     Psi = 0 is a fixed point, whose closed loop is Z itself.
     """
     Psi_s = check_symmetric(Psi, tol, "reduced-state Psi")
     if Psi_s.shape[0] != rd.dim_reduced:
         raise ValueError(f"Psi has size {Psi_s.shape[0]}, expected {rd.dim_reduced}")
-    return _reduced_step_with_base(Psi_s, rd.R0, rd, tol)
-
-
-def _reduced_step_with_base(Psi, base, rd: ReductionData, tol: Tolerance) -> np.ndarray:
-    Z, B2 = rd.Z, rd.B2
-    mid = pinv(base + B2.T @ Psi @ B2, tol)
-    ZtP = Z.T @ Psi
-    return symmetrize(ZtP @ Z - ZtP @ B2 @ mid @ B2.T @ Psi @ Z)
+    return _reduced_backward_step(Psi_s, rd, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -174,81 +179,62 @@ def checkpoint_blocks(Delta, rd: ReductionData):
 
 
 def _iterate_reduced(Psi, steps: int, rd: ReductionData, tol: Tolerance):
-    """Phase-two rule of the hybrid solver: step the trailing block.
-
-    One backward step inverts the full curvature
-    R + B^T X_{t+1} B = R_full + B2^T Psi B2, available from the reduced
-    data alone.
-    """
+    """Phase-two rule of the hybrid solver: step the trailing block."""
     for _ in range(steps):
-        Psi = _reduced_step_with_base(Psi, rd.R_full, rd, tol)
-        yield Psi
+        Psi, K, G = _reduced_backward_step(Psi, rd, tol)
+        yield Psi, K, G
 
 
 def _solve_reduced(problem: LQProblem, rd: ReductionData, tol: Tolerance, phase_two) -> HybridSolveResult:
     """The reduced solve shared by the hybrid and the closed-form routes.
 
     Runs the nu full steps, keeping their gains, checks that the difference
-    to the reference is confined to the trailing block, reassembles
-    X_t = X_ref + U_c Psi_t U_c^T from phase_two(Psi_{T'}, T', rd, tol),
-    which yields Psi_{T'-1}, ..., Psi_0, and computes the remaining gains
-    from the assembled X_{t+1} exactly as in the full solver.  When the
-    horizon is shorter than nu or the checkpoint fails, the result has
-    used_fallback set, its reason, and trajectory None; the caller decides
-    what follows.
+    to the reference is confined to the trailing block, and takes the rest
+    from phase_two(Psi_{T'}, T', rd, tol), which yields (Psi_t, K_t, G_t)
+    for t = T'-1, ..., 0; X_t = X_ref + U_c Psi_t U_c^T is its only work
+    at size n.  When the horizon is shorter than nu or the checkpoint fails,
+    the result has used_fallback set, its reason, and trajectory None; the
+    caller decides what follows.
     """
     T = problem.T
     nu = rd.nu
-    triple = problem.triple
 
-    def inapplicable(reason, off_norm=0.0, threshold=0.0):
+    def result(trajectory, full_steps, off_norm=0.0, threshold=0.0, reason=""):
         return HybridSolveResult(
-            trajectory=None,
+            trajectory=trajectory,
             nu=nu,
             dim_u=rd.dim_u,
             dim_reduced=rd.dim_reduced,
-            full_steps=T,
-            reduced_steps=0,
+            full_steps=full_steps,
+            reduced_steps=T - full_steps,
             checkpoint_off_norm=off_norm,
             checkpoint_threshold=threshold,
-            used_fallback=True,
+            used_fallback=bool(reason),
             fallback_reason=reason,
         )
 
     if T < nu:
-        return inapplicable(f"horizon {T} shorter than nilpotency index {nu}")
+        return result(None, T, reason=f"horizon {T} shorter than nilpotency index {nu}")
 
     X = [None] * (T + 1)
     K = [None] * T
     G = [None] * T
     X[T] = symmetrize(problem.P)
     for t in range(T - 1, T - nu - 1, -1):
-        X[t], K[t], G[t] = backward_step(X[t + 1], triple, tol)
+        X[t], K[t], G[t] = backward_step(X[t + 1], problem.triple, tol)
 
     Delta = X[T - nu] - rd.X_circ
     D11, D12, D22 = checkpoint_blocks(Delta, rd)
     off_norm = float(max(np.linalg.norm(D11), np.linalg.norm(D12)))
     threshold = tol.residual_rel * (1.0 + float(np.linalg.norm(Delta)))
     if off_norm > threshold:
-        return inapplicable("checkpoint block structure violated", off_norm, threshold)
+        return result(None, T, off_norm, threshold, "checkpoint block structure violated")
 
     # Phase two: only the trailing block moves.
     U_c = rd.T_orth[:, rd.dim_u:]
-    for t, Psi in zip(range(T - nu - 1, -1, -1), phase_two(D22, T - nu, rd, tol)):
-        X[t] = symmetrize(rd.X_circ + U_c @ Psi @ U_c.T)
-    for t in range(T - nu):
-        K[t], G[t] = gain_and_projector(X[t + 1], triple, tol)
-    return HybridSolveResult(
-        trajectory=GrdeTrajectory(tuple(X), tuple(K), tuple(G)),
-        nu=nu,
-        dim_u=rd.dim_u,
-        dim_reduced=rd.dim_reduced,
-        full_steps=nu,
-        reduced_steps=T - nu,
-        checkpoint_off_norm=off_norm,
-        checkpoint_threshold=threshold,
-        used_fallback=False,
-    )
+    for t, (Psi, K_t, G_t) in zip(range(T - nu - 1, -1, -1), phase_two(D22, T - nu, rd, tol)):
+        X[t], K[t], G[t] = symmetrize(rd.X_circ + U_c @ Psi @ U_c.T), K_t, G_t
+    return result(GrdeTrajectory(tuple(X), tuple(K), tuple(G)), nu, off_norm, threshold)
 
 
 def solve_hybrid(problem: LQProblem, rd: ReductionData, tol: Tolerance = DEFAULT_TOL) -> HybridSolveResult:

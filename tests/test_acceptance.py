@@ -219,10 +219,10 @@ def test_criterion_08_closed_form_vs_iterated():
         Z = Z * ((0.3 + 0.6 * rng.random()) / rho)
         B2 = rng.normal(size=(d, m))
         L = rng.normal(size=(m, m))
-        R0 = L @ L.T + 0.3 * np.eye(m)
+        R_full = L @ L.T + 0.3 * np.eye(m)
         LP = rng.normal(size=(d, d))
         term = -(LP @ LP.T) / (2.0 * d)
-        rd = _synthetic_rd(Z, B2, R0)
+        rd = _synthetic_rd(Z, B2, R_full)
         Tp = 2 + attempts % 9
         try:
             sweep = list(gramian_sweep(term, Tp, rd))

@@ -14,12 +14,12 @@ from conftest import PHI, scalar_j_problem
 from test_reduction import _assert_trajectories_match, _drift_singular_problem
 
 
-def _synthetic_rd(Z, B2, R0, m=None):
+def _synthetic_rd(Z, B2, R_full, m=None):
     """Minimal reduction record for driving the reduced recursion directly
-    (no nilpotent part, identity rotation)."""
+    (no nilpotent part, identity rotation, S_full = 0 and A2 = 0)."""
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     B2 = np.atleast_2d(np.asarray(B2, dtype=float))
-    R0 = np.atleast_2d(np.asarray(R0, dtype=float))
+    R_full = np.atleast_2d(np.asarray(R_full, dtype=float))
     d = Z.shape[0]
     m = B2.shape[1] if m is None else m
     return ReductionData(
@@ -29,10 +29,10 @@ def _synthetic_rd(Z, B2, R0, m=None):
         Z=Z,
         B1=np.zeros((0, m)),
         B2=B2,
-        R0=R0,
-        R_full=R0.copy(),
+        A2=np.zeros((d, d)),
+        R_full=R_full,
+        S_full=np.zeros((d, m)),
         X_circ=np.zeros((d, d)),
-        X_circ_blocks=(np.zeros((0, 0)), np.zeros((0, d)), np.zeros((d, d))),
         lower_left_norm=0.0,
         nilpotent_defect=0.0,
     )
@@ -101,10 +101,10 @@ def test_closed_form_matches_iteration_synthetic():
         Z = Z * ((0.4 + 0.5 * rng.random()) / rho)
         B2 = rng.normal(size=(d, m))
         L = rng.normal(size=(m, m))
-        R0 = L @ L.T + 0.3 * np.eye(m)
+        R_full = L @ L.T + 0.3 * np.eye(m)
         LP = rng.normal(size=(d, d))
         term = -(LP @ LP.T) / (2.0 * d)
-        rd = _synthetic_rd(Z, B2, R0)
+        rd = _synthetic_rd(Z, B2, R_full)
         Tp = 2 + i % 9
         try:
             sweep = list(gramian_sweep(term, Tp, rd))
@@ -222,7 +222,7 @@ def test_solve_closed_form_refuses_violated_checkpoint():
 
 
 def test_solve_closed_form_non_autonomous_matches_full():
-    # The input reaches the nilpotent coordinates (R_full != R0).  Phase two
+    # The input reaches the nilpotent coordinates (B1 != 0).  Phase two
     # inverts R_full, so the closed form applies as it stands.
     checked = 0
     for seed in range(101, 111):
@@ -231,9 +231,9 @@ def test_solve_closed_form_non_autonomous_matches_full():
         if not res.found:
             continue
         rd = build_reduction(problem, res.solution)
-        if rd.dim_u == 0 or np.linalg.norm(rd.B1) < 1e-3:
+        if rd.dim_u == 0:
             continue
-        assert np.linalg.norm(rd.R_full - rd.R0) > 1e-3
+        assert np.linalg.norm(rd.B1) > 1e-3
         out = solve_closed_form(problem, rd)
         _assert_trajectories_match(out.trajectory, solve_full(problem), rtol=1e-12)
         checked += 1

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from griccati import cgdare, grde
+from griccati import cgdare, closedform, grde, reduction
 from griccati.grde import (
     gain_and_projector,
     optimal_cost,
@@ -163,6 +163,8 @@ def test_simulate_horizon_mismatch():
 def test_one_pseudo_inverse_per_step(monkeypatch):
     # X_t, K_t and G_t all follow from one pinv of the curvature, and
     # closed_loop takes its residual, gain and kernel condition from one.
+    # Phase two of the reduced solves gets Psi_t, K_t and G_t from one pinv
+    # of the reduced curvature too.
     calls = []
 
     def counting_pinv(*args):
@@ -171,12 +173,21 @@ def test_one_pseudo_inverse_per_step(monkeypatch):
 
     monkeypatch.setattr(grde, "pinv", counting_pinv)
     monkeypatch.setattr(cgdare, "pinv", counting_pinv)
+    monkeypatch.setattr(reduction, "pinv", counting_pinv)
     problem = random_problem(4, 2, 41, "singular_R", horizon=9)
     solve_full(problem)
     assert len(calls) == problem.T
     calls.clear()
     cgdare.closed_loop(np.eye(problem.n), problem.triple)
     assert len(calls) == 1
+
+    problem = random_problem(6, 2, 42, "nilpotent_block", horizon=12, nilpotent_dim=3)
+    rd = reduction.build_reduction(problem, cgdare.find_reference(problem).solution)
+    assert 1 <= rd.nu < problem.T
+    for solve in (reduction.solve_hybrid, closedform.solve_closed_form):
+        calls.clear()
+        assert not solve(problem, rd).used_fallback
+        assert len(calls) == problem.T, solve.__name__
 
 
 def _with_cross_weight(problem, rng):

@@ -57,7 +57,7 @@ def test_scalar_decoupled_goldens():
     assert rd.dim_reduced == 1
     assert abs(rd.Z[0, 0] - (2.0 - PHI)) <= 1e-9          # 0.381966...
     assert abs(abs(rd.B2[0, 0]) - 1.0) <= 1e-9
-    assert abs(rd.R0[0, 0] - (1.0 + PHI)) <= 1e-9         # 2.618034...
+    assert abs(rd.R_full[0, 0] - (1.0 + PHI)) <= 1e-9     # 2.618034..., B1 = 0
     assert np.linalg.norm(rd.B1) <= 1e-9
     assert rd.lower_left_norm <= 1e-9
     assert rd.nilpotent_defect <= 1e-12
@@ -91,8 +91,6 @@ def test_build_reduction_invariants():
         # leading block.
         assert np.linalg.norm(np.linalg.matrix_power(rd.N0, rd.nu)) <= 1e-8
         assert rd.lower_left_norm <= 1e-8
-        # R_full - R0 = B1^T X11 B1 + cross terms; both PSD curvatures.
-        assert np.all(np.linalg.eigvalsh(rd.R0) > 0)
         assert np.all(np.linalg.eigvalsh(rd.R_full) > 0)
 
 
@@ -122,9 +120,11 @@ def test_hybrid_matches_full_on_nilpotent_corpus(nilpotent50):
 
 def test_hybrid_drift_singular_unaligned_input():
     # Unreachable direction with U^T B != 0: the reduced recursion must use
-    # the curvature of the original problem, not just the reduced block, to
-    # track the full recursion.  Regression guard for an easy-to-make error
-    # that drifts at ~1e-5 per step.
+    # the curvature of the original problem, R_full + B2^T Psi B2, not
+    # R + B2^T (X22 + Psi) B2 built from the reduced block alone, to track
+    # the full recursion.  Regression guard for that easy-to-make error,
+    # which drifts at ~1e-5 per step; the public reduced_step is held to it
+    # on the first reduced step.
     hit = 0
     for seed in (101, 102, 104, 107, 110):
         problem = _drift_singular_problem(seed)
@@ -135,9 +135,15 @@ def test_hybrid_drift_singular_unaligned_input():
         if rd.dim_u == 0:
             continue
         assert np.linalg.norm(rd.B1) > 1e-3, "construction should give B1 != 0"
+        full = solve_full(problem)
+        Psi, Psi_prev = (
+            checkpoint_blocks(full.X[t] - rd.X_circ, rd)[2] for t in (problem.T - rd.nu, problem.T - rd.nu - 1)
+        )
+        err = np.linalg.norm(reduced_step(Psi, rd) - Psi_prev) / np.linalg.norm(Psi_prev)
+        assert err <= 1e-10, (seed, err)
         result = solve_hybrid(problem, rd)
         assert not result.used_fallback, result.fallback_reason
-        _assert_trajectories_match(result.trajectory, solve_full(problem))
+        _assert_trajectories_match(result.trajectory, full)
         hit += 1
     assert hit >= 3, f"too few usable drift-singular instances ({hit})"
 
