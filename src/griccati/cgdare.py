@@ -25,13 +25,12 @@ from .linalg import (
     check_symmetric,
     inertia,
     nilpotent_eigenspace,
-    pinv,
     subspace_distance,
     symmetrize,
     within_residual,
 )
 from .model import LQProblem, PopovTriple
-from .grde import _curvature, backward_step, riccati_map
+from .grde import _schur_step, riccati_map
 
 
 class ReferenceRejectedError(ValueError):
@@ -75,11 +74,13 @@ def closed_loop(X, triple: PopovTriple, tol: Tolerance = DEFAULT_TOL) -> CgdareS
     Xs = check_symmetric(X, tol, "candidate solution")
     if Xs.shape[0] != triple.n:
         raise ValueError(f"candidate has size {Xs.shape[0]}, expected {triple.n}")
-    A, B = triple.A, triple.B
-    R_X, S_X, K_X, G = _curvature(Xs, triple, tol)
+    A, B, n = triple.A, triple.B, triple.n
+    X_prev, K_X, W, R_X_pinv = _schur_step(Xs, triple.AB, triple.Pi, tol)
+    R_X, S_X = W[n:, n:], W[:n, n:]
+    G = np.eye(triple.m) - R_X_pinv @ R_X
     A_X = A - B @ K_X
     # D(X) = X minus its backward step, taken from the same pseudo-inverse.
-    resid = float(np.linalg.norm(Xs - symmetrize(A.T @ Xs @ A - S_X @ K_X + triple.Q)))
+    resid = float(np.linalg.norm(Xs - X_prev))
     kercond_ok = within_residual(float(np.linalg.norm(S_X @ G)), float(np.linalg.norm(S_X)), tol)
     # A_X can cancel to zero exactly (deadbeat loops), leaving pure rounding
     # noise; its kernel structure is judged against the size of its parents.
@@ -158,6 +159,7 @@ def find_reference(
     if X.shape != (triple.n, triple.n):
         raise ValueError(f"seed matrix has shape {X.shape}, expected ({triple.n}, {triple.n})")
 
+    M, Pi = triple.AB, triple.Pi
     target = tol.residual_abs
     floor = tol.residual_abs * config.polish_factor
     prev_step = np.inf
@@ -165,7 +167,7 @@ def find_reference(
     plateau = 0
     it = 0
     for it in range(1, config.max_iter + 1):
-        X_next = backward_step(X, triple, tol)[0]
+        X_next = _schur_step(X, M, Pi, tol)[0]
         if not np.all(np.isfinite(X_next)) or np.linalg.norm(X_next) > config.divergence_norm:
             return ReferenceSearchResult(None, False, it, "iterates diverged")
         step = float(np.linalg.norm(X_next - X))
@@ -244,17 +246,17 @@ def difference_identity_residuals(X, Y, triple: PopovTriple, tol: Tolerance = DE
     """Residual norms of the two D(X) - D(Y) identities for a symmetric pair."""
     Xs = check_symmetric(X, tol, "X")
     Ys = check_symmetric(Y, tol, "Y")
-    A, B, R = triple.A, triple.B, triple.R
+    A, B = triple.A, triple.B
     Delta = Xs - Ys
 
-    X_prev, K_X, _ = backward_step(Xs, triple, tol)
-    Y_prev, K_Y, _ = backward_step(Ys, triple, tol)
+    X_prev, K_X, _, R_X_pinv = _schur_step(Xs, triple.AB, triple.Pi, tol)
+    Y_prev, K_Y, _, _ = _schur_step(Ys, triple.AB, triple.Pi, tol)
     A_X = A - B @ K_X
     A_Y = A - B @ K_Y
 
     lhs = (Xs - X_prev) - (Ys - Y_prev)
     onestep = lhs - (Delta - A_Y.T @ Delta @ A_X)
-    quadratic = lhs - (Delta - A_Y.T @ Delta @ A_Y + A_Y.T @ Delta @ B @ pinv(R + B.T @ Xs @ B, tol) @ B.T @ Delta @ A_Y)
+    quadratic = lhs - (Delta - A_Y.T @ Delta @ A_Y + A_Y.T @ Delta @ B @ R_X_pinv @ B.T @ Delta @ A_Y)
     return float(np.linalg.norm(onestep)), float(np.linalg.norm(quadratic))
 
 

@@ -327,88 +327,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if run.status == "ok" else EXIT_INCONSISTENT
 
 
-def _stats(values):
-    if not values:
-        return {"count": 0, "mean_ms": None, "median_ms": None}
-    arr = np.array(values)
-    return {"count": len(values), "mean_ms": float(arr.mean()), "median_ms": float(np.median(arr))}
-
-
-def cmd_bench(args) -> int:
-    tol = _tolerance(args)
-    kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
-    run = RunReport(
-        command="bench",
-        inputs={
-            "n": args.n,
-            "m": args.m,
-            "horizon": args.horizon,
-            "seed": args.seed,
-            "kinds": kinds,
-            "repetitions": args.repetitions,
-        },
-    )
-    worst_err = 0.0
-    for kind in kinds:
-        t_full, t_hybrid, t_closed = [], [], []
-        refs_found = 0
-        fallbacks = 0
-        refusals = 0
-        kind_err = 0.0
-        dims = []
-        for rep in range(args.repetitions):
-            problem = random_problem(args.n, args.m, args.seed + rep, kind, horizon=args.horizon)
-            t0 = time.perf_counter()
-            full = solve_full(problem, tol)
-            t_full.append((time.perf_counter() - t0) * 1e3)
-            ref = find_reference(problem, ReferenceConfig(), tol)
-            if not ref.found:
-                continue
-            refs_found += 1
-            rd = build_reduction(problem, ref.solution, tol)
-            dims.append(rd.dim_reduced)
-            t0 = time.perf_counter()
-            hres = solve_hybrid(problem, rd, tol)
-            t_hybrid.append((time.perf_counter() - t0) * 1e3)
-            if hres.used_fallback:
-                fallbacks += 1
-            for Xa, Xb in zip(full.X, hres.trajectory.X):
-                err = float(np.linalg.norm(Xa - Xb) / (1.0 + np.linalg.norm(Xa)))
-                kind_err = max(kind_err, err)
-            try:
-                t0 = time.perf_counter()
-                cres = solve_closed_form(problem, rd, tol)
-                t_closed.append((time.perf_counter() - t0) * 1e3)
-                for Xa, Xb in zip(full.X, cres.trajectory.X):
-                    err = float(np.linalg.norm(Xa - Xb) / (1.0 + np.linalg.norm(Xa)))
-                    kind_err = max(kind_err, err)
-            except NumericalRefusal:
-                refusals += 1
-        run.results[kind] = {
-            "full": _stats(t_full),
-            "hybrid": _stats(t_hybrid),
-            "closed_form": _stats(t_closed),
-            "references_found": refs_found,
-            "hybrid_fallbacks": fallbacks,
-            "closed_form_refusals": refusals,
-            "reduced_dims": dims,
-            "max_rel_error": kind_err,
-        }
-        worst_err = max(worst_err, kind_err)
-    run.residuals["max_rel_error"] = worst_err
-
-    lines = [f"bench n={args.n} m={args.m} T={args.horizon} reps={args.repetitions}"]
-    for kind in kinds:
-        r = run.results[kind]
-        lines.append(
-            f"  {kind}: full {r['full']['mean_ms'] if r['full']['mean_ms'] is None else round(r['full']['mean_ms'], 3)} ms, "
-            f"hybrid {r['hybrid']['mean_ms'] if r['hybrid']['mean_ms'] is None else round(r['hybrid']['mean_ms'], 3)} ms, "
-            f"max rel err {r['max_rel_error']:.2e}"
-        )
-    _emit(run, args, lines)
-    return EXIT_OK
-
-
 def cmd_gen(args) -> int:
     problem = random_problem(
         args.n, args.m, args.seed, args.kind, horizon=args.horizon, nilpotent_dim=args.nilpotent_dim
@@ -473,15 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem")
     p.add_argument("--x0", default=None, help='initial state as "v1,v2,..."')
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("bench", help="timing and agreement sweep over random problems")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--kinds", default="generic,singular_R,nilpotent_block")
-    p.add_argument("--repetitions", type=int, default=5)
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("gen", help="write a random problem file")
     p.add_argument("--n", type=int, required=True)

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, NumericalRefusal, Tolerance, is_nonsingular, symmetrize
+from .linalg import DEFAULT_TOL, NumericalRefusal, Tolerance, _pinv, is_nonsingular, symmetrize
 from .model import LQProblem
-from .reduction import HybridSolveResult, ReductionData, _reduced_curvature, _solve_reduced
+from .reduction import HybridSolveResult, ReductionData, _solve_reduced
 
 
 def _nonsingular(M, M_inv, scale: float, tol: Tolerance) -> bool:
@@ -59,13 +59,13 @@ def gramian_sweep(Psi_terminal, steps: int, rd: ReductionData, tol: Tolerance = 
 
 
 def _gramian_rule(Psi_terminal, steps: int, rd: ReductionData, tol: Tolerance):
-    """Phase-two rule: each Psi_t of the sweep with the K_t, G_t of Psi_{t+1}.
-
-    The sweep runs to its end before the gains: interleaving the two was
-    about 10 % slower on n = 12..50 problems."""
-    Psis = list(gramian_sweep(Psi_terminal, steps, rd, tol))
-    for Psi_next, Psi in zip([Psi_terminal] + Psis, Psis):
-        yield (Psi,) + _reduced_curvature(Psi_next, rd, tol)[2:]
+    """Phase-two rule: the sweep's Psi stack, with the curvature of each
+    step R_full + B2^T Psi B2 and its pinv taken over the whole stack."""
+    Psi = np.array([Psi_terminal, *gramian_sweep(Psi_terminal, steps, rd, tol)])
+    (d, m), N = rd.B2.shape, steps
+    PsiB = (Psi[:-1].reshape(N * d, d) @ rd.B2).reshape(N, d, m)
+    R_X = rd.R_full + rd.B2.T @ PsiB
+    return Psi, R_X, _pinv(R_X, tol)
 
 
 def solve_closed_form(problem: LQProblem, rd: ReductionData, tol: Tolerance = DEFAULT_TOL) -> HybridSolveResult:

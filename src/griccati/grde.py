@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, check_symmetric, pinv, symmetrize
+from .linalg import DEFAULT_TOL, Tolerance, _pinv, check_symmetric, symmetrize
 from .model import LQProblem, PopovTriple, _fmt, require_valid
 
 
@@ -35,24 +35,44 @@ class GrdeTrajectory:
         return len(self.X) - 1
 
 
-def _curvature(X_next, triple: PopovTriple, tol: Tolerance):
-    """R_X = R + B^T X B, S_X = A^T X B + S and, from the one pinv of R_X,
-    the gain K = R_X^+ S_X^T and the projector G = I - R_X^+ R_X."""
-    XB = X_next @ triple.B
-    R_X = triple.R + triple.B.T @ XB
-    S_X = triple.A.T @ XB + triple.S
-    R_X_pinv = pinv(R_X, tol)
-    return R_X, S_X, R_X_pinv @ S_X.T, np.eye(triple.m) - R_X_pinv @ R_X
+def _schur_step(X_next, M, Pi, tol: Tolerance):
+    """Generalised Schur complement of the Popov block W = M^T X_next M + Pi.
 
-
-def backward_step(X_next, triple: PopovTriple, tol: Tolerance = DEFAULT_TOL):
-    """(X_t, K_t, G_t) from X_{t+1}, all from one pinv of the curvature R_X.
-
-    X_t = A^T X A - S_X K + Q, re-symmetrised.  X_next must be symmetric and
-    is not checked; riccati_map is the checked entry point.
+    With k = rows of M, W = [[W11, W12], [W21, R_X]] is split after k, and
+    from one pinv of R_X this returns (symmetrize(W11 - W12 L), L, W, R_X^+)
+    with L = R_X^+ W21.  M = [A B] with the Popov matrix as Pi is the full
+    backward step, L its gain K; the reduction applies the same map to the
+    trailing block.  X_next must be symmetric and is not checked.
     """
-    _, S_X, K, G = _curvature(X_next, triple, tol)
-    return symmetrize(triple.A.T @ X_next @ triple.A - S_X @ K + triple.Q), K, G
+    k = M.shape[0]
+    W = M.T @ (X_next @ M) + Pi
+    R_X_pinv = _pinv(W[k:, k:], tol)
+    L = R_X_pinv @ W[k:, :k]
+    return symmetrize(W[:k, :k] - W[:k, k:] @ L), L, W, R_X_pinv
+
+
+def _sweep(X_end, M, Pi, steps: int, tol: Tolerance):
+    """`steps` Schur-complement steps back from X_end, in backward order.
+
+    Returns the lists X (X_end first, steps + 1 entries), L, R_X and R_X^+;
+    whatever else a solver reports is formed from them after the loop.
+    """
+    k = M.shape[0]
+    X, L, R_X, R_X_pinv = [X_end], [], [], []
+    for _ in range(steps):
+        X_prev, L_t, W, R_pinv_t = _schur_step(X[-1], M, Pi, tol)
+        X.append(X_prev)
+        L.append(L_t)
+        R_X.append(W[k:, k:])
+        R_X_pinv.append(R_pinv_t)
+    return X, L, R_X, R_X_pinv
+
+
+def _projectors(R_X, R_X_pinv) -> tuple:
+    """G = I - R_X^+ R_X for every step of a sweep, in one stacked product."""
+    if not len(R_X):
+        return ()
+    return tuple(np.eye(R_X[0].shape[-1]) - np.asarray(R_X_pinv) @ np.asarray(R_X))
 
 
 def gain_and_projector(X_next, triple: PopovTriple, tol: Tolerance = DEFAULT_TOL):
@@ -60,7 +80,9 @@ def gain_and_projector(X_next, triple: PopovTriple, tol: Tolerance = DEFAULT_TOL
 
     K = (R + B^T X B)^+ (S^T + B^T X A),  G = I - (R + B^T X B)^+ (R + B^T X B).
     """
-    return _curvature(X_next, triple, tol)[2:]
+    _, K, W, R_X_pinv = _schur_step(X_next, triple.AB, triple.Pi, tol)
+    n = triple.n
+    return K, np.eye(triple.m) - R_X_pinv @ W[n:, n:]
 
 
 def riccati_map(X, triple: PopovTriple, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -72,20 +94,15 @@ def riccati_map(X, triple: PopovTriple, tol: Tolerance = DEFAULT_TOL) -> np.ndar
     Xs = check_symmetric(X, tol, "riccati_map input")
     if Xs.shape[0] != triple.n:
         raise ValueError(f"riccati_map input has size {Xs.shape[0]}, expected {triple.n}")
-    return backward_step(Xs, triple, tol)[0]
+    return _schur_step(Xs, triple.AB, triple.Pi, tol)[0]
 
 
 def solve_full(problem: LQProblem, tol: Tolerance = DEFAULT_TOL) -> GrdeTrajectory:
     """Full backward recursion from the terminal weight down to time 0."""
     require_valid(problem, tol)
     triple = problem.triple
-    X = [None] * (problem.T + 1)
-    K = [None] * problem.T
-    G = [None] * problem.T
-    X[problem.T] = symmetrize(problem.P)
-    for t in range(problem.T - 1, -1, -1):
-        X[t], K[t], G[t] = backward_step(X[t + 1], triple, tol)
-    return GrdeTrajectory(tuple(X), tuple(K), tuple(G))
+    X, K, R_X, R_X_pinv = _sweep(symmetrize(problem.P), triple.AB, triple.Pi, problem.T, tol)
+    return GrdeTrajectory(tuple(X[::-1]), tuple(K[::-1]), _projectors(R_X, R_X_pinv)[::-1])
 
 
 def optimal_cost(traj: GrdeTrajectory, x0) -> float:

@@ -2,7 +2,9 @@
 
 Every rank, kernel, and inertia decision in this package flows through the
 helpers below so that all modules share one notion of "numerically zero".
-Matrices are plain 2-D float64 ``numpy`` arrays throughout.
+Matrices are plain 2-D float64 ``numpy`` arrays throughout; the helpers a
+solver applies to a whole horizon at once (``_pinv``, ``svd_cutoff``,
+``symmetrize``) also take stacks (..., r, c), slice by slice.
 """
 
 from __future__ import annotations
@@ -72,8 +74,8 @@ def as_matrix(M, name: str = "matrix") -> np.ndarray:
 
 
 def symmetrize(M: np.ndarray) -> np.ndarray:
-    """Return the symmetric part 0.5 * (M + M^T)."""
-    return 0.5 * (M + M.T)
+    """Return the symmetric part 0.5 * (M + M^T); a stack slice by slice."""
+    return 0.5 * (M + M.swapaxes(-1, -2))
 
 
 def check_symmetric(M: np.ndarray, tol: Tolerance = DEFAULT_TOL, name: str = "matrix") -> np.ndarray:
@@ -103,6 +105,8 @@ def svd_cutoff(singular_values: np.ndarray, shape, tol: Tolerance, scale: float 
     """
     if singular_values.size == 0:
         return 0.0
+    if singular_values.ndim > 1:  # a stack: one cutoff per slice, shaped to compare
+        return tol.rank_rel * np.maximum(singular_values[..., :1], scale) * max(shape[-2:])
     return tol.rank_rel * max(float(singular_values[0]), scale) * max(shape)
 
 
@@ -112,13 +116,22 @@ def pinv(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     Singular values at or below rank_rel * sigma_max * max(rows, cols) are
     treated as zero, so an exactly zero matrix maps to its zero transpose.
     """
-    A = as_matrix(M)
+    return _pinv(as_matrix(M), tol)
+
+
+def _pinv(A: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """pinv of a finite float array, unchecked; a stack (..., r, c) is
+    inverted slice by slice, each against its own cutoff."""
     if A.size == 0:
-        return np.zeros((A.shape[1], A.shape[0]))
+        return np.zeros(A.shape[:-2] + (A.shape[-1], A.shape[-2]))
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    if A.ndim > 2:
+        s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > svd_cutoff(s, A.shape, tol))
+        return (Vt.swapaxes(-1, -2) * s_inv[..., None, :]) @ U.swapaxes(-1, -2)
+    # s is descending, so the kept singular values are a prefix.
     cutoff = svd_cutoff(s, A.shape, tol)
-    s_inv = np.where(s > cutoff, np.divide(1.0, s, out=np.zeros_like(s), where=s > 0), 0.0)
-    return (Vt.T * s_inv) @ U.T
+    r = sum(v > cutoff for v in s.tolist())
+    return (Vt[:r].T * (1.0 / s[:r])) @ U[:, :r].T
 
 
 def numerical_rank(M, tol: Tolerance = DEFAULT_TOL, scale: float = 0.0) -> int:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -83,6 +84,14 @@ class PopovTriple:
     def popov_matrix(self) -> np.ndarray:
         """The stacked weight matrix [[Q, S], [S^T, R]]."""
         return np.block([[self.Q, self.S], [self.S.T, self.R]])
+
+    # A backward step is the Schur complement of [A B]^T X [A B] + Pi, so
+    # every step reads these two; they are built once per triple.
+    Pi = cached_property(popov_matrix)
+
+    @cached_property
+    def AB(self) -> np.ndarray:
+        return np.hstack([self.A, self.B])
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ closedform shares that driver and replaces only the iteration.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .linalg import (
 )
 from .model import LQProblem
 from .cgdare import CgdareSolution
-from .grde import GrdeTrajectory, backward_step, solve_full
+from .grde import GrdeTrajectory, _projectors, _schur_step, _sweep, solve_full
 
 
 @dataclass(frozen=True)
@@ -57,6 +58,19 @@ class ReductionData:
     X_circ: np.ndarray
     lower_left_norm: float
     nilpotent_defect: float
+
+    # The reduced step is grde's Schur-complement step on
+    # [Z B2]^T Psi [Z B2] + diag(0, R_full); both are built once.
+    @cached_property
+    def ZB2(self) -> np.ndarray:
+        return np.hstack([self.Z, self.B2])
+
+    @cached_property
+    def Pi(self) -> np.ndarray:
+        d, m = self.B2.shape
+        Pi = np.zeros((d + m, d + m))
+        Pi[d:, d:] = self.R_full
+        return Pi
 
     @property
     def dim_u(self) -> int:
@@ -120,23 +134,6 @@ def build_reduction(problem: LQProblem, reference: CgdareSolution, tol: Toleranc
     )
 
 
-def _reduced_curvature(Psi, rd: ReductionData, tol: Tolerance):
-    """B2^T Psi, R_X^+ for R_X = R_full + B2^T Psi B2, and from that one pinv
-    K = R_X^+ (S_full^T + B2^T Psi A2) and G = I - R_X^+ R_X."""
-    BtP = rd.B2.T @ Psi
-    R_X = rd.R_full + BtP @ rd.B2
-    R_X_pinv = pinv(R_X, tol)
-    return BtP, R_X_pinv, R_X_pinv @ (rd.S_full.T + BtP @ rd.A2), np.eye(R_X.shape[0]) - R_X_pinv @ R_X
-
-
-def _reduced_backward_step(Psi, rd: ReductionData, tol: Tolerance):
-    """grde.backward_step on the trailing block: (Psi_t, K_t, G_t) from an
-    unchecked symmetric Psi = Psi_{t+1}, all from one pinv of its curvature."""
-    BtP, R_X_pinv, K, G = _reduced_curvature(Psi, rd, tol)
-    BtPZ = BtP @ rd.Z
-    return symmetrize(rd.Z.T @ Psi @ rd.Z - BtPZ.T @ R_X_pinv @ BtPZ), K, G
-
-
 def reduced_step(Psi, rd: ReductionData, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """One backward step of the homogeneous reduced recursion.
 
@@ -146,7 +143,7 @@ def reduced_step(Psi, rd: ReductionData, tol: Tolerance = DEFAULT_TOL) -> np.nda
     Psi_s = check_symmetric(Psi, tol, "reduced-state Psi")
     if Psi_s.shape[0] != rd.dim_reduced:
         raise ValueError(f"Psi has size {Psi_s.shape[0]}, expected {rd.dim_reduced}")
-    return _reduced_backward_step(Psi_s, rd, tol)[0]
+    return _schur_step(Psi_s, rd.ZB2, rd.Pi, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -178,11 +175,43 @@ def checkpoint_blocks(Delta, rd: ReductionData):
     return D[:k, :k], D[:k, k:], D[k:, k:]
 
 
-def _iterate_reduced(Psi, steps: int, rd: ReductionData, tol: Tolerance):
+def _iterate_reduced(Psi_terminal, steps: int, rd: ReductionData, tol: Tolerance):
     """Phase-two rule of the hybrid solver: step the trailing block."""
-    for _ in range(steps):
-        Psi, K, G = _reduced_backward_step(Psi, rd, tol)
-        yield Psi, K, G
+    Psi, _, R_X, R_X_pinv = _sweep(Psi_terminal, rd.ZB2, rd.Pi, steps, tol)
+    return np.array(Psi), np.array(R_X), np.array(R_X_pinv)
+
+
+def _phase_two_outputs(Psi, R_X, R_X_pinv, rd: ReductionData):
+    """X_t, K_t and G_t of every phase-two step at once, in backward order.
+
+    Step s goes from Psi[s] = Psi_{T'-s} to Psi[s + 1] through the curvature
+    R_X[s] with pinv R_X_pinv[s].  K = R_X^+ (S_full^T + B2^T Psi A2) and
+    X = X_circ + U_c Psi U_c^T are reshaped into 2-D products: a stacked
+    matmul of small slices does not reach BLAS.
+    """
+    N, d = R_X.shape[0], rd.dim_reduced
+    U_c = rd.T_orth[:, rd.dim_u:]
+    n, m = U_c.shape[0], rd.B2.shape[1]
+    BtPsi = (rd.B2.T @ Psi[:-1]).reshape(N * m, d)
+    K = R_X_pinv @ (rd.S_full.T + (BtPsi @ rd.A2).reshape(N, m, n))
+    PsiU = (Psi[1:].reshape(N * d, d) @ U_c.T).reshape(N, d, n)
+    X = rd.X_circ + (PsiU.transpose(0, 2, 1).reshape(N * n, d) @ U_c.T).reshape(N, n, n)
+    return symmetrize(X), K, _projectors(R_X, R_X_pinv)
+
+
+def _result(problem: LQProblem, rd: ReductionData, trajectory, full_steps: int, off_norm=0.0, threshold=0.0, reason=""):
+    return HybridSolveResult(
+        trajectory=trajectory,
+        nu=rd.nu,
+        dim_u=rd.dim_u,
+        dim_reduced=rd.dim_reduced,
+        full_steps=full_steps,
+        reduced_steps=problem.T - full_steps,
+        checkpoint_off_norm=off_norm,
+        checkpoint_threshold=threshold,
+        used_fallback=bool(reason),
+        fallback_reason=reason,
+    )
 
 
 def _solve_reduced(problem: LQProblem, rd: ReductionData, tol: Tolerance, phase_two) -> HybridSolveResult:
@@ -190,51 +219,33 @@ def _solve_reduced(problem: LQProblem, rd: ReductionData, tol: Tolerance, phase_
 
     Runs the nu full steps, keeping their gains, checks that the difference
     to the reference is confined to the trailing block, and takes the rest
-    from phase_two(Psi_{T'}, T', rd, tol), which yields (Psi_t, K_t, G_t)
-    for t = T'-1, ..., 0; X_t = X_ref + U_c Psi_t U_c^T is its only work
-    at size n.  When the horizon is shorter than nu or the checkpoint fails,
+    from phase_two(Psi_{T'}, T', rd, tol).  That returns the stack
+    Psi_{T'}, ..., Psi_0 and, for each of its steps, the curvature R_X and
+    its pinv; X_t, K_t and G_t follow from them in stacked products after
+    the loop.  When the horizon is shorter than nu or the checkpoint fails,
     the result has used_fallback set, its reason, and trajectory None; the
     caller decides what follows.
     """
-    T = problem.T
-    nu = rd.nu
-
-    def result(trajectory, full_steps, off_norm=0.0, threshold=0.0, reason=""):
-        return HybridSolveResult(
-            trajectory=trajectory,
-            nu=nu,
-            dim_u=rd.dim_u,
-            dim_reduced=rd.dim_reduced,
-            full_steps=full_steps,
-            reduced_steps=T - full_steps,
-            checkpoint_off_norm=off_norm,
-            checkpoint_threshold=threshold,
-            used_fallback=bool(reason),
-            fallback_reason=reason,
-        )
-
+    T, nu, triple = problem.T, rd.nu, problem.triple
     if T < nu:
-        return result(None, T, reason=f"horizon {T} shorter than nilpotency index {nu}")
+        return _result(problem, rd, None, T, reason=f"horizon {T} shorter than nilpotency index {nu}")
 
-    X = [None] * (T + 1)
-    K = [None] * T
-    G = [None] * T
-    X[T] = symmetrize(problem.P)
-    for t in range(T - 1, T - nu - 1, -1):
-        X[t], K[t], G[t] = backward_step(X[t + 1], problem.triple, tol)
-
-    Delta = X[T - nu] - rd.X_circ
+    X, K, R_X, R_X_pinv = _sweep(symmetrize(problem.P), triple.AB, triple.Pi, nu, tol)
+    X, K, G = X[::-1], K[::-1], _projectors(R_X, R_X_pinv)[::-1]
+    Delta = X[0] - rd.X_circ
     D11, D12, D22 = checkpoint_blocks(Delta, rd)
     off_norm = float(max(np.linalg.norm(D11), np.linalg.norm(D12)))
     threshold = tol.residual_rel * (1.0 + float(np.linalg.norm(Delta)))
     if off_norm > threshold:
-        return result(None, T, off_norm, threshold, "checkpoint block structure violated")
+        return _result(problem, rd, None, T, off_norm, threshold, "checkpoint block structure violated")
 
     # Phase two: only the trailing block moves.
-    U_c = rd.T_orth[:, rd.dim_u:]
-    for t, (Psi, K_t, G_t) in zip(range(T - nu - 1, -1, -1), phase_two(D22, T - nu, rd, tol)):
-        X[t], K[t], G[t] = symmetrize(rd.X_circ + U_c @ Psi @ U_c.T), K_t, G_t
-    return result(GrdeTrajectory(tuple(X), tuple(K), tuple(G)), nu, off_norm, threshold)
+    if T > nu:
+        X2, K2, G2 = _phase_two_outputs(*phase_two(D22, T - nu, rd, tol), rd)
+        X = list(X2[::-1]) + X
+        K = list(K2[::-1]) + K
+        G = G2[::-1] + G
+    return _result(problem, rd, GrdeTrajectory(tuple(X), tuple(K), tuple(G)), nu, off_norm, threshold)
 
 
 def solve_hybrid(problem: LQProblem, rd: ReductionData, tol: Tolerance = DEFAULT_TOL) -> HybridSolveResult:
@@ -243,8 +254,12 @@ def solve_hybrid(problem: LQProblem, rd: ReductionData, tol: Tolerance = DEFAULT
     After nu full steps the difference to the reference solution is checked
     to be confined to the trailing diagonal block; beyond tolerance, or on
     a horizon shorter than nu, the solver falls back to the full recursion
-    and reports why, with the measured norms.
+    and reports why, with the measured norms.  With dim U = 0 the reduced
+    recursion would be the full one in rotated coordinates, so the full
+    recursion runs instead and is reported as T full steps, not a fallback.
     """
+    if rd.dim_u == 0:
+        return _result(problem, rd, solve_full(problem, tol), problem.T)
     result = _solve_reduced(problem, rd, tol, _iterate_reduced)
     if result.used_fallback:
         result = replace(result, trajectory=solve_full(problem, tol))

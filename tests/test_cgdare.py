@@ -97,6 +97,22 @@ def test_find_reference_divergent_reports_failure():
     assert "diverg" in res.message
 
 
+def test_find_reference_divergence_refusal_pinned():
+    # The search steps its iterates with the unchecked kernel, so divergence
+    # must be caught by its own norm test, never surface as an exception from
+    # a pinv of non-finite entries.  A = 2I with B = 0, and a mode at 2 that
+    # a live input cannot reach, both pass the norm limit at the same step.
+    cases = (
+        (2.0 * np.eye(3), np.zeros((3, 2)), np.eye(2)),
+        (np.diag([2.0, 0.5, 1.5]), np.array([[0.0], [1.0], [0.0]]), [[0.0]]),
+    )
+    for A, B, R in cases:
+        m = B.shape[1]
+        problem = LQProblem(PopovTriple(A, B, np.eye(3), np.zeros((3, m)), R), np.zeros((3, 3)), 5)
+        res = find_reference(problem)
+        assert (res.found, res.iterations, res.message) == (False, 167, "iterates diverged")
+
+
 def test_find_reference_accepts_supplied_solution():
     problem = _scalar_problem()
     res = find_reference(problem, X_ref=np.array([[PHI]]))

@@ -244,20 +244,6 @@ def test_tolerance_flags_accepted(tmp_path, capsys):
     assert code == 0
 
 
-def test_bench_small(tmp_path, capsys):
-    code, report, err = _run(
-        capsys,
-        ["bench", "--n", "3", "--m", "1", "--horizon", "8", "--seed", "5", "--repetitions", "2", "--kinds", "generic,nilpotent_block"],
-    )
-    assert code == 0
-    stats = report["results"]
-    assert set(stats) == {"generic", "nilpotent_block"}
-    for kind in stats:
-        assert stats[kind]["full"]["count"] == 2
-        assert stats[kind]["max_rel_error"] <= 1e-8
-    assert report["residuals"]["max_rel_error"] <= 1e-8
-
-
 def test_console_script_entry_point(tmp_path):
     path = _write(tmp_path, scalar_two_step())
     proc = subprocess.run(

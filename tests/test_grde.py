@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from griccati import cgdare, closedform, grde, reduction
+from griccati import cgdare, closedform, grde, linalg, reduction
 from griccati.grde import (
     gain_and_projector,
     optimal_cost,
@@ -161,33 +161,34 @@ def test_simulate_horizon_mismatch():
 
 
 def test_one_pseudo_inverse_per_step(monkeypatch):
-    # X_t, K_t and G_t all follow from one pinv of the curvature, and
+    # Every solver takes one curvature pseudo-inverse per step, counted per
+    # slice of a stacked call: the Schur-complement step takes one, and the
+    # closed form takes those of its whole sweep in one stacked call.
     # closed_loop takes its residual, gain and kernel condition from one.
-    # Phase two of the reduced solves gets Psi_t, K_t and G_t from one pinv
-    # of the reduced curvature too.
-    calls = []
+    slices = []
 
-    def counting_pinv(*args):
-        calls.append(args[0])
-        return pinv(*args)
+    def counting_pinv(A, tol):
+        slices.append(int(np.prod(A.shape[:-2])))
+        return linalg._pinv(A, tol)
 
-    monkeypatch.setattr(grde, "pinv", counting_pinv)
-    monkeypatch.setattr(cgdare, "pinv", counting_pinv)
-    monkeypatch.setattr(reduction, "pinv", counting_pinv)
+    for module in (grde, closedform):
+        monkeypatch.setattr(module, "_pinv", counting_pinv)
     problem = random_problem(4, 2, 41, "singular_R", horizon=9)
     solve_full(problem)
-    assert len(calls) == problem.T
-    calls.clear()
+    assert sum(slices) == problem.T
+    slices.clear()
     cgdare.closed_loop(np.eye(problem.n), problem.triple)
-    assert len(calls) == 1
+    assert sum(slices) == 1
 
     problem = random_problem(6, 2, 42, "nilpotent_block", horizon=12, nilpotent_dim=3)
     rd = reduction.build_reduction(problem, cgdare.find_reference(problem).solution)
     assert 1 <= rd.nu < problem.T
     for solve in (reduction.solve_hybrid, closedform.solve_closed_form):
-        calls.clear()
+        slices.clear()
         assert not solve(problem, rd).used_fallback
-        assert len(calls) == problem.T, solve.__name__
+        assert sum(slices) == problem.T, solve.__name__
+    # nu full steps, then the closed form's one stacked call.
+    assert len(slices) == rd.nu + 1
 
 
 def _with_cross_weight(problem, rng):
@@ -217,8 +218,11 @@ def test_gains_match_their_definition():
             for t in range(problem.T):
                 X = traj.X[t + 1]
                 R_X = t3.R + t3.B.T @ X @ t3.B
+                S_X = t3.A.T @ X @ t3.B + t3.S
                 K = pinv(R_X, tol) @ (t3.S.T + t3.B.T @ X @ t3.A)
                 G = np.eye(problem.m) - pinv(R_X, tol) @ R_X
+                X_t = t3.A.T @ X @ t3.A - S_X @ pinv(R_X, tol) @ S_X.T + t3.Q
+                assert np.linalg.norm(traj.X[t] - X_t) <= 1e-12 * (1.0 + np.linalg.norm(X_t)), (kind, seed, t)
                 assert np.linalg.norm(traj.K[t] - K) <= 1e-12 * (1.0 + np.linalg.norm(K)), (kind, seed, t)
                 assert np.linalg.norm(traj.G[t] - G) <= 1e-12 * (1.0 + np.linalg.norm(G)), (kind, seed, t)
             checked += 1

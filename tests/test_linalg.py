@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from griccati.grde import solve_full
 from griccati.linalg import (
     Tolerance,
+    _pinv,
     inertia,
     is_nonsingular,
     kernel_basis,
@@ -17,6 +19,7 @@ from griccati.linalg import (
     within_residual,
     zero_multiplicity,
 )
+from griccati.model import random_problem
 
 
 def test_tolerance_defaults_frozen():
@@ -48,6 +51,51 @@ def test_pinv_diagonal_frozen():
 def test_pinv_zero_matrix():
     assert pinv(np.zeros((2, 3))).shape == (3, 2)
     assert np.all(pinv(np.zeros((2, 3))) == 0.0)
+
+
+def _rank_of_pinv(P, A):
+    # P A is the orthogonal projector onto the row space that was kept.
+    return int(round(float(np.trace(P @ A))))
+
+
+def test_private_pinv_matches_checked_pinv():
+    tol = Tolerance()
+    cutoff = tol.rank_rel * 1.0 * 2  # sigma_max 1, 2 x 2
+    cases = [
+        (np.zeros((2, 2)), 0),
+        (np.diag([1.0, cutoff * (1 + 1e-6)]), 2),
+        (np.diag([1.0, cutoff * (1 - 1e-6)]), 1),
+        (np.diag([1.0, cutoff]), 1),  # at the cutoff counts as zero
+    ]
+    # Curvatures R + B^T X B of singular_R problems along their recursion,
+    # with a dead input channel appended (a zero column of B, a zero row and
+    # column of R), so each is exactly rank-deficient.
+    for seed in range(5):
+        problem = random_problem(4, 2, 1000 + seed, "singular_R", horizon=6)
+        t3 = problem.triple
+        B = np.hstack([t3.B, np.zeros((4, 1))])
+        R = np.zeros((3, 3))
+        R[:2, :2] = t3.R
+        for X in solve_full(problem).X:
+            curvature = R + B.T @ X @ B
+            assert not np.any(curvature[2]) and not np.any(curvature[:, 2])
+            cases.append((curvature, None))
+    for A, rank in cases:
+        P = pinv(A, tol)
+        P_fast = _pinv(A, tol)
+        assert np.linalg.norm(P_fast - P) <= 1e-15 * np.linalg.norm(P)
+        assert _rank_of_pinv(P_fast, A) == _rank_of_pinv(P, A)
+        assert _rank_of_pinv(P, A) == (A.shape[0] - 1 if rank is None else rank)
+
+    # A stack is cut slice by slice: a uniformly tiny slice keeps full rank
+    # although it sits far below the cutoff of its neighbours.
+    stack = np.array([np.diag([1.0, 1e-11]), 1e-11 * np.eye(2), np.zeros((2, 2)), [[2.0, 1.0], [1.0, 3.0]]])
+    P_stack = _pinv(stack, tol)
+    assert P_stack.shape == stack.shape
+    for A, P, rank in zip(stack, P_stack, (1, 2, 0, 2)):
+        P_ref = pinv(A, tol)
+        assert _rank_of_pinv(P, A) == _rank_of_pinv(P_ref, A) == rank
+        assert np.linalg.norm(P - P_ref) <= 1e-15 * np.linalg.norm(P_ref)
 
 
 def test_pinv_penrose_conditions():

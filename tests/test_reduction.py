@@ -148,18 +148,27 @@ def test_hybrid_drift_singular_unaligned_input():
     assert hit >= 3, f"too few usable drift-singular instances ({hit})"
 
 
-def test_hybrid_nu_zero_is_all_reduced():
-    # Generic problem: no nilpotent part, the 'reduced' recursion runs at
-    # full size in rotated coordinates and must still agree.
-    problem = random_problem(3, 2, 1800, "generic", horizon=8)
-    res = find_reference(problem)
-    assert res.found
-    rd = build_reduction(problem, res.solution)
-    assert rd.nu == 0 and rd.dim_u == 0 and rd.dim_reduced == problem.n
-    result = solve_hybrid(problem, rd)
-    assert not result.used_fallback
-    assert result.full_steps == 0 and result.reduced_steps == problem.T
-    _assert_trajectories_match(result.trajectory, solve_full(problem))
+def test_hybrid_nu_zero_runs_full_recursion():
+    # Generic problems: no nilpotent part, so U is empty and the reduced
+    # recursion would be the full one in rotated coordinates.  The hybrid
+    # runs the full recursion instead: the same trajectory bit for bit,
+    # reported as T full steps and no fallback, with nu = 0 and the whole
+    # state as the reduced block.
+    for n, m, seed, horizon in ((3, 2, 1800, 8), (5, 2, 1801, 20)):
+        problem = random_problem(n, m, seed, "generic", horizon=horizon)
+        res = find_reference(problem)
+        assert res.found
+        rd = build_reduction(problem, res.solution)
+        assert rd.nu == 0 and rd.dim_u == 0 and rd.dim_reduced == problem.n
+        result = solve_hybrid(problem, rd)
+        assert not result.used_fallback and result.fallback_reason == ""
+        assert (result.nu, result.dim_u, result.dim_reduced) == (0, 0, problem.n)
+        assert result.full_steps == problem.T and result.reduced_steps == 0
+        full = solve_full(problem)
+        for field in ("X", "K", "G"):
+            got, want = getattr(result.trajectory, field), getattr(full, field)
+            assert len(got) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), field
 
 
 def test_hybrid_whole_state_nilpotent():
