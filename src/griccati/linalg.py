@@ -134,6 +134,31 @@ def _pinv(A: np.ndarray, tol: Tolerance) -> np.ndarray:
     return (Vt[:r].T * (1.0 / s[:r])) @ U[:, :r].T
 
 
+def symmetric_lstsq(M, b, tol: Tolerance = DEFAULT_TOL):
+    """Minimum-norm least-squares solution of M x = b for symmetric M, and M's rank.
+
+    One symmetric eigen-solve M = V diag(lam) V^T; eigenvalues with |lam|
+    at or below the shared cutoff are dropped (the singular values of a
+    symmetric matrix are the |lam|, so the rank is that of `numerical_rank`)
+    and x = V_k ((V_k^T b) / lam_k) is orthogonal to the numerical kernel.
+    Unlike V Sigma^+ U^T from an SVD, whose U and V columns disagree where
+    sigma is small, this keeps the inverse symmetric on ill-conditioned M.
+    """
+    A = as_matrix(M)
+    if A.shape[0] != A.shape[1]:
+        raise ValueError(f"symmetric solve needs a square matrix, got {A.shape}")
+    b = np.asarray(b, dtype=float).reshape(-1)
+    if b.shape[0] != A.shape[0]:
+        raise ValueError(f"right-hand side has length {b.shape[0]}, expected {A.shape[0]}")
+    if A.size == 0:
+        return np.zeros(0), 0
+    lam, V = np.linalg.eigh(A)
+    mag = np.abs(lam)
+    keep = mag > svd_cutoff(np.sort(mag)[::-1], A.shape, tol)
+    Vk = V[:, keep]
+    return Vk @ ((Vk.T @ b) / lam[keep]), int(np.count_nonzero(keep))
+
+
 def numerical_rank(M, tol: Tolerance = DEFAULT_TOL, scale: float = 0.0) -> int:
     """Rank by counting singular values above the shared cutoff."""
     A = as_matrix(M)

@@ -15,11 +15,13 @@ from griccati.linalg import (
     pinv,
     spectral_radius,
     subspace_distance,
+    symmetric_lstsq,
     symmetrize,
     within_residual,
     zero_multiplicity,
 )
-from griccati.model import random_problem
+from griccati.model import LQProblem, PopovTriple, random_problem
+from griccati.oracle import batch_matrices
 
 
 def test_tolerance_defaults_frozen():
@@ -96,6 +98,47 @@ def test_private_pinv_matches_checked_pinv():
         P_ref = pinv(A, tol)
         assert _rank_of_pinv(P, A) == _rank_of_pinv(P_ref, A) == rank
         assert np.linalg.norm(P - P_ref) <= 1e-15 * np.linalg.norm(P_ref)
+
+
+def test_symmetric_lstsq_rank_and_min_norm():
+    # The eigen-solve must drop exactly the directions the SVD rank drops, and
+    # its solution must have no component in the kernel (minimum norm).
+    rng = np.random.default_rng(21)
+    x, rank = symmetric_lstsq(np.zeros((0, 0)), np.zeros(0))
+    assert x.shape == (0,) and rank == 0
+    cases = [np.zeros((3, 3))]
+    # Batch QP of a dead input channel: the second input never enters the
+    # dynamics and has zero weight, so every step adds an exact kernel vector.
+    n, m = 2, 2
+    dead = LQProblem(
+        PopovTriple([[0.3, 0.1], [0.0, 0.2]], [[1.0, 0.0], [0.5, 0.0]], np.eye(n), np.zeros((n, m)), np.diag([1.0, 0.0])),
+        np.zeros((n, n)),
+        3,
+        [1.0, -2.0],
+    )
+    H_dead = batch_matrices(dead).H
+    assert not np.any(H_dead[1::m]) and not np.any(H_dead[:, 1::m])
+    cases.append(H_dead)
+    # singular_R corpora: the singular R itself and the batch QP's H.
+    for seed in range(12):
+        problem = random_problem(2 + seed % 4, 1 + seed % 3, 1400 + seed, "singular_R")
+        cases += [problem.triple.R, batch_matrices(problem).H]
+    ranks = []
+    for H in cases:
+        b = rng.normal(size=H.shape[0])
+        x, rank = symmetric_lstsq(H, b)
+        assert rank == numerical_rank(H)
+        ranks.append(rank)
+        K = kernel_basis(H)
+        scale = 1.0 + np.linalg.norm(x)
+        assert np.linalg.norm(K.T @ x) <= 1e-10 * scale
+        assert np.linalg.norm(x - pinv(H) @ b) <= 1e-8 * scale
+    assert ranks[0] == 0 and ranks[1] == 3  # zero matrix; one live channel per step
+    assert sum(r < H.shape[0] for r, H in zip(ranks, cases)) >= 12  # every singular R
+    with pytest.raises(ValueError):
+        symmetric_lstsq(np.zeros((2, 3)), np.zeros(2))
+    with pytest.raises(ValueError):
+        symmetric_lstsq(np.eye(2), np.zeros(3))
 
 
 def test_pinv_penrose_conditions():

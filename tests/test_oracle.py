@@ -1,11 +1,54 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from griccati.grde import optimal_cost, solve_full
 from griccati.model import LQProblem, PopovTriple, random_problem
-from griccati.oracle import batch_matrices, batch_optimal
+from griccati.oracle import BatchQP, batch_matrices, batch_optimal
 
 from conftest import grid_minimize, scalar_two_step, simulated_cost
+
+
+def dense_batch_matrices(problem, x0=None):
+    """The batch QP by its definition, with every stacked matrix formed densely.
+
+    X = (x_0, ..., x_T) = Phi x0 + Gamma u, Qbar = diag(Q, ..., Q, P),
+    Rbar = diag(R, ..., R), Sbar with S on the first T diagonal blocks:
+    H = Gamma^T Qbar Gamma + Gamma^T Sbar + Sbar^T Gamma + Rbar,
+    g = (Gamma^T Qbar + Sbar^T) Phi x0, c = x0^T Phi^T Qbar Phi x0.
+    Memory is O(((T+1) n)^2), so this is a reference for small problems only.
+    """
+    x0 = np.asarray(problem.x0 if x0 is None else x0, dtype=float).reshape(-1)
+    n, m, T = problem.n, problem.m, problem.T
+    t3 = problem.triple
+    A, B, Q, S, R = t3.A, t3.B, t3.Q, t3.S, t3.R
+    powers = [np.eye(n)]
+    for _ in range(T):
+        powers.append(A @ powers[-1])
+    Phi = np.vstack(powers)
+    Gamma = np.zeros(((T + 1) * n, T * m))
+    for i in range(1, T + 1):
+        for j in range(i):
+            Gamma[i * n : (i + 1) * n, j * m : (j + 1) * m] = powers[i - 1 - j] @ B
+    Qbar = np.zeros(((T + 1) * n, (T + 1) * n))
+    for t in range(T):
+        Qbar[t * n : (t + 1) * n, t * n : (t + 1) * n] = Q
+    Qbar[T * n :, T * n :] = problem.P
+    Sbar = np.zeros(((T + 1) * n, T * m))
+    for t in range(T):
+        Sbar[t * n : (t + 1) * n, t * m : (t + 1) * m] = S
+    Rbar = np.kron(np.eye(T), R)
+    H = Gamma.T @ Qbar @ Gamma + Gamma.T @ Sbar + Sbar.T @ Gamma + Rbar
+    g = (Gamma.T @ Qbar + Sbar.T) @ Phi @ x0
+    c = float(x0 @ Phi.T @ Qbar @ Phi @ x0)
+    return BatchQP(0.5 * (H + H.T), g, c)
+
+
+def _rel(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return float(np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)) if b.size else 0.0
 
 
 def test_canonical_two_step_assembly_frozen():
@@ -117,3 +160,55 @@ def test_x0_required():
         batch_matrices(stripped)
     qp = batch_matrices(stripped, x0=[2.0])
     assert abs(qp.c - 8.0) <= 1e-12  # scales quadratically
+
+
+def test_assembly_matches_dense_definition():
+    # The block assembly against the dense formula it replaces: three kinds,
+    # horizons including the empty one, m > n, nonzero S (generic and
+    # singular_R draw one) and an explicit x0 overriding the problem's.
+    rng = np.random.default_rng(15)
+    for kind in ("generic", "singular_R", "nilpotent_block"):
+        for n, m in ((4, 2), (2, 4)):
+            for T in (0, 1, 2, 7, 20):
+                problem = random_problem(n, m, 1500 + T, kind, horizon=T)
+                if kind == "generic":
+                    assert np.linalg.norm(problem.triple.S) > 1e-3
+                for x0 in (None, rng.normal(size=n)):
+                    qp = batch_matrices(problem, x0=x0)
+                    ref = dense_batch_matrices(problem, x0=x0)
+                    assert qp.H.shape == ref.H.shape == (T * m, T * m)
+                    assert qp.g.shape == ref.g.shape == (T * m,)
+                    assert _rel(qp.H, ref.H) <= 1e-13, (kind, n, m, T)
+                    assert _rel(qp.g, ref.g) <= 1e-13, (kind, n, m, T)
+                    assert abs(qp.c - ref.c) <= 1e-13 * abs(ref.c), (kind, n, m, T)
+                    if T == 0:
+                        x = problem.x0 if x0 is None else x0
+                        assert abs(qp.c - x @ problem.P @ x) <= 1e-14 * abs(qp.c)
+
+
+def test_long_horizon_cost_pinned():
+    # live_psi's worst verify problem: n = 12, T = 84, 168 inputs and
+    # cond(H) ~ 2e7.  The dense assembly with an SVD pseudo-inverse missed
+    # the recursion's cost by 7.1e-7; an SVD pseudo-inverse of this H, whose
+    # U and V part ways in the small singular directions, misses by 8e-4
+    # (one BLAS thread).  The symmetric eigen-solve gives ~5e-11.
+    problem = replace(random_problem(12, 2, 100035, "nilpotent_block", horizon=500, nilpotent_dim=2), T=84)
+    qp = batch_matrices(problem)
+    assert qp.size == 168
+    _, J = batch_optimal(qp)
+    J_ref = optimal_cost(solve_full(problem), problem.x0)
+    assert abs(J - J_ref) <= 1e-9 * abs(J_ref)
+
+
+def test_assembly_memory_is_not_dense():
+    # Gamma^T (T m x (T+1) n) is the largest array; the dense Qbar alone
+    # would be ((T+1) n)^2 doubles, 73 MB here.
+    problem = random_problem(20, 1, 1600, "generic", horizon=150)
+    n, T = problem.n, problem.T
+    tracemalloc.start()
+    try:
+        batch_matrices(problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.2 * ((T + 1) * n) ** 2 * 8
