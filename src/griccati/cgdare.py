@@ -8,11 +8,14 @@ and the constrained equation additionally demands ker(R + B^T X B) be
 contained in ker(A^T X B + S).  This module evaluates residuals, packages
 the derived closed-loop quantities, searches for a reference solution by
 fixed-point iteration, and compares pairs of solutions, whose difference is
-pinned down on the closed loop's nilpotent eigenspace.
+pinned down on the closed loop's nilpotent eigenspace.  Scaling the
+weights by c scales every solution by c, so the residual tests here are read
+against the Popov matrix's ||Pi||_F and the kernel condition against ||S_X||.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,13 +24,11 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
-    as_matrix,
     check_symmetric,
     inertia,
     nilpotent_eigenspace,
     subspace_distance,
     symmetrize,
-    within_residual,
 )
 from .model import LQProblem, PopovTriple
 from .grde import _schur_step, riccati_map
@@ -50,7 +51,8 @@ class CgdareSolution:
     R_X = R + B^T X B, S_X = A^T X B + S, K_X = R_X^+ S_X^T is the feedback
     gain, A_X = A - B K_X the closed loop.  U spans the generalised
     eigenspace of A_X at the eigenvalue zero and nu is its nilpotency index.
-    kernel_condition_ok records the constraint ker R_X <= ker S_X.
+    kernel_condition_ok records the constraint ker R_X <= ker S_X; the
+    candidate is accepted when that holds and ||D(X)|| <= residual_abs * ||Pi||_F.
     """
 
     X: np.ndarray
@@ -66,7 +68,11 @@ class CgdareSolution:
     nu: int
 
     def accepted(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        return self.kernel_condition_ok and self.residual_norm <= tol.residual_abs
+        return self.kernel_condition_ok and self.residual_norm <= _residual_band(self.triple, tol)
+
+
+def _residual_band(triple: PopovTriple, tol: Tolerance) -> float:
+    return tol.residual_abs * float(np.linalg.norm(triple.Pi))
 
 
 def closed_loop(X, triple: PopovTriple, tol: Tolerance = DEFAULT_TOL) -> CgdareSolution:
@@ -81,7 +87,7 @@ def closed_loop(X, triple: PopovTriple, tol: Tolerance = DEFAULT_TOL) -> CgdareS
     A_X = A - B @ K_X
     # D(X) = X minus its backward step, taken from the same pseudo-inverse.
     resid = float(np.linalg.norm(Xs - X_prev))
-    kercond_ok = within_residual(float(np.linalg.norm(S_X @ G)), float(np.linalg.norm(S_X)), tol)
+    kercond_ok = float(np.linalg.norm(S_X @ G)) <= tol.residual_rel * float(np.linalg.norm(S_X))
     # A_X can cancel to zero exactly (deadbeat loops), leaving pure rounding
     # noise; its kernel structure is judged against the size of its parents.
     loop_scale = float(np.linalg.norm(A)) + float(np.linalg.norm(B @ K_X))
@@ -101,19 +107,19 @@ def closed_loop(X, triple: PopovTriple, tol: Tolerance = DEFAULT_TOL) -> CgdareS
     )
 
 
-@dataclass(frozen=True)
-class ReferenceConfig:
-    """Knobs for the fixed-point reference search.
+# The search's iteration cap, its overflow guard (absolute: it only has to
+# stop the iterates before they overflow) and its polish floor over the band.
+_MAX_ITER = 10000
+_DIVERGENCE_NORM = 1e100
+_POLISH_RATIO = 3e-4
 
-    The iteration runs X <- riccati_map(X) from seed (zero by default) until
-    the step norm drops below residual_abs, then keeps polishing while the
-    step keeps shrinking, down to polish_factor * residual_abs at most.
-    """
 
-    seed_matrix: Optional[np.ndarray] = None
-    max_iter: int = 10000
-    polish_factor: float = 1e-3
-    divergence_norm: float = 1e100
+def _polish_steps(step: float, prev_step: float, floor: float) -> int:
+    """Steps that take a step norm from `step` to `floor` at the rate step / prev_step."""
+    rate = step / prev_step
+    if step <= floor or rate == 0.0:
+        return 0
+    return math.ceil(math.log(floor / step) / math.log(rate))
 
 
 @dataclass(frozen=True)
@@ -130,62 +136,61 @@ class ReferenceSearchResult:
 
 def find_reference(
     problem: LQProblem,
-    config: ReferenceConfig = ReferenceConfig(),
     tol: Tolerance = DEFAULT_TOL,
     X_ref: Optional[np.ndarray] = None,
 ) -> ReferenceSearchResult:
     """Find (or verify) a reference CGDARE solution for a problem.
 
     When X_ref is given it is verified and either returned or rejected with
-    the measured residuals (ReferenceRejectedError).  Otherwise fixed-point
-    iteration runs from the configured seed.  Divergence or stagnation gives
-    a no-solution-found result rather than an exception; convergence of the
-    iterates is not guaranteed for every problem.
+    the measured residuals (ReferenceRejectedError).  Otherwise X <-
+    riccati_map(X) runs from zero until the step norm enters the acceptance
+    band, then for as many steps as the rate of that step needs to reach
+    the polish floor, stopping early if the step stops shrinking.  Divergence
+    or stagnation gives a no-solution-found result rather than an
+    exception; convergence of the iterates is not guaranteed for every
+    problem.
     """
     triple = problem.triple
+    band = _residual_band(triple, tol)
     if X_ref is not None:
         sol = closed_loop(X_ref, triple, tol)
         if not sol.accepted(tol):
             raise ReferenceRejectedError(
                 "supplied reference rejected: residual "
-                f"{sol.residual_norm:.3e} (limit {tol.residual_abs:.1e}), "
+                f"{sol.residual_norm:.3e} (limit {band:.1e}), "
                 f"kernel condition {'ok' if sol.kernel_condition_ok else 'violated'}"
             )
         return ReferenceSearchResult(sol, True, 0, "supplied reference verified")
 
-    X = np.zeros((triple.n, triple.n)) if config.seed_matrix is None else symmetrize(
-        as_matrix(config.seed_matrix, "seed matrix")
-    )
-    if X.shape != (triple.n, triple.n):
-        raise ValueError(f"seed matrix has shape {X.shape}, expected ({triple.n}, {triple.n})")
-
     M, Pi = triple.AB, triple.Pi
-    target = tol.residual_abs
-    floor = tol.residual_abs * config.polish_factor
+    X = np.zeros((triple.n, triple.n))
+    floor = band * _POLISH_RATIO
     prev_step = np.inf
-    reached = False
+    stop_at = None
     plateau = 0
     it = 0
-    for it in range(1, config.max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         X_next = _schur_step(X, M, Pi, tol)[0]
-        if not np.all(np.isfinite(X_next)) or np.linalg.norm(X_next) > config.divergence_norm:
+        if not np.all(np.isfinite(X_next)) or np.linalg.norm(X_next) > _DIVERGENCE_NORM:
             return ReferenceSearchResult(None, False, it, "iterates diverged")
         step = float(np.linalg.norm(X_next - X))
         X = X_next
-        if step <= target:
-            # Inside the acceptance band: polish down to the floor, stopping
-            # early only when the step norm plateaus (round-off limit).
-            reached = True
-            if step <= floor:
+        if stop_at is None and step <= band:
+            # Near the floor the step norm is close to round-off, and a test
+            # against the floor would be settled by rounding, which changes
+            # when the problem is scaled or rotated; the two steps giving
+            # this rate are far above it.
+            stop_at = it + _polish_steps(step, prev_step, floor)
+        if stop_at is not None:
+            # Polish, stopping early when the step plateaus (round-off limit).
+            if it >= stop_at:
                 break
             plateau = plateau + 1 if step >= 0.999 * prev_step else 0
             if plateau >= 5:
                 break
         prev_step = step
-    if not reached:
-        return ReferenceSearchResult(
-            None, False, config.max_iter, f"no fixed point within {config.max_iter} iterations"
-        )
+    if stop_at is None:
+        return ReferenceSearchResult(None, False, _MAX_ITER, f"no fixed point within {_MAX_ITER} iterations")
 
     sol = closed_loop(X, triple, tol)
     if not sol.accepted(tol):
@@ -225,21 +230,6 @@ class ComparisonReport:
     inertia_match: bool
     identity_onestep_residual: float
     identity_quadratic_residual: float
-
-    def to_dict(self):
-        return {
-            "coincidence_residual": self.coincidence_residual,
-            "subspace_distance": self.subspace_distance,
-            "nu_x": self.nu_x,
-            "nu_y": self.nu_y,
-            "dim_u_x": self.dim_u_x,
-            "dim_u_y": self.dim_u_y,
-            "inertia_RX": list(self.inertia_RX),
-            "inertia_RY": list(self.inertia_RY),
-            "inertia_match": self.inertia_match,
-            "identity_onestep_residual": self.identity_onestep_residual,
-            "identity_quadratic_residual": self.identity_quadratic_residual,
-        }
 
 
 def difference_identity_residuals(X, Y, triple: PopovTriple, tol: Tolerance = DEFAULT_TOL):

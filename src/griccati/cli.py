@@ -18,7 +18,6 @@ import numpy as np
 
 from .linalg import DEFAULT_TOL, InternalInconsistencyError, NumericalRefusal, Tolerance
 from .model import (
-    LQProblem,
     ProblemFormatError,
     ProblemValidationError,
     Xorshift64Star,
@@ -29,7 +28,7 @@ from .model import (
 )
 from .grde import optimal_cost, save_trajectory, simulate, solve_full
 from .oracle import batch_matrices, batch_optimal
-from .cgdare import ReferenceConfig, ReferenceRejectedError, find_reference
+from .cgdare import ReferenceRejectedError, find_reference
 from .pencil import (
     build,
     closed_loop_singular_criterion,
@@ -132,7 +131,7 @@ def cmd_solve(args) -> int:
         traj = solve_full(problem, tol)
         run.results["method_used"] = "full"
     else:
-        ref = find_reference(problem, ReferenceConfig(), tol, X_ref=X_ref)
+        ref = find_reference(problem, tol, X_ref=X_ref)
         run.results["reference_found"] = ref.found
         run.results["reference_iterations"] = ref.iterations
         if not ref.found:
@@ -221,7 +220,7 @@ def cmd_analyze(args) -> int:
     solution = None
     if vrep.passed:
         try:
-            ref = find_reference(problem, ReferenceConfig(), tol, X_ref=X_ref)
+            ref = find_reference(problem, tol, X_ref=X_ref)
         except ReferenceRejectedError as exc:
             run.results["reference_found"] = False
             run.reason = str(exc)
@@ -368,7 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="suppress the human summary (JSON report only)")
     parser.add_argument("--rank-tol", type=float, default=None, help="relative rank cutoff (default 1e-10)")
-    parser.add_argument("--residual-tol", type=float, default=None, help="absolute residual threshold (default 1e-9)")
+    parser.add_argument(
+        "--residual-tol", type=float, default=None, help="residual threshold (default 1e-9; x ||Pi||_F for the reference)"
+    )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("validate", help="check a problem file against the model invariants")

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .linalg import DEFAULT_TOL, Tolerance, _pinv, check_symmetric, symmetrize
-from .model import LQProblem, PopovTriple, _fmt, require_valid
+from .model import LQProblem, PopovTriple, _fmt_matrix, require_valid
 
 
 @dataclass(frozen=True)
@@ -158,10 +158,7 @@ def trajectory_to_json(traj: GrdeTrajectory) -> str:
     """Serialise a trajectory with the same number format as problem files."""
 
     def fmt_matrix_list(mats):
-        blocks = []
-        for M in mats:
-            rows = ["      [" + ", ".join(_fmt(v) for v in row) + "]" for row in np.atleast_2d(M)]
-            blocks.append("    [\n" + ",\n".join(rows) + "\n    ]")
+        blocks = ["    " + _fmt_matrix(M, "    ") for M in mats]
         return "[\n" + ",\n".join(blocks) + "\n  ]" if blocks else "[]"
 
     lines = ["{"]

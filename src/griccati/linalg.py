@@ -40,7 +40,10 @@ class Tolerance:
         Relative cutoff for rank / kernel / inertia decisions, applied
         against the largest singular value (or eigenvalue magnitude).
     residual_abs
-        Absolute threshold on equation residual norms.
+        Absolute threshold on equation residual norms.  The reference
+        path (cgdare) reads it against the problem's scale instead: a
+        CGDARE residual is accepted up to residual_abs * ||Pi||_F, Pi the
+        Popov matrix [[Q, S], [S^T, R]], so scaled weights keep the outcome.
     residual_rel
         Relative threshold on residuals, applied against a problem scale.
     """
@@ -85,14 +88,19 @@ def check_symmetric(M: np.ndarray, tol: Tolerance = DEFAULT_TOL, name: str = "ma
         raise ValueError(f"{name} must be square, got shape {A.shape}")
     skew = np.linalg.norm(A - A.T)
     scale = np.linalg.norm(A)
-    if skew > tol.residual_abs + tol.residual_rel * scale:
+    if not within_residual(skew, scale, tol):
         raise ValueError(f"{name} is not symmetric within tolerance (asymmetry {skew:.3e})")
     return symmetrize(A)
 
 
+def residual_limit(scale: float, tol: Tolerance = DEFAULT_TOL) -> float:
+    """Mixed absolute/relative residual threshold for a quantity of size scale."""
+    return tol.residual_abs + tol.residual_rel * scale
+
+
 def within_residual(value: float, scale: float, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Mixed absolute/relative residual acceptance test."""
-    return value <= tol.residual_abs + tol.residual_rel * scale
+    return value <= residual_limit(scale, tol)
 
 
 def svd_cutoff(singular_values: np.ndarray, shape, tol: Tolerance, scale: float = 0.0) -> float:
@@ -206,7 +214,7 @@ def orthonormal_complement(U, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         raise ValueError(f"cannot complement {k} columns in dimension {n}")
     if k:
         gram_err = np.linalg.norm(A.T @ A - np.eye(k))
-        if gram_err > tol.residual_abs + tol.residual_rel * k:
+        if not within_residual(gram_err, k, tol):
             raise ValueError(f"columns are not orthonormal (Gram residual {gram_err:.3e})")
     if k == 0:
         return np.eye(n)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -13,11 +13,10 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     as_matrix,
-    inertia,
     pinv,
+    residual_limit,
     spectral_radius,
     symmetrize,
-    within_residual,
 )
 
 
@@ -162,6 +161,11 @@ class ValidationReport:
         }
 
 
+def _residual_check(name: str, residual: float, scale: float, tol: Tolerance) -> CheckResult:
+    thr = residual_limit(scale, tol)
+    return CheckResult(name, residual <= thr, residual, thr)
+
+
 def validate(problem, tol: Tolerance = DEFAULT_TOL) -> ValidationReport:
     """Semantic validation of a PopovTriple or LQProblem.
 
@@ -183,9 +187,7 @@ def validate(problem, tol: Tolerance = DEFAULT_TOL) -> ValidationReport:
     Pi = triple.popov_matrix()
     scale = float(np.linalg.norm(Pi))
 
-    skew = float(np.linalg.norm(Pi - Pi.T))
-    thr = tol.residual_abs + tol.residual_rel * scale
-    checks.append(CheckResult("popov_symmetric", skew <= thr, skew, thr))
+    checks.append(_residual_check("popov_symmetric", float(np.linalg.norm(Pi - Pi.T)), scale, tol))
 
     Pi_sym = symmetrize(Pi)
     w = np.linalg.eigvalsh(Pi_sym) if Pi_sym.size else np.zeros(0)
@@ -202,14 +204,11 @@ def validate(problem, tol: Tolerance = DEFAULT_TOL) -> ValidationReport:
     )
 
     proj_resid = float(np.linalg.norm(triple.S @ (np.eye(triple.m) - pinv(triple.R, tol) @ triple.R)))
-    s_scale = float(np.linalg.norm(triple.S))
-    thr = tol.residual_abs + tol.residual_rel * s_scale
-    checks.append(CheckResult("kernel_inclusion", proj_resid <= thr, proj_resid, thr))
+    checks.append(_residual_check("kernel_inclusion", proj_resid, float(np.linalg.norm(triple.S)), tol))
 
     if terminal is not None:
         skew = float(np.linalg.norm(terminal - terminal.T))
-        thr = tol.residual_abs + tol.residual_rel * float(np.linalg.norm(terminal))
-        checks.append(CheckResult("terminal_symmetric", skew <= thr, skew, thr))
+        checks.append(_residual_check("terminal_symmetric", skew, float(np.linalg.norm(terminal)), tol))
         wP = np.linalg.eigvalsh(symmetrize(terminal)) if terminal.size else np.zeros(0)
         cutoffP = tol.rank_rel * float(np.max(np.abs(wP))) if wP.size else 0.0
         negP = float(max(0.0, -np.min(wP))) if wP.size else 0.0

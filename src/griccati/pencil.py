@@ -79,11 +79,6 @@ def _drift_singular(triple: PopovTriple, tol: Tolerance) -> bool:
     return not is_nonsingular(triple.A - feed, tol, scale=scale)
 
 
-def _loop_scale(solution: CgdareSolution) -> float:
-    t = solution.triple
-    return float(np.linalg.norm(t.A)) + float(np.linalg.norm(t.B @ solution.K_X))
-
-
 def n_singular_criterion(pencil: SymplecticPencil, triple: PopovTriple, tol: Tolerance = DEFAULT_TOL) -> NSingularCriterion:
     """Evaluate both sides of the N-singularity equivalence numerically."""
     n_sing = not is_nonsingular(pencil.N, tol)
@@ -109,7 +104,7 @@ def closed_loop_singular_criterion(
     solution: CgdareSolution, tol: Tolerance = DEFAULT_TOL
 ) -> ClosedLoopSingularCriterion:
     triple = solution.triple
-    a_x_sing = not is_nonsingular(solution.A_X, tol, scale=_loop_scale(solution))
+    a_x_sing = solution.U.shape[1] > 0
     rank_R = numerical_rank(triple.R, tol)
     rank_RX = numerical_rank(solution.R_X, tol)
     drift_sing = _drift_singular(triple, tol)
@@ -177,7 +172,7 @@ def mu_bookkeeping(solution: CgdareSolution, tol: Tolerance = DEFAULT_TOL) -> Mu
     """Multiplicity bookkeeping mu(block) = mu(A_X) + mu(R_X)."""
     triple = solution.triple
     block = np.block([[triple.A, triple.B], [triple.S.T, triple.R]])
-    mu_ax = zero_multiplicity(solution.A_X, tol, scale=_loop_scale(solution))
+    mu_ax = solution.U.shape[1]
     mu_rx = zero_multiplicity(solution.R_X, tol)
     mu_blk = zero_multiplicity(block, tol)
     return MuReport(

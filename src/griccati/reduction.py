@@ -27,6 +27,7 @@ from .linalg import (
     orthonormal_complement,
     pinv,
     symmetrize,
+    within_residual,
 )
 from .model import LQProblem
 from .cgdare import CgdareSolution
@@ -105,14 +106,14 @@ def build_reduction(problem: LQProblem, reference: CgdareSolution, tol: Toleranc
     Z = A_rot[k:, k:]
     lower_left = float(np.linalg.norm(A_rot[k:, :k]))
     scale = float(np.linalg.norm(reference.A_X))
-    if lower_left > tol.residual_abs + tol.residual_rel * scale:
+    if not within_residual(lower_left, scale, tol):
         raise InternalInconsistencyError(
             f"nilpotent eigenspace is not invariant: lower-left norm {lower_left:.3e}"
         )
     if Z.shape[0] and not is_nonsingular(Z, tol):
         raise InternalInconsistencyError("trailing closed-loop block is singular")
     defect = float(np.linalg.norm(np.linalg.matrix_power(N0, reference.nu))) if k else 0.0
-    if defect > tol.residual_abs + tol.residual_rel * scale:
+    if not within_residual(defect, scale, tol):
         raise InternalInconsistencyError(
             f"leading block is not nilpotent of index {reference.nu}: defect {defect:.3e}"
         )
@@ -235,7 +236,7 @@ def _solve_reduced(problem: LQProblem, rd: ReductionData, tol: Tolerance, phase_
     Delta = X[0] - rd.X_circ
     D11, D12, D22 = checkpoint_blocks(Delta, rd)
     off_norm = float(max(np.linalg.norm(D11), np.linalg.norm(D12)))
-    threshold = tol.residual_rel * (1.0 + float(np.linalg.norm(Delta)))
+    threshold = tol.residual_rel * (float(np.linalg.norm(rd.X_circ)) + float(np.linalg.norm(Delta)))
     if off_norm > threshold:
         return _result(problem, rd, None, T, off_norm, threshold, "checkpoint block structure violated")
 

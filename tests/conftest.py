@@ -23,6 +23,23 @@ def scalar_j_problem(T=5):
     )
 
 
+def scaled_problem(problem, c):
+    """The same problem with Q, S, R and P multiplied by c."""
+    t = problem.triple
+    return LQProblem(PopovTriple(t.A, t.B, c * t.Q, c * t.S, c * t.R), c * problem.P, problem.T, problem.x0)
+
+
+def rotated_problem(problem, V):
+    """The same problem in the state coordinates z = V^T x, V orthogonal."""
+    t = problem.triple
+    return LQProblem(
+        PopovTriple(V.T @ t.A @ V, V.T @ t.B, V.T @ t.Q @ V, V.T @ t.S, t.R),
+        V.T @ problem.P @ V,
+        problem.T,
+        V.T @ problem.x0,
+    )
+
+
 def dare_scalar_roots(a, b, q, r):
     """Both real roots of the scalar algebraic equation for (a, b, q, r), s = 0.
 
@@ -147,11 +164,11 @@ def corpus200():
 @pytest.fixture(scope="session")
 def corpus200_refs(corpus200):
     """Reference solutions for the mixed corpus where the search converges."""
-    from griccati.cgdare import ReferenceConfig, find_reference
+    from griccati.cgdare import find_reference
 
     out = []
     for kind, problem in corpus200:
-        res = find_reference(problem, ReferenceConfig(max_iter=4000))
+        res = find_reference(problem)
         out.append((kind, problem, res.solution if res.found else None))
     return out
 
@@ -159,7 +176,7 @@ def corpus200_refs(corpus200):
 @pytest.fixture(scope="session")
 def nilpotent50():
     """50 nilpotent_block problems, n <= 8, T <= 50, with references."""
-    from griccati.cgdare import ReferenceConfig, find_reference
+    from griccati.cgdare import find_reference
     from griccati.model import random_problem
 
     out = []
@@ -168,6 +185,6 @@ def nilpotent50():
         m = 1 + i % 2
         T = 5 + (i * 9) % 46
         problem = random_problem(n, m, 20_000 + i, "nilpotent_block", horizon=T)
-        res = find_reference(problem, ReferenceConfig())
+        res = find_reference(problem)
         out.append((problem, res.solution if res.found else None))
     return out

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from griccati.cgdare import (
-    ReferenceConfig,
     ReferenceRejectedError,
     closed_loop,
     compare_solutions,
@@ -92,7 +91,7 @@ def test_find_reference_divergent_reports_failure():
     problem = LQProblem(
         PopovTriple([[2.0]], [[0.0]], [[1.0]], [[0.0]], [[1.0]]), [[0.0]], 3
     )
-    res = find_reference(problem, ReferenceConfig(max_iter=500))
+    res = find_reference(problem)
     assert not res.found
     assert "diverg" in res.message
 

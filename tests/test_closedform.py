@@ -10,7 +10,7 @@ from griccati.linalg import NumericalRefusal
 from griccati.model import random_problem
 from griccati.reduction import ReductionData, build_reduction, checkpoint_blocks, reduced_step, solve_hybrid
 
-from conftest import PHI, scalar_j_problem
+from conftest import PHI, scalar_j_problem, scaled_problem
 from test_reduction import _assert_trajectories_match, _drift_singular_problem
 
 
@@ -211,14 +211,23 @@ def test_solve_closed_form_short_horizon_refuses():
 
 
 def test_solve_closed_form_refuses_violated_checkpoint():
-    # The rotation of another problem: the checkpoint must catch it.
-    problem = random_problem(4, 2, 1902, "nilpotent_block", horizon=10, nilpotent_dim=2)
-    res = find_reference(problem)
-    assert res.found
-    rd = build_reduction(problem, res.solution)
+    # The rotation of another problem: the checkpoint must catch it at any
+    # scale of the weights, so the hybrid falls back and the closed form
+    # refuses.  A threshold of residual_rel * (1 + ||Delta||) let the
+    # rotation through at weights x 1e-9 and the hybrid X came out 7.5e-3 off.
     Qm, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(4, 4)))
-    with pytest.raises(NumericalRefusal, match="checkpoint"):
-        solve_closed_form(problem, dataclasses.replace(rd, T_orth=Qm))
+    base = random_problem(4, 2, 1902, "nilpotent_block", horizon=10, nilpotent_dim=2)
+    for weight_scale in (1.0, 1e-9):
+        problem = scaled_problem(base, weight_scale)
+        res = find_reference(problem)
+        assert res.found
+        rotated = dataclasses.replace(build_reduction(problem, res.solution), T_orth=Qm)
+        hyb = solve_hybrid(problem, rotated)
+        assert hyb.used_fallback and hyb.fallback_reason == "checkpoint block structure violated", weight_scale
+        assert hyb.checkpoint_off_norm > hyb.checkpoint_threshold
+        _assert_trajectories_match(hyb.trajectory, solve_full(problem), rtol=1e-12)
+        with pytest.raises(NumericalRefusal, match="checkpoint"):
+            solve_closed_form(problem, rotated)
 
 
 def test_solve_closed_form_non_autonomous_matches_full():

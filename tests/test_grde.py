@@ -3,6 +3,7 @@ import pytest
 
 from griccati import cgdare, closedform, grde, linalg, reduction
 from griccati.grde import (
+    GrdeTrajectory,
     gain_and_projector,
     optimal_cost,
     riccati_map,
@@ -244,3 +245,23 @@ def test_trajectory_json_shape():
     assert doc["T"] == 2
     assert len(doc["X"]) == 3 and len(doc["K"]) == 2 and len(doc["G"]) == 2
     assert doc["X"][0] == [[1.5]]
+
+
+def test_trajectory_json_text_pinned():
+    # The trajectory file shares the problem file's matrix layout and
+    # 17-digit number format; the text is pinned byte for byte.
+    traj = GrdeTrajectory(
+        X=(np.array([[1.0 / 3.0, 0.1], [0.1, 2.0]]), np.array([[-1e-20, 0.0], [0.0, 12345.678]])),
+        K=(np.array([[0.5, -2.0 / 7.0]]),),
+        G=(np.array([[0.0]]),),
+    )
+    assert trajectory_to_json(traj) == (
+        '{\n  "T": 1,\n  "X": [\n    [\n      [0.33333333333333331, 0.10000000000000001],\n'
+        '      [0.10000000000000001, 2]\n    ],\n    [\n      [-9.9999999999999995e-21, 0],\n'
+        '      [0, 12345.678]\n    ]\n  ],\n  "K": [\n    [\n      [0.5, -0.2857142857142857]\n'
+        '    ]\n  ],\n  "G": [\n    [\n      [0]\n    ]\n  ]\n}\n'
+    )
+    empty = GrdeTrajectory(X=(np.eye(1),), K=(), G=())
+    assert trajectory_to_json(empty) == (
+        '{\n  "T": 0,\n  "X": [\n    [\n      [1]\n    ]\n  ],\n  "K": [],\n  "G": []\n}\n'
+    )
