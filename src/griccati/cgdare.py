@@ -49,8 +49,10 @@ class CgdareSolution:
     """A candidate solution together with everything derived from it.
 
     R_X = R + B^T X B, S_X = A^T X B + S, K_X = R_X^+ S_X^T is the feedback
-    gain, A_X = A - B K_X the closed loop.  U spans the generalised
-    eigenspace of A_X at the eigenvalue zero and nu is its nilpotency index.
+    gain, A_X = A - B K_X the closed loop.  T_orth = [U, U_c] is the
+    orthogonal basis of `linalg.nilpotent_eigenspace`: U, its first dim_u
+    columns, spans the generalised eigenspace of A_X at the eigenvalue zero,
+    nu is its nilpotency index, and T_orth^T A_X T_orth = [[N0, *], [0, Z]].
     kernel_condition_ok records the constraint ker R_X <= ker S_X; the
     candidate is accepted when that holds and ||D(X)|| <= residual_abs * ||Pi||_F.
     """
@@ -64,8 +66,13 @@ class CgdareSolution:
     K_X: np.ndarray
     A_X: np.ndarray
     inertia_RX: tuple
-    U: np.ndarray
+    T_orth: np.ndarray
+    dim_u: int
     nu: int
+
+    @property
+    def U(self) -> np.ndarray:
+        return self.T_orth[:, : self.dim_u]
 
     def accepted(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         return self.kernel_condition_ok and self.residual_norm <= _residual_band(self.triple, tol)
@@ -91,7 +98,7 @@ def closed_loop(X, triple: PopovTriple, tol: Tolerance = DEFAULT_TOL) -> CgdareS
     # A_X can cancel to zero exactly (deadbeat loops), leaving pure rounding
     # noise; its kernel structure is judged against the size of its parents.
     loop_scale = float(np.linalg.norm(A)) + float(np.linalg.norm(B @ K_X))
-    U, nu = nilpotent_eigenspace(A_X, tol, scale=loop_scale)
+    T_orth, dim_u, nu = nilpotent_eigenspace(A_X, tol, scale=loop_scale)
     return CgdareSolution(
         X=Xs,
         triple=triple,
@@ -102,7 +109,8 @@ def closed_loop(X, triple: PopovTriple, tol: Tolerance = DEFAULT_TOL) -> CgdareS
         K_X=K_X,
         A_X=A_X,
         inertia_RX=inertia(R_X, tol),
-        U=U,
+        T_orth=T_orth,
+        dim_u=dim_u,
         nu=nu,
     )
 
@@ -270,8 +278,8 @@ def compare_solutions(
         subspace_distance=sub_dist,
         nu_x=sol_x.nu,
         nu_y=sol_y.nu,
-        dim_u_x=sol_x.U.shape[1],
-        dim_u_y=sol_y.U.shape[1],
+        dim_u_x=sol_x.dim_u,
+        dim_u_y=sol_y.dim_u,
         inertia_RX=sol_x.inertia_RX,
         inertia_RY=sol_y.inertia_RX,
         inertia_match=sol_x.inertia_RX == sol_y.inertia_RX,

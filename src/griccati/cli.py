@@ -247,7 +247,7 @@ def cmd_analyze(args) -> int:
             "drift_singular": crit.drift_singular,
             "criterion_consistent": crit.consistent,
             "nu": solution.nu,
-            "dim_u": solution.U.shape[1],
+            "dim_u": solution.dim_u,
             "inertia_RX": list(solution.inertia_RX),
         }
         mu = mu_bookkeeping(solution, tol)
@@ -269,7 +269,7 @@ def cmd_analyze(args) -> int:
     if solution is not None:
         lines.append(
             f"  closed loop singular: {run.results['closed_loop']['A_X_singular']}, "
-            f"nu={solution.nu}, dim U={solution.U.shape[1]}"
+            f"nu={solution.nu}, dim U={solution.dim_u}"
         )
         lines.append(
             f"  mu: {run.results['mu']['mu_block']} = {run.results['mu']['mu_AX']} "

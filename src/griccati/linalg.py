@@ -1,7 +1,9 @@
 """Tolerance-aware dense linear algebra primitives.
 
 Every rank, kernel, and inertia decision in this package flows through the
-helpers below so that all modules share one notion of "numerically zero".
+helpers below so that all modules share one notion of "numerically zero";
+the nilpotent eigenspace, its orthogonal complement and its index come from
+one staircase deflation (``nilpotent_eigenspace``).
 Matrices are plain 2-D float64 ``numpy`` arrays throughout; the helpers a
 solver applies to a whole horizon at once (``_pinv``, ``svd_cutoff``,
 ``symmetrize``) also take stacks (..., r, c), slice by slice.
@@ -202,81 +204,37 @@ def kernel_basis(M, tol: Tolerance = DEFAULT_TOL, scale: float = 0.0) -> np.ndar
     return Vt[rank:].T.copy()
 
 
-def orthonormal_complement(U, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of the column span of U.
-
-    U must already have orthonormal columns (checked).  An n x 0 input yields
-    the identity.
-    """
-    A = as_matrix(U)
-    n, k = A.shape
-    if k > n:
-        raise ValueError(f"cannot complement {k} columns in dimension {n}")
-    if k:
-        gram_err = np.linalg.norm(A.T @ A - np.eye(k))
-        if not within_residual(gram_err, k, tol):
-            raise ValueError(f"columns are not orthonormal (Gram residual {gram_err:.3e})")
-    if k == 0:
-        return np.eye(n)
-    W, _, _ = np.linalg.svd(A, full_matrices=True)
-    comp = W[:, k:]
-    return comp.copy()
-
-
-def kernel_chain(A, tol: Tolerance = DEFAULT_TOL, scale: float = 0.0):
-    """Grow the kernel chain ker(A) <= ker(A^2) <= ... until it stabilises.
-
-    Works on the original matrix at every step (never forms high powers):
-    ker(A^{k+1}) = ker((I - W_k W_k^T) A) where W_k spans ker(A^k).  Returns
-    the list of orthonormal bases [W_1, W_2, ...] up to and including the
-    first stabilised kernel.
-    """
-    M = as_matrix(A)
-    n = M.shape[0]
-    if M.shape[0] != M.shape[1]:
-        raise ValueError(f"kernel chain needs a square matrix, got {M.shape}")
-    bases = []
-    W = kernel_basis(M, tol, scale)
-    bases.append(W)
-    while W.shape[1] < n:
-        proj = np.eye(n) - W @ W.T
-        W_next = kernel_basis(proj @ M, tol, scale)
-        if W_next.shape[1] == W.shape[1]:
-            break
-        bases.append(W_next)
-        W = W_next
-    return bases
-
-
 def nilpotent_eigenspace(A, tol: Tolerance = DEFAULT_TOL, scale: float = 0.0):
-    """Generalised eigenspace of the zero eigenvalue and its nilpotency index.
+    """Staircase deflation onto the generalised eigenspace of the eigenvalue zero.
 
-    Returns (U, nu) where U is an orthonormal basis of ker(A^n) (an n x 0
-    array when A is non-singular) and nu is the smallest k with
-    ker(A^k) = ker(A^{k+1}).
+    Returns (Q, k, nu): Q is orthogonal and Q^T A Q = [[N0, *], [0, Z]] with
+    N0 the leading k x k block, nilpotent of index nu, and Z non-singular,
+    so the first k columns of Q span ker(A^n) (k = 0, nu = 0 and Q = I when
+    A is non-singular).  Each step takes the SVD of the current trailing
+    block only, moves its kernel to the front of that block's columns of Q
+    and carries V_r^T Z V_r forward, V_r the rest of its right singular
+    vectors (Van Dooren's staircase); the kernels found stack into a
+    strictly block upper triangular N0, so the form holds by construction.
+    Every step judges rank against one cutoff, taken from A's own singular
+    values and scale: a trailing block is never judged against itself.
     """
     M = as_matrix(A)
     n = M.shape[0]
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"nilpotent eigenspace needs a square matrix, got {M.shape}")
-    if n == 0:
-        return np.zeros((0, 0)), 0
-    bases = kernel_chain(M, tol, scale)
-    if bases[0].shape[1] == 0:
-        return np.zeros((n, 0)), 0
-    return bases[-1], len(bases)
-
-
-def zero_multiplicity(A, tol: Tolerance = DEFAULT_TOL, scale: float = 0.0) -> int:
-    """Algebraic multiplicity of the zero eigenvalue, i.e. dim ker(A^n).
-
-    Computed through the kernel chain, which stays accurate even when the
-    zero eigenvalue is defective (eigenvalue-modulus counting scatters a
-    Jordan block of size k onto a circle of radius eps^(1/k) and is useless
-    for k >= 2).
-    """
-    U, _ = nilpotent_eigenspace(A, tol, scale)
-    return U.shape[1]
+    Q = np.eye(n)
+    Z, k, nu, cutoff = M, 0, 0, None
+    while k < n:
+        W, s, Vt = np.linalg.svd(Z)
+        if cutoff is None:
+            cutoff = svd_cutoff(s, M.shape, tol, scale)
+        r = int(np.count_nonzero(s > cutoff))
+        if r == n - k:
+            break
+        Q[:, k:] = Q[:, k:] @ np.vstack([Vt[r:], Vt[:r]]).T
+        Z = Vt[:r] @ (W[:, :r] * s[:r])  # V_r^T Z V_r, as Z V_r = W_r diag(s_r)
+        k, nu = n - r, nu + 1
+    return Q, k, nu
 
 
 def inertia(M, tol: Tolerance = DEFAULT_TOL):

@@ -166,6 +166,17 @@ def _residual_check(name: str, residual: float, scale: float, tol: Tolerance) ->
     return CheckResult(name, residual <= thr, residual, thr)
 
 
+def _psd_check(name: str, M: np.ndarray, tol: Tolerance, describe: bool = False) -> CheckResult:
+    """-lambda_min <= rank_rel * max|lambda| on the symmetric part of M."""
+    w = np.linalg.eigvalsh(symmetrize(M)) if M.size else np.zeros(0)
+    cutoff = tol.rank_rel * float(np.max(np.abs(w))) if w.size else 0.0
+    neg = float(max(0.0, -np.min(w))) if w.size else 0.0
+    detail = ""
+    if describe:
+        detail = f"eigenvalue range [{w.min():.3e}, {w.max():.3e}]" if w.size else "empty"
+    return CheckResult(name, neg <= cutoff, neg, cutoff, detail)
+
+
 def validate(problem, tol: Tolerance = DEFAULT_TOL) -> ValidationReport:
     """Semantic validation of a PopovTriple or LQProblem.
 
@@ -183,36 +194,18 @@ def validate(problem, tol: Tolerance = DEFAULT_TOL) -> ValidationReport:
     else:
         raise TypeError(f"validate expects PopovTriple or LQProblem, got {type(problem).__name__}")
 
-    checks = []
-    Pi = triple.popov_matrix()
-    scale = float(np.linalg.norm(Pi))
-
-    checks.append(_residual_check("popov_symmetric", float(np.linalg.norm(Pi - Pi.T)), scale, tol))
-
-    Pi_sym = symmetrize(Pi)
-    w = np.linalg.eigvalsh(Pi_sym) if Pi_sym.size else np.zeros(0)
-    cutoff = tol.rank_rel * float(np.max(np.abs(w))) if w.size else 0.0
-    neg = float(max(0.0, -np.min(w))) if w.size else 0.0
-    checks.append(
-        CheckResult(
-            "popov_psd",
-            neg <= cutoff,
-            neg,
-            cutoff,
-            f"eigenvalue range [{w.min():.3e}, {w.max():.3e}]" if w.size else "empty",
-        )
-    )
-
+    Pi = triple.Pi
+    checks = [
+        _residual_check("popov_symmetric", float(np.linalg.norm(Pi - Pi.T)), float(np.linalg.norm(Pi)), tol),
+        _psd_check("popov_psd", Pi, tol, describe=True),
+    ]
     proj_resid = float(np.linalg.norm(triple.S @ (np.eye(triple.m) - pinv(triple.R, tol) @ triple.R)))
     checks.append(_residual_check("kernel_inclusion", proj_resid, float(np.linalg.norm(triple.S)), tol))
 
     if terminal is not None:
         skew = float(np.linalg.norm(terminal - terminal.T))
         checks.append(_residual_check("terminal_symmetric", skew, float(np.linalg.norm(terminal)), tol))
-        wP = np.linalg.eigvalsh(symmetrize(terminal)) if terminal.size else np.zeros(0)
-        cutoffP = tol.rank_rel * float(np.max(np.abs(wP))) if wP.size else 0.0
-        negP = float(max(0.0, -np.min(wP))) if wP.size else 0.0
-        checks.append(CheckResult("terminal_psd", negP <= cutoffP, negP, cutoffP))
+        checks.append(_psd_check("terminal_psd", terminal, tol))
 
     return ValidationReport(tuple(checks))
 

@@ -17,10 +17,9 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     is_nonsingular,
+    nilpotent_eigenspace,
     numerical_rank,
     pinv,
-    spectral_radius,
-    zero_multiplicity,
 )
 from .model import PopovTriple
 from .cgdare import CgdareSolution
@@ -104,7 +103,7 @@ def closed_loop_singular_criterion(
     solution: CgdareSolution, tol: Tolerance = DEFAULT_TOL
 ) -> ClosedLoopSingularCriterion:
     triple = solution.triple
-    a_x_sing = solution.U.shape[1] > 0
+    a_x_sing = solution.dim_u > 0
     rank_R = numerical_rank(triple.R, tol)
     rank_RX = numerical_rank(solution.R_X, tol)
     drift_sing = _drift_singular(triple, tol)
@@ -143,9 +142,10 @@ def det_identity_check(
 class MuReport(NamedTuple):
     """Zero-eigenvalue multiplicities and their additivity.
 
-    mu_* are algebraic multiplicities of the eigenvalue zero computed by
-    kernel-chain growth (dim ker(M^size)), which stays integer-exact for
-    defective eigenvalues.  eig_count_* are the raw counts of eigenvalues
+    mu_* are algebraic multiplicities of the eigenvalue zero, dim ker(M^size),
+    read from the staircase of `linalg.nilpotent_eigenspace` (for A_X, the
+    reference's own dim U); they stay integer-exact for defective
+    eigenvalues.  eig_count_* are the raw counts of eigenvalues
     with modulus below rank_rel * (1 + spectral radius); they agree with
     mu_* on non-defective spectra and scatter on Jordan blocks, which is
     why they are only a cross-check.
@@ -163,18 +163,17 @@ class MuReport(NamedTuple):
 def _eig_count_near_zero(M: np.ndarray, tol: Tolerance) -> int:
     if M.shape[0] == 0:
         return 0
-    w = np.linalg.eigvals(M)
-    cutoff = tol.rank_rel * (1.0 + spectral_radius(M))
-    return int(np.count_nonzero(np.abs(w) <= cutoff))
+    w = np.abs(np.linalg.eigvals(M))
+    return int(np.count_nonzero(w <= tol.rank_rel * (1.0 + float(w.max()))))
 
 
 def mu_bookkeeping(solution: CgdareSolution, tol: Tolerance = DEFAULT_TOL) -> MuReport:
     """Multiplicity bookkeeping mu(block) = mu(A_X) + mu(R_X)."""
     triple = solution.triple
     block = np.block([[triple.A, triple.B], [triple.S.T, triple.R]])
-    mu_ax = solution.U.shape[1]
-    mu_rx = zero_multiplicity(solution.R_X, tol)
-    mu_blk = zero_multiplicity(block, tol)
+    mu_ax = solution.dim_u
+    mu_rx = nilpotent_eigenspace(solution.R_X, tol)[1]
+    mu_blk = nilpotent_eigenspace(block, tol)[1]
     return MuReport(
         mu_AX=mu_ax,
         mu_RX=mu_rx,

@@ -24,7 +24,6 @@ from .linalg import (
     Tolerance,
     check_symmetric,
     is_nonsingular,
-    orthonormal_complement,
     pinv,
     symmetrize,
     within_residual,
@@ -85,21 +84,18 @@ class ReductionData:
 def build_reduction(problem: LQProblem, reference: CgdareSolution, tol: Tolerance = DEFAULT_TOL) -> ReductionData:
     """Rotate the problem into the [U, U_c] basis of a reference solution.
 
-    Verifies the structural consequences of the construction: the rotation
-    is orthogonal, the lower-left block of the rotated closed loop is zero
-    within tolerance (U is an invariant subspace) and N0^nu vanishes.  A
-    singular trailing block Z contradicts the definition of U and raises
-    InternalInconsistencyError.
+    The basis is the reference's T_orth, whose staircase makes the rotated
+    closed loop block upper triangular by construction; the consequences
+    are still measured: the lower-left block is zero within tolerance (U is
+    an invariant subspace), the trailing block Z is non-singular and N0^nu
+    vanishes.  Any of them failing raises InternalInconsistencyError.
     """
     if not reference.accepted(tol):
         raise ValueError(
             f"reference solution not accepted (residual {reference.residual_norm:.3e}, "
             f"kernel condition {'ok' if reference.kernel_condition_ok else 'violated'})"
         )
-    U = reference.U
-    U_c = orthonormal_complement(U, tol)
-    T_orth = np.hstack([U, U_c]) if U.size else U_c
-    k = U.shape[1]
+    T_orth, k = reference.T_orth, reference.dim_u
 
     A_rot = T_orth.T @ reference.A_X @ T_orth
     N0 = A_rot[:k, :k]
@@ -126,7 +122,7 @@ def build_reduction(problem: LQProblem, reference: CgdareSolution, tol: Toleranc
         Z=Z,
         B1=B_rot[:k, :],
         B2=B_rot[k:, :],
-        A2=U_c.T @ problem.triple.A,
+        A2=T_orth[:, k:].T @ problem.triple.A,
         R_full=reference.R_X,
         S_full=reference.S_X,
         X_circ=reference.X,

@@ -26,6 +26,8 @@ SHAPES = (
     ("nilpotent_block", 5, 2, None),
     ("nilpotent_block", 12, 2, 2),
     ("nilpotent_block", 8, 2, 4),
+    ("nilpotent_block", 20, 2, 8),
+    ("nilpotent_block", 20, 2, 15),
 )
 
 ROUND_OFF_BAND = pytest.mark.xfail(

@@ -8,17 +8,15 @@ from griccati.linalg import (
     inertia,
     is_nonsingular,
     kernel_basis,
-    kernel_chain,
     nilpotent_eigenspace,
     numerical_rank,
-    orthonormal_complement,
     pinv,
     spectral_radius,
     subspace_distance,
+    svd_cutoff,
     symmetric_lstsq,
     symmetrize,
     within_residual,
-    zero_multiplicity,
 )
 from griccati.model import LQProblem, PopovTriple, random_problem
 from griccati.oracle import batch_matrices
@@ -194,65 +192,88 @@ def test_kernel_basis_random_rank():
         assert np.allclose(K.T @ K, np.eye(K.shape[1]), atol=1e-12)
 
 
-def test_orthonormal_complement_basics():
-    C = orthonormal_complement(np.array([[1.0], [0.0]]))
-    assert C.shape == (2, 1)
-    assert abs(abs(C[1, 0]) - 1.0) <= 1e-14
-    assert np.allclose(orthonormal_complement(np.zeros((3, 0))), np.eye(3))
+def _check_staircase(A, dim_u, nu):
+    """nilpotent_eigenspace(A) finds (dim_u, nu) and its Q deflates A as promised."""
+    Q, k, got_nu = nilpotent_eigenspace(A)
+    assert (k, got_nu) == (dim_u, nu)
+    n = A.shape[0]
+    assert np.linalg.norm(Q.T @ Q - np.eye(n)) <= 1e-14 * n
+    A_rot = Q.T @ A @ Q
+    cutoff = svd_cutoff(np.linalg.svd(A, compute_uv=False), A.shape, Tolerance())
+    assert np.linalg.norm(A_rot[k:, :k]) <= cutoff
+    assert np.linalg.norm(np.linalg.matrix_power(A_rot[:k, :k], nu)) <= 1e-12 * max(1.0, np.linalg.norm(A)) ** nu
+    if k < n:
+        assert is_nonsingular(A_rot[k:, k:])
+    return Q
+
+
+def _jordan_plus_stable(sizes, extra):
+    """diag(J_{sizes[0]}, J_{sizes[1]}, ..., extra), J_s the s x s nilpotent Jordan block."""
+    n = sum(sizes) + extra.shape[0]
+    A = np.zeros((n, n))
+    ofs = 0
+    for size in sizes:
+        A[ofs : ofs + size, ofs : ofs + size] = np.eye(size, k=1)
+        ofs += size
+    A[ofs:, ofs:] = extra
+    return A
+
+
+def test_nilpotent_eigenspace_simple_staircase():
+    # ker diag(0, 1) = span(e1): Q keeps e1 first and e2 spans the rest.
+    Q = _check_staircase(np.diag([0.0, 1.0]), 1, 1)
+    assert abs(abs(Q[1, 1]) - 1.0) <= 1e-14
+    # A non-singular matrix gives the empty eigenspace and Q = I.
+    assert np.array_equal(_check_staircase(np.eye(3), 0, 0), np.eye(3))
     with pytest.raises(ValueError):
-        orthonormal_complement(np.array([[2.0], [0.0]]))  # not orthonormal
+        nilpotent_eigenspace(np.zeros((2, 3)))
 
 
-def test_orthonormal_complement_square_rotation():
+def test_nilpotent_eigenspace_recovers_prescribed_span():
+    # A = U J U^T + U_c D U_c^T with [U, U_c] orthogonal and J one Jordan
+    # chain of length k: Q's first k columns span U, the rest its complement.
     rng = np.random.default_rng(11)
     for _ in range(20):
         n = 2 + int(rng.integers(5))
         k = int(rng.integers(n + 1))
         Qm, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        U = Qm[:, :k]
-        T = np.hstack([U, orthonormal_complement(U)])
-        assert np.allclose(T.T @ T, np.eye(n), atol=1e-12)
+        U, U_c = Qm[:, :k], Qm[:, k:]
+        A = U @ np.eye(k, k=1) @ U.T + U_c @ np.diag(1.0 + rng.uniform(size=n - k)) @ U_c.T
+        Q = _check_staircase(A, k, k)
+        assert subspace_distance(Q[:, :k], U) <= 1e-12
+        assert np.linalg.norm(Q[:, k:].T @ U) <= 1e-12
 
 
 def test_nilpotent_eigenspace_mixed_example():
     # One 2-chain at zero plus a well-separated nonzero mode.
     A = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
-    U, nu = nilpotent_eigenspace(A)
-    assert U.shape == (3, 2)
-    assert nu == 2
+    Q, k, nu = nilpotent_eigenspace(A)
+    assert Q.shape == (3, 3) and k == 2 and nu == 2
     # Invariance: A U stays inside span(U).
-    proj = U @ U.T
-    assert np.linalg.norm(A @ U - proj @ (A @ U)) <= 1e-12
+    U = Q[:, :k]
+    assert np.linalg.norm(A @ U - U @ U.T @ (A @ U)) <= 1e-12
 
 
 def test_nilpotent_eigenspace_edges():
-    U, nu = nilpotent_eigenspace(np.diag([1.0, -2.0]))
-    assert U.shape == (2, 0) and nu == 0
-    J = np.diag(np.ones(2), 1)
-    U, nu = nilpotent_eigenspace(J)
-    assert U.shape == (3, 3) and nu == 3
+    Q, k, nu = nilpotent_eigenspace(np.diag([1.0, -2.0]))
+    assert np.array_equal(Q, np.eye(2)) and k == 0 and nu == 0
+    Q, k, nu = nilpotent_eigenspace(np.diag(np.ones(2), 1))
+    assert Q.shape == (3, 3) and k == 3 and nu == 3
+    Q, k, nu = nilpotent_eigenspace(np.zeros((0, 0)))
+    assert Q.shape == (0, 0) and k == 0 and nu == 0
 
 
-def test_kernel_chain_vs_matrix_power():
-    # Kernel growth must match dim ker(A^k) computed directly (small sizes
-    # and exact-ish entries, where powers are still trustworthy).
+def test_nilpotent_eigenspace_jordan_sizes_in_any_coordinates():
+    # dim U is the sum of the Jordan block sizes at zero and nu the largest,
+    # the same after a random orthogonal change of coordinates.
     rng = np.random.default_rng(5)
     for _ in range(20):
         sizes = [1 + int(rng.integers(3)) for _ in range(2)]
-        blocks = [np.diag(np.ones(s - 1), 1) for s in sizes]
-        extra = rng.normal(size=(2, 2)) + 3.0 * np.eye(2)
-        A = np.zeros((sum(sizes) + 2, sum(sizes) + 2))
-        ofs = 0
-        for blk in blocks:
-            s = blk.shape[0]
-            A[ofs : ofs + s, ofs : ofs + s] = blk
-            ofs += s
-        A[ofs:, ofs:] = extra
-        bases = kernel_chain(A)
-        for k, W in enumerate(bases, start=1):
-            direct = A.shape[0] - np.linalg.matrix_rank(np.linalg.matrix_power(A, k))
-            assert W.shape[1] == direct
-        assert zero_multiplicity(A) == sum(sizes)
+        A = _jordan_plus_stable(sizes, rng.normal(size=(2, 2)) + 3.0 * np.eye(2))
+        Q = _check_staircase(A, sum(sizes), max(sizes))
+        V, _ = np.linalg.qr(rng.normal(size=A.shape))
+        Q_rot = _check_staircase(V.T @ A @ V, sum(sizes), max(sizes))
+        assert subspace_distance(Q_rot[:, : sum(sizes)], V.T @ Q[:, : sum(sizes)]) <= 1e-12
 
 
 def test_inertia_frozen_and_errors():
