@@ -7,12 +7,7 @@ and a reduction that confines the expensive part of the backward recursion
 to the subspace where solutions can actually differ.
 """
 
-from .linalg import (
-    DEFAULT_TOL,
-    InternalInconsistencyError,
-    NumericalRefusal,
-    Tolerance,
-)
+from .linalg import InternalInconsistencyError, NumericalRefusal
 from .model import LQProblem, PopovTriple, load_problem, random_problem, save_problem, validate
 from .grde import GrdeTrajectory, riccati_map, simulate, solve_full
 from .oracle import BatchQP, batch_matrices, batch_optimal
@@ -20,8 +15,6 @@ from .cgdare import CgdareSolution, closed_loop, find_reference, gdare_residual
 from .reduction import ReductionData, build_reduction, reduced_step, solve_hybrid
 
 __all__ = [
-    "DEFAULT_TOL",
-    "Tolerance",
     "NumericalRefusal",
     "InternalInconsistencyError",
     "PopovTriple",

@@ -22,8 +22,8 @@ from typing import Optional
 import numpy as np
 
 from .linalg import (
-    DEFAULT_TOL,
-    Tolerance,
+    RESIDUAL_ABS,
+    RESIDUAL_REL,
     check_symmetric,
     inertia,
     nilpotent_eigenspace,
@@ -38,10 +38,10 @@ class ReferenceRejectedError(ValueError):
     """A user-supplied candidate solution failed verification."""
 
 
-def gdare_residual(X, triple: PopovTriple, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def gdare_residual(X, triple: PopovTriple) -> np.ndarray:
     """The defect D(X); its norm is zero exactly at generalised DARE solutions."""
-    Xs = check_symmetric(X, tol, "candidate solution")
-    return Xs - riccati_map(Xs, triple, tol)
+    Xs = check_symmetric(X, "candidate solution")
+    return Xs - riccati_map(Xs, triple)
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class CgdareSolution:
     columns, spans the generalised eigenspace of A_X at the eigenvalue zero,
     nu is its nilpotency index, and T_orth^T A_X T_orth = [[N0, *], [0, Z]].
     kernel_condition_ok records the constraint ker R_X <= ker S_X; the
-    candidate is accepted when that holds and ||D(X)|| <= residual_abs * ||Pi||_F.
+    candidate is accepted when that holds and ||D(X)|| <= RESIDUAL_ABS * ||Pi||_F.
     """
 
     X: np.ndarray
@@ -74,31 +74,31 @@ class CgdareSolution:
     def U(self) -> np.ndarray:
         return self.T_orth[:, : self.dim_u]
 
-    def accepted(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        return self.kernel_condition_ok and self.residual_norm <= _residual_band(self.triple, tol)
+    def accepted(self) -> bool:
+        return self.kernel_condition_ok and self.residual_norm <= _residual_band(self.triple)
 
 
-def _residual_band(triple: PopovTriple, tol: Tolerance) -> float:
-    return tol.residual_abs * float(np.linalg.norm(triple.Pi))
+def _residual_band(triple: PopovTriple) -> float:
+    return RESIDUAL_ABS * float(np.linalg.norm(triple.Pi))
 
 
-def closed_loop(X, triple: PopovTriple, tol: Tolerance = DEFAULT_TOL) -> CgdareSolution:
+def closed_loop(X, triple: PopovTriple) -> CgdareSolution:
     """Evaluate a candidate X: residual, constraint, gain, closed loop, eigenspace."""
-    Xs = check_symmetric(X, tol, "candidate solution")
+    Xs = check_symmetric(X, "candidate solution")
     if Xs.shape[0] != triple.n:
         raise ValueError(f"candidate has size {Xs.shape[0]}, expected {triple.n}")
     A, B, n = triple.A, triple.B, triple.n
-    X_prev, K_X, W, R_X_pinv = _schur_step(Xs, triple.AB, triple.Pi, tol)
+    X_prev, K_X, W, R_X_pinv = _schur_step(Xs, triple.AB, triple.Pi)
     R_X, S_X = W[n:, n:], W[:n, n:]
     G = np.eye(triple.m) - R_X_pinv @ R_X
     A_X = A - B @ K_X
     # D(X) = X minus its backward step, taken from the same pseudo-inverse.
     resid = float(np.linalg.norm(Xs - X_prev))
-    kercond_ok = float(np.linalg.norm(S_X @ G)) <= tol.residual_rel * float(np.linalg.norm(S_X))
+    kercond_ok = float(np.linalg.norm(S_X @ G)) <= RESIDUAL_REL * float(np.linalg.norm(S_X))
     # A_X can cancel to zero exactly (deadbeat loops), leaving pure rounding
     # noise; its kernel structure is judged against the size of its parents.
     loop_scale = float(np.linalg.norm(A)) + float(np.linalg.norm(B @ K_X))
-    T_orth, dim_u, nu = nilpotent_eigenspace(A_X, tol, scale=loop_scale)
+    T_orth, dim_u, nu = nilpotent_eigenspace(A_X, scale=loop_scale)
     return CgdareSolution(
         X=Xs,
         triple=triple,
@@ -108,7 +108,7 @@ def closed_loop(X, triple: PopovTriple, tol: Tolerance = DEFAULT_TOL) -> CgdareS
         S_X=S_X,
         K_X=K_X,
         A_X=A_X,
-        inertia_RX=inertia(R_X, tol),
+        inertia_RX=inertia(R_X),
         T_orth=T_orth,
         dim_u=dim_u,
         nu=nu,
@@ -133,7 +133,6 @@ def _polish_steps(step: float, prev_step: float, floor: float) -> int:
 @dataclass(frozen=True)
 class ReferenceSearchResult:
     solution: Optional[CgdareSolution]
-    converged: bool
     iterations: int
     message: str
 
@@ -142,11 +141,7 @@ class ReferenceSearchResult:
         return self.solution is not None
 
 
-def find_reference(
-    problem: LQProblem,
-    tol: Tolerance = DEFAULT_TOL,
-    X_ref: Optional[np.ndarray] = None,
-) -> ReferenceSearchResult:
+def find_reference(problem: LQProblem, X_ref: Optional[np.ndarray] = None) -> ReferenceSearchResult:
     """Find (or verify) a reference CGDARE solution for a problem.
 
     When X_ref is given it is verified and either returned or rejected with
@@ -159,16 +154,16 @@ def find_reference(
     problem.
     """
     triple = problem.triple
-    band = _residual_band(triple, tol)
+    band = _residual_band(triple)
     if X_ref is not None:
-        sol = closed_loop(X_ref, triple, tol)
-        if not sol.accepted(tol):
+        sol = closed_loop(X_ref, triple)
+        if not sol.accepted():
             raise ReferenceRejectedError(
                 "supplied reference rejected: residual "
                 f"{sol.residual_norm:.3e} (limit {band:.1e}), "
                 f"kernel condition {'ok' if sol.kernel_condition_ok else 'violated'}"
             )
-        return ReferenceSearchResult(sol, True, 0, "supplied reference verified")
+        return ReferenceSearchResult(sol, 0, "supplied reference verified")
 
     M, Pi = triple.AB, triple.Pi
     X = np.zeros((triple.n, triple.n))
@@ -178,9 +173,9 @@ def find_reference(
     plateau = 0
     it = 0
     for it in range(1, _MAX_ITER + 1):
-        X_next = _schur_step(X, M, Pi, tol)[0]
+        X_next = _schur_step(X, M, Pi)[0]
         if not np.all(np.isfinite(X_next)) or np.linalg.norm(X_next) > _DIVERGENCE_NORM:
-            return ReferenceSearchResult(None, False, it, "iterates diverged")
+            return ReferenceSearchResult(None, it, "iterates diverged")
         step = float(np.linalg.norm(X_next - X))
         X = X_next
         if stop_at is None and step <= band:
@@ -198,17 +193,16 @@ def find_reference(
                 break
         prev_step = step
     if stop_at is None:
-        return ReferenceSearchResult(None, False, _MAX_ITER, f"no fixed point within {_MAX_ITER} iterations")
+        return ReferenceSearchResult(None, _MAX_ITER, f"no fixed point within {_MAX_ITER} iterations")
 
-    sol = closed_loop(X, triple, tol)
-    if not sol.accepted(tol):
+    sol = closed_loop(X, triple)
+    if not sol.accepted():
         return ReferenceSearchResult(
             None,
-            False,
             it,
             f"iteration settled but candidate rejected (residual {sol.residual_norm:.3e})",
         )
-    return ReferenceSearchResult(sol, True, it, "fixed point accepted")
+    return ReferenceSearchResult(sol, it, "fixed point accepted")
 
 
 @dataclass(frozen=True)
@@ -240,15 +234,15 @@ class ComparisonReport:
     identity_quadratic_residual: float
 
 
-def difference_identity_residuals(X, Y, triple: PopovTriple, tol: Tolerance = DEFAULT_TOL):
+def difference_identity_residuals(X, Y, triple: PopovTriple):
     """Residual norms of the two D(X) - D(Y) identities for a symmetric pair."""
-    Xs = check_symmetric(X, tol, "X")
-    Ys = check_symmetric(Y, tol, "Y")
+    Xs = check_symmetric(X, "X")
+    Ys = check_symmetric(Y, "Y")
     A, B = triple.A, triple.B
     Delta = Xs - Ys
 
-    X_prev, K_X, _, R_X_pinv = _schur_step(Xs, triple.AB, triple.Pi, tol)
-    Y_prev, K_Y, _, _ = _schur_step(Ys, triple.AB, triple.Pi, tol)
+    X_prev, K_X, _, R_X_pinv = _schur_step(Xs, triple.AB, triple.Pi)
+    Y_prev, K_Y, _, _ = _schur_step(Ys, triple.AB, triple.Pi)
     A_X = A - B @ K_X
     A_Y = A - B @ K_Y
 
@@ -258,9 +252,7 @@ def difference_identity_residuals(X, Y, triple: PopovTriple, tol: Tolerance = DE
     return float(np.linalg.norm(onestep)), float(np.linalg.norm(quadratic))
 
 
-def compare_solutions(
-    sol_x: CgdareSolution, sol_y: CgdareSolution, tol: Tolerance = DEFAULT_TOL
-) -> ComparisonReport:
+def compare_solutions(sol_x: CgdareSolution, sol_y: CgdareSolution) -> ComparisonReport:
     """Compare two accepted solutions of the same triple."""
     tx, ty = sol_x.triple, sol_y.triple
     same = all(
@@ -272,7 +264,7 @@ def compare_solutions(
     Delta = sol_x.X - sol_y.X
     coincidence = float(np.linalg.norm(Delta @ sol_x.U, 2)) if sol_x.U.size else 0.0
     sub_dist = subspace_distance(sol_x.U, sol_y.U)
-    onestep, quadratic = difference_identity_residuals(sol_x.X, sol_y.X, tx, tol)
+    onestep, quadratic = difference_identity_residuals(sol_x.X, sol_y.X, tx)
     return ComparisonReport(
         coincidence_residual=coincidence,
         subspace_distance=sub_dist,

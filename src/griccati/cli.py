@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, InternalInconsistencyError, NumericalRefusal, Tolerance
+from .linalg import InternalInconsistencyError, NumericalRefusal
 from .model import (
     ProblemFormatError,
-    ProblemValidationError,
     Xorshift64Star,
     load_problem,
     random_problem,
@@ -75,14 +74,6 @@ def _emit(report: RunReport, args, summary_lines):
             print(line, file=sys.stderr)
 
 
-def _tolerance(args) -> Tolerance:
-    return Tolerance(
-        rank_rel=args.rank_tol if args.rank_tol is not None else DEFAULT_TOL.rank_rel,
-        residual_abs=args.residual_tol if args.residual_tol is not None else DEFAULT_TOL.residual_abs,
-        residual_rel=DEFAULT_TOL.residual_rel,
-    )
-
-
 def _parse_x0(text: str) -> np.ndarray:
     try:
         return np.array([float(v) for v in text.split(",") if v.strip() != ""])
@@ -95,9 +86,8 @@ def _rel_diff(a: float, b: float) -> float:
 
 
 def cmd_validate(args) -> int:
-    tol = _tolerance(args)
     problem, _ = load_problem(args.problem)
-    report = validate(problem, tol)
+    report = validate(problem)
     run = RunReport(
         command="validate",
         inputs={"problem": args.problem, "n": problem.n, "m": problem.m, "T": problem.T},
@@ -113,7 +103,6 @@ def cmd_validate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    tol = _tolerance(args)
     problem, X_ref = load_problem(args.problem)
     run = RunReport(
         command="solve",
@@ -128,25 +117,25 @@ def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     traj = None
     if args.method == "full":
-        traj = solve_full(problem, tol)
+        traj = solve_full(problem)
         run.results["method_used"] = "full"
     else:
-        ref = find_reference(problem, tol, X_ref=X_ref)
+        ref = find_reference(problem, X_ref=X_ref)
         run.results["reference_found"] = ref.found
         run.results["reference_iterations"] = ref.iterations
         if not ref.found:
-            traj = solve_full(problem, tol)
+            traj = solve_full(problem)
             run.status = "fallback"
             run.reason = f"no reference solution: {ref.message}"
             run.results["method_used"] = "full"
         else:
             run.residuals["reference_residual"] = ref.solution.residual_norm
-            rd = build_reduction(problem, ref.solution, tol)
+            rd = build_reduction(problem, ref.solution)
             run.results["nu"] = rd.nu
             run.results["dim_u"] = rd.dim_u
             run.results["dim_reduced"] = rd.dim_reduced
             if args.method == "reduced":
-                hres = solve_hybrid(problem, rd, tol)
+                hres = solve_hybrid(problem, rd)
                 traj = hres.trajectory
                 run.residuals["checkpoint_off_norm"] = hres.checkpoint_off_norm
                 if hres.used_fallback:
@@ -158,13 +147,13 @@ def cmd_solve(args) -> int:
                     run.results["reduced_steps"] = hres.reduced_steps
             else:  # closed-form
                 try:
-                    cres = solve_closed_form(problem, rd, tol)
+                    cres = solve_closed_form(problem, rd)
                     traj = cres.trajectory
                     run.results["method_used"] = "closed-form"
                     run.results["horizon_prime"] = cres.reduced_steps
                     run.residuals["checkpoint_off_norm"] = cres.checkpoint_off_norm
                 except NumericalRefusal as exc:
-                    traj = solve_full(problem, tol)
+                    traj = solve_full(problem)
                     run.status = "fallback"
                     run.reason = str(exc)
                     run.results["method_used"] = "full"
@@ -190,7 +179,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    tol = _tolerance(args)
     problem, X_ref_file = load_problem(args.problem)
     X_ref = X_ref_file
     if args.x_ref:
@@ -204,11 +192,11 @@ def cmd_analyze(args) -> int:
         command="analyze",
         inputs={"problem": args.problem, "n": problem.n, "m": problem.m, "T": problem.T, "seed": args.seed},
     )
-    vrep = validate(problem, tol)
+    vrep = validate(problem)
     run.results["validation_passed"] = vrep.passed
 
     pen = build(problem.triple)
-    ncrit = n_singular_criterion(pen, problem.triple, tol)
+    ncrit = n_singular_criterion(pen, problem.triple)
     run.results["pencil"] = {
         "size": pen.size,
         "N_singular": ncrit.n_singular,
@@ -220,7 +208,7 @@ def cmd_analyze(args) -> int:
     solution = None
     if vrep.passed:
         try:
-            ref = find_reference(problem, tol, X_ref=X_ref)
+            ref = find_reference(problem, X_ref=X_ref)
         except ReferenceRejectedError as exc:
             run.results["reference_found"] = False
             run.reason = str(exc)
@@ -238,7 +226,7 @@ def cmd_analyze(args) -> int:
     else:
         run.results["analysis_level"] = "full"
         run.residuals["reference_residual"] = solution.residual_norm
-        crit = closed_loop_singular_criterion(solution, tol)
+        crit = closed_loop_singular_criterion(solution)
         run.results["closed_loop"] = {
             "A_X_singular": crit.a_x_singular,
             "rank_R": crit.rank_R,
@@ -250,7 +238,7 @@ def cmd_analyze(args) -> int:
             "dim_u": solution.dim_u,
             "inertia_RX": list(solution.inertia_RX),
         }
-        mu = mu_bookkeeping(solution, tol)
+        mu = mu_bookkeeping(solution)
         run.results["mu"] = {
             "mu_AX": mu.mu_AX,
             "mu_RX": mu.mu_RX,
@@ -259,7 +247,7 @@ def cmd_analyze(args) -> int:
         }
         rng = Xorshift64Star(args.seed)
         z_samples = [rng.interval(-2.0, 2.0) for _ in range(20)]
-        run.residuals["det_identity_worst"] = det_identity_check(pen, solution, z_samples, tol)
+        run.residuals["det_identity_worst"] = det_identity_check(pen, solution, z_samples)
 
     lines = [f"analyze {args.problem}: level={run.results['analysis_level']}"]
     lines.append(
@@ -281,7 +269,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    tol = _tolerance(args)
     problem, _ = load_problem(args.problem)
     x0 = _parse_x0(args.x0) if args.x0 else problem.x0
     if x0 is None:
@@ -294,14 +281,14 @@ def cmd_verify(args) -> int:
         inputs={"problem": args.problem, "n": problem.n, "m": problem.m, "T": problem.T, "x0": list(map(float, x0))},
     )
     t0 = time.perf_counter()
-    traj = solve_full(problem, tol)
+    traj = solve_full(problem)
     run.timings["solve_ms"] = (time.perf_counter() - t0) * 1e3
     j_grde = float(x0 @ traj.X[0] @ x0)
     t0 = time.perf_counter()
-    qp = batch_matrices(problem, x0, tol)
-    _, j_oracle = batch_optimal(qp, tol)
+    qp = batch_matrices(problem, x0)
+    _, j_oracle = batch_optimal(qp)
     run.timings["oracle_ms"] = (time.perf_counter() - t0) * 1e3
-    _, _, j_sim = simulate(problem, traj, x0, tol=tol)
+    _, _, j_sim = simulate(problem, traj, x0)
 
     diffs = {
         "grde_vs_oracle": _rel_diff(j_grde, j_oracle),
@@ -366,10 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite-horizon LQ solver with singular-weight support and reduction diagnostics",
     )
     parser.add_argument("--json", action="store_true", help="suppress the human summary (JSON report only)")
-    parser.add_argument("--rank-tol", type=float, default=None, help="relative rank cutoff (default 1e-10)")
-    parser.add_argument(
-        "--residual-tol", type=float, default=None, help="residual threshold (default 1e-9; x ||Pi||_F for the reference)"
-    )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("validate", help="check a problem file against the model invariants")
@@ -406,26 +389,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exit code and stderr prefix of each error a command may raise;
+# ProblemFormatError, ProblemValidationError and ReferenceRejectedError are
+# ValueErrors.
+_ERRORS = {
+    ValueError: (EXIT_INPUT, "error"),
+    FileNotFoundError: (EXIT_INPUT, "error"),
+    NumericalRefusal: (EXIT_REFUSAL, "numerical refusal"),
+    InternalInconsistencyError: (EXIT_INCONSISTENT, "internal inconsistency"),
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ProblemFormatError, ProblemValidationError, ReferenceRejectedError, FileNotFoundError, ValueError) as exc:
-        report = RunReport(command=args.cmd, inputs={}, status="error", reason=str(exc))
-        print(report.to_json())
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except NumericalRefusal as exc:
-        report = RunReport(command=args.cmd, inputs={}, status="error", reason=str(exc))
-        print(report.to_json())
-        print(f"numerical refusal: {exc}", file=sys.stderr)
-        return EXIT_REFUSAL
-    except InternalInconsistencyError as exc:
-        report = RunReport(command=args.cmd, inputs={}, status="error", reason=str(exc))
-        print(report.to_json())
-        print(f"internal inconsistency: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
+    except tuple(_ERRORS) as exc:
+        code, prefix = next(v for t, v in _ERRORS.items() if isinstance(exc, t))
+        print(RunReport(command=args.cmd, inputs={}, status="error", reason=str(exc)).to_json())
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -18,25 +18,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, NumericalRefusal, Tolerance, _pinv, is_nonsingular, symmetrize
+from .linalg import RANK_REL, NumericalRefusal, _pinv, is_nonsingular, symmetrize
 from .model import LQProblem
 from .reduction import HybridSolveResult, ReductionData, _solve_reduced
 
 
-def _nonsingular(M, M_inv, scale: float, tol: Tolerance) -> bool:
-    """is_nonsingular(M, tol, scale), with the SVD skipped where a bound settles it.
+def _nonsingular(M, M_inv, scale: float) -> bool:
+    """is_nonsingular(M, scale), with the SVD skipped where a bound settles it.
 
     sigma_min >= 1 / ||M^{-1}||_F and sigma_max <= ||M||_F, so clearing the
     cutoff these bounds give, with a margin of two for the rounding in
     M_inv, passes only matrices the SVD test passes too.
     """
-    cutoff = tol.rank_rel * max(float(np.linalg.norm(M)), scale) * M.shape[0]
-    return 2.0 * cutoff * float(np.linalg.norm(M_inv)) < 1.0 or is_nonsingular(M, tol, scale)
+    cutoff = RANK_REL * max(float(np.linalg.norm(M)), scale) * M.shape[0]
+    return 2.0 * cutoff * float(np.linalg.norm(M_inv)) < 1.0 or is_nonsingular(M, scale)
 
 
-def gramian_sweep(Psi_terminal, steps: int, rd: ReductionData, tol: Tolerance = DEFAULT_TOL):
+def gramian_sweep(Psi_terminal, steps: int, rd: ReductionData):
     """Yield Psi_{T'-1}, ..., Psi_{T'-steps} from Psi_{T'} = Psi_terminal."""
-    if not is_nonsingular(rd.R_full, tol):
+    if not is_nonsingular(rd.R_full):
         raise NumericalRefusal("closed form inapplicable: full curvature R_full is singular")
     d = rd.dim_reduced
     Z = rd.Z
@@ -53,28 +53,28 @@ def gramian_sweep(Psi_terminal, steps: int, rd: ReductionData, tol: Tolerance = 
         except np.linalg.LinAlgError:
             M_inv = None
         # I + W_s Psi is a sum that may cancel, so it is judged against its parts.
-        if M_inv is None or not _nonsingular(M, M_inv, 1.0 + float(np.linalg.norm(W)) * Psi_norm, tol):
+        if M_inv is None or not _nonsingular(M, M_inv, 1.0 + float(np.linalg.norm(W)) * Psi_norm):
             raise NumericalRefusal(f"closed form inapplicable: I + W_{s} Psi is singular")
         yield symmetrize(P.T @ Psi_terminal @ (M_inv @ P))
 
 
-def _gramian_rule(Psi_terminal, steps: int, rd: ReductionData, tol: Tolerance):
+def _gramian_rule(Psi_terminal, steps: int, rd: ReductionData):
     """Phase-two rule: the sweep's Psi stack, with the curvature of each
     step R_full + B2^T Psi B2 and its pinv taken over the whole stack."""
-    Psi = np.array([Psi_terminal, *gramian_sweep(Psi_terminal, steps, rd, tol)])
+    Psi = np.array([Psi_terminal, *gramian_sweep(Psi_terminal, steps, rd)])
     (d, m), N = rd.B2.shape, steps
     PsiB = (Psi[:-1].reshape(N * d, d) @ rd.B2).reshape(N, d, m)
     R_X = rd.R_full + rd.B2.T @ PsiB
-    return Psi, R_X, _pinv(R_X, tol)
+    return Psi, R_X, _pinv(R_X)
 
 
-def solve_closed_form(problem: LQProblem, rd: ReductionData, tol: Tolerance = DEFAULT_TOL) -> HybridSolveResult:
+def solve_closed_form(problem: LQProblem, rd: ReductionData) -> HybridSolveResult:
     """Reduced solve whose phase two is the Gramian formula.
 
     Where the hybrid solver falls back, this raises NumericalRefusal with
     the reason; nothing is silently approximated.
     """
-    result = _solve_reduced(problem, rd, tol, _gramian_rule)
+    result = _solve_reduced(problem, rd, _gramian_rule)
     if result.used_fallback:
         raise NumericalRefusal(f"closed form inapplicable: {result.fallback_reason}")
     return result

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, _pinv, check_symmetric, symmetrize
+from .linalg import _pinv, check_symmetric, symmetrize
 from .model import LQProblem, PopovTriple, _fmt_matrix, require_valid
 
 
@@ -35,7 +35,7 @@ class GrdeTrajectory:
         return len(self.X) - 1
 
 
-def _schur_step(X_next, M, Pi, tol: Tolerance):
+def _schur_step(X_next, M, Pi):
     """Generalised Schur complement of the Popov block W = M^T X_next M + Pi.
 
     With k = rows of M, W = [[W11, W12], [W21, R_X]] is split after k, and
@@ -46,12 +46,12 @@ def _schur_step(X_next, M, Pi, tol: Tolerance):
     """
     k = M.shape[0]
     W = M.T @ (X_next @ M) + Pi
-    R_X_pinv = _pinv(W[k:, k:], tol)
+    R_X_pinv = _pinv(W[k:, k:])
     L = R_X_pinv @ W[k:, :k]
     return symmetrize(W[:k, :k] - W[:k, k:] @ L), L, W, R_X_pinv
 
 
-def _sweep(X_end, M, Pi, steps: int, tol: Tolerance):
+def _sweep(X_end, M, Pi, steps: int):
     """`steps` Schur-complement steps back from X_end, in backward order.
 
     Returns the lists X (X_end first, steps + 1 entries), L, R_X and R_X^+;
@@ -60,7 +60,7 @@ def _sweep(X_end, M, Pi, steps: int, tol: Tolerance):
     k = M.shape[0]
     X, L, R_X, R_X_pinv = [X_end], [], [], []
     for _ in range(steps):
-        X_prev, L_t, W, R_pinv_t = _schur_step(X[-1], M, Pi, tol)
+        X_prev, L_t, W, R_pinv_t = _schur_step(X[-1], M, Pi)
         X.append(X_prev)
         L.append(L_t)
         R_X.append(W[k:, k:])
@@ -75,33 +75,33 @@ def _projectors(R_X, R_X_pinv) -> tuple:
     return tuple(np.eye(R_X[0].shape[-1]) - np.asarray(R_X_pinv) @ np.asarray(R_X))
 
 
-def gain_and_projector(X_next, triple: PopovTriple, tol: Tolerance = DEFAULT_TOL):
+def gain_and_projector(X_next, triple: PopovTriple):
     """Feedback gain K and null-space projector G for one backward step.
 
     K = (R + B^T X B)^+ (S^T + B^T X A),  G = I - (R + B^T X B)^+ (R + B^T X B).
     """
-    _, K, W, R_X_pinv = _schur_step(X_next, triple.AB, triple.Pi, tol)
+    _, K, W, R_X_pinv = _schur_step(X_next, triple.AB, triple.Pi)
     n = triple.n
     return K, np.eye(triple.m) - R_X_pinv @ W[n:, n:]
 
 
-def riccati_map(X, triple: PopovTriple, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def riccati_map(X, triple: PopovTriple) -> np.ndarray:
     """One backward step of the generalised Riccati difference equation.
 
     X_prev = A^T X A - (A^T X B + S)(R + B^T X B)^+ (B^T X A + S^T) + Q,
     re-symmetrised against round-off drift.
     """
-    Xs = check_symmetric(X, tol, "riccati_map input")
+    Xs = check_symmetric(X, "riccati_map input")
     if Xs.shape[0] != triple.n:
         raise ValueError(f"riccati_map input has size {Xs.shape[0]}, expected {triple.n}")
-    return _schur_step(Xs, triple.AB, triple.Pi, tol)[0]
+    return _schur_step(Xs, triple.AB, triple.Pi)[0]
 
 
-def solve_full(problem: LQProblem, tol: Tolerance = DEFAULT_TOL) -> GrdeTrajectory:
+def solve_full(problem: LQProblem) -> GrdeTrajectory:
     """Full backward recursion from the terminal weight down to time 0."""
-    require_valid(problem, tol)
+    require_valid(problem)
     triple = problem.triple
-    X, K, R_X, R_X_pinv = _sweep(symmetrize(problem.P), triple.AB, triple.Pi, problem.T, tol)
+    X, K, R_X, R_X_pinv = _sweep(symmetrize(problem.P), triple.AB, triple.Pi, problem.T)
     return GrdeTrajectory(tuple(X[::-1]), tuple(K[::-1]), _projectors(R_X, R_X_pinv)[::-1])
 
 
@@ -111,13 +111,7 @@ def optimal_cost(traj: GrdeTrajectory, x0) -> float:
     return float(x @ traj.X[0] @ x)
 
 
-def simulate(
-    problem: LQProblem,
-    traj: GrdeTrajectory,
-    x0=None,
-    v: Optional[list] = None,
-    tol: Tolerance = DEFAULT_TOL,
-):
+def simulate(problem: LQProblem, traj: GrdeTrajectory, x0=None, v: Optional[list] = None):
     """Roll the closed loop forward with u_t = -K_t x_t + G_t v_t.
 
     v is an optional list of T free vectors (length m) steering the

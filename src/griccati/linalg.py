@@ -1,17 +1,15 @@
 """Tolerance-aware dense linear algebra primitives.
 
 Every rank, kernel, and inertia decision in this package flows through the
-helpers below so that all modules share one notion of "numerically zero";
-the nilpotent eigenspace, its orthogonal complement and its index come from
-one staircase deflation (``nilpotent_eigenspace``).
+helpers and the three constants below, so that all modules share one notion
+of "numerically zero"; the nilpotent eigenspace, its orthogonal complement
+and its index come from one staircase deflation (``nilpotent_eigenspace``).
 Matrices are plain 2-D float64 ``numpy`` arrays throughout; the helpers a
 solver applies to a whole horizon at once (``_pinv``, ``svd_cutoff``,
 ``symmetrize``) also take stacks (..., r, c), slice by slice.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,34 +32,15 @@ class InternalInconsistencyError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Bundle of the three tolerances used across the package.
-
-    rank_rel
-        Relative cutoff for rank / kernel / inertia decisions, applied
-        against the largest singular value (or eigenvalue magnitude).
-    residual_abs
-        Absolute threshold on equation residual norms.  The reference
-        path (cgdare) reads it against the problem's scale instead: a
-        CGDARE residual is accepted up to residual_abs * ||Pi||_F, Pi the
-        Popov matrix [[Q, S], [S^T, R]], so scaled weights keep the outcome.
-    residual_rel
-        Relative threshold on residuals, applied against a problem scale.
-    """
-
-    rank_rel: float = 1e-10
-    residual_abs: float = 1e-9
-    residual_rel: float = 1e-8
-
-    def __post_init__(self):
-        for field in ("rank_rel", "residual_abs", "residual_rel"):
-            value = getattr(self, field)
-            if not (isinstance(value, (int, float)) and np.isfinite(value) and value > 0):
-                raise ValueError(f"Tolerance.{field} must be a positive finite number, got {value!r}")
-
-
-DEFAULT_TOL = Tolerance()
+# The package's one numerical meaning of "zero".  RANK_REL is the relative
+# cutoff for rank, kernel and inertia decisions, applied against the largest
+# singular value (or eigenvalue magnitude).  RESIDUAL_ABS and RESIDUAL_REL
+# bound residual norms, absolutely and against a problem scale; the reference
+# path (cgdare) reads RESIDUAL_ABS against ||Pi||_F instead, Pi the Popov
+# matrix [[Q, S], [S^T, R]], so scaled weights keep the outcome.
+RANK_REL = 1e-10
+RESIDUAL_ABS = 1e-9
+RESIDUAL_REL = 1e-8
 
 
 def as_matrix(M, name: str = "matrix") -> np.ndarray:
@@ -83,30 +62,30 @@ def symmetrize(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.swapaxes(-1, -2))
 
 
-def check_symmetric(M: np.ndarray, tol: Tolerance = DEFAULT_TOL, name: str = "matrix") -> np.ndarray:
+def check_symmetric(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Validate symmetry within tolerance and return the symmetrised matrix."""
     A = as_matrix(M, name)
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"{name} must be square, got shape {A.shape}")
     skew = np.linalg.norm(A - A.T)
     scale = np.linalg.norm(A)
-    if not within_residual(skew, scale, tol):
+    if not within_residual(skew, scale):
         raise ValueError(f"{name} is not symmetric within tolerance (asymmetry {skew:.3e})")
     return symmetrize(A)
 
 
-def residual_limit(scale: float, tol: Tolerance = DEFAULT_TOL) -> float:
+def residual_limit(scale: float) -> float:
     """Mixed absolute/relative residual threshold for a quantity of size scale."""
-    return tol.residual_abs + tol.residual_rel * scale
+    return RESIDUAL_ABS + RESIDUAL_REL * scale
 
 
-def within_residual(value: float, scale: float, tol: Tolerance = DEFAULT_TOL) -> bool:
+def within_residual(value: float, scale: float) -> bool:
     """Mixed absolute/relative residual acceptance test."""
-    return value <= residual_limit(scale, tol)
+    return value <= residual_limit(scale)
 
 
-def svd_cutoff(singular_values: np.ndarray, shape, tol: Tolerance, scale: float = 0.0) -> float:
-    """Rank cutoff: rank_rel * max(sigma_max, scale) * max(rows, cols).
+def svd_cutoff(singular_values: np.ndarray, shape, scale: float = 0.0) -> float:
+    """Rank cutoff: RANK_REL * max(sigma_max, scale) * max(rows, cols).
 
     scale is the magnitude of whatever the matrix was assembled from.  A
     difference of large terms that cancels down to rounding noise has a
@@ -116,35 +95,35 @@ def svd_cutoff(singular_values: np.ndarray, shape, tol: Tolerance, scale: float 
     if singular_values.size == 0:
         return 0.0
     if singular_values.ndim > 1:  # a stack: one cutoff per slice, shaped to compare
-        return tol.rank_rel * np.maximum(singular_values[..., :1], scale) * max(shape[-2:])
-    return tol.rank_rel * max(float(singular_values[0]), scale) * max(shape)
+        return RANK_REL * np.maximum(singular_values[..., :1], scale) * max(shape[-2:])
+    return RANK_REL * max(float(singular_values[0]), scale) * max(shape)
 
 
-def pinv(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def pinv(M) -> np.ndarray:
     """Moore-Penrose pseudo-inverse via SVD with a relative rank cutoff.
 
-    Singular values at or below rank_rel * sigma_max * max(rows, cols) are
+    Singular values at or below RANK_REL * sigma_max * max(rows, cols) are
     treated as zero, so an exactly zero matrix maps to its zero transpose.
     """
-    return _pinv(as_matrix(M), tol)
+    return _pinv(as_matrix(M))
 
 
-def _pinv(A: np.ndarray, tol: Tolerance) -> np.ndarray:
+def _pinv(A: np.ndarray) -> np.ndarray:
     """pinv of a finite float array, unchecked; a stack (..., r, c) is
     inverted slice by slice, each against its own cutoff."""
     if A.size == 0:
         return np.zeros(A.shape[:-2] + (A.shape[-1], A.shape[-2]))
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     if A.ndim > 2:
-        s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > svd_cutoff(s, A.shape, tol))
+        s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > svd_cutoff(s, A.shape))
         return (Vt.swapaxes(-1, -2) * s_inv[..., None, :]) @ U.swapaxes(-1, -2)
     # s is descending, so the kept singular values are a prefix.
-    cutoff = svd_cutoff(s, A.shape, tol)
+    cutoff = svd_cutoff(s, A.shape)
     r = sum(v > cutoff for v in s.tolist())
     return (Vt[:r].T * (1.0 / s[:r])) @ U[:, :r].T
 
 
-def symmetric_lstsq(M, b, tol: Tolerance = DEFAULT_TOL):
+def symmetric_lstsq(M, b):
     """Minimum-norm least-squares solution of M x = b for symmetric M, and M's rank.
 
     One symmetric eigen-solve M = V diag(lam) V^T; eigenvalues with |lam|
@@ -164,29 +143,29 @@ def symmetric_lstsq(M, b, tol: Tolerance = DEFAULT_TOL):
         return np.zeros(0), 0
     lam, V = np.linalg.eigh(A)
     mag = np.abs(lam)
-    keep = mag > svd_cutoff(np.sort(mag)[::-1], A.shape, tol)
+    keep = mag > svd_cutoff(np.sort(mag)[::-1], A.shape)
     Vk = V[:, keep]
     return Vk @ ((Vk.T @ b) / lam[keep]), int(np.count_nonzero(keep))
 
 
-def numerical_rank(M, tol: Tolerance = DEFAULT_TOL, scale: float = 0.0) -> int:
+def numerical_rank(M, scale: float = 0.0) -> int:
     """Rank by counting singular values above the shared cutoff."""
     A = as_matrix(M)
     if A.size == 0:
         return 0
     s = np.linalg.svd(A, compute_uv=False)
-    cutoff = svd_cutoff(s, A.shape, tol, scale)
+    cutoff = svd_cutoff(s, A.shape, scale)
     return int(np.count_nonzero(s > cutoff))
 
 
-def is_nonsingular(M, tol: Tolerance = DEFAULT_TOL, scale: float = 0.0) -> bool:
+def is_nonsingular(M, scale: float = 0.0) -> bool:
     A = as_matrix(M)
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"singularity test needs a square matrix, got {A.shape}")
-    return numerical_rank(A, tol, scale) == A.shape[0]
+    return numerical_rank(A, scale) == A.shape[0]
 
 
-def kernel_basis(M, tol: Tolerance = DEFAULT_TOL, scale: float = 0.0) -> np.ndarray:
+def kernel_basis(M, scale: float = 0.0) -> np.ndarray:
     """Orthonormal basis of the (numerical) null space, one column per direction.
 
     Returns a (cols, cols - rank) array; full-rank input gives a (cols, 0)
@@ -199,12 +178,12 @@ def kernel_basis(M, tol: Tolerance = DEFAULT_TOL, scale: float = 0.0) -> np.ndar
     if A.shape[0] == 0:
         return np.eye(cols)
     U, s, Vt = np.linalg.svd(A, full_matrices=True)
-    cutoff = svd_cutoff(s, A.shape, tol, scale)
+    cutoff = svd_cutoff(s, A.shape, scale)
     rank = int(np.count_nonzero(s > cutoff))
     return Vt[rank:].T.copy()
 
 
-def nilpotent_eigenspace(A, tol: Tolerance = DEFAULT_TOL, scale: float = 0.0):
+def nilpotent_eigenspace(A, scale: float = 0.0):
     """Staircase deflation onto the generalised eigenspace of the eigenvalue zero.
 
     Returns (Q, k, nu): Q is orthogonal and Q^T A Q = [[N0, *], [0, Z]] with
@@ -227,7 +206,7 @@ def nilpotent_eigenspace(A, tol: Tolerance = DEFAULT_TOL, scale: float = 0.0):
     while k < n:
         W, s, Vt = np.linalg.svd(Z)
         if cutoff is None:
-            cutoff = svd_cutoff(s, M.shape, tol, scale)
+            cutoff = svd_cutoff(s, M.shape, scale)
         r = int(np.count_nonzero(s > cutoff))
         if r == n - k:
             break
@@ -237,17 +216,17 @@ def nilpotent_eigenspace(A, tol: Tolerance = DEFAULT_TOL, scale: float = 0.0):
     return Q, k, nu
 
 
-def inertia(M, tol: Tolerance = DEFAULT_TOL):
+def inertia(M):
     """Inertia (n_plus, n_minus, n_zero) of a symmetric matrix.
 
-    Eigenvalues with |lambda| <= rank_rel * max|lambda| count as zero.
+    Eigenvalues with |lambda| <= RANK_REL * max|lambda| count as zero.
     Asymmetric input beyond tolerance is rejected.
     """
-    A = check_symmetric(M, tol, "inertia input")
+    A = check_symmetric(M, "inertia input")
     if A.shape[0] == 0:
         return (0, 0, 0)
     w = np.linalg.eigvalsh(A)
-    cutoff = tol.rank_rel * float(np.max(np.abs(w))) if w.size else 0.0
+    cutoff = RANK_REL * float(np.max(np.abs(w))) if w.size else 0.0
     n_plus = int(np.count_nonzero(w > cutoff))
     n_minus = int(np.count_nonzero(w < -cutoff))
     return (n_plus, n_minus, A.shape[0] - n_plus - n_minus)

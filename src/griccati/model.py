@@ -9,15 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_TOL,
-    Tolerance,
-    as_matrix,
-    pinv,
-    residual_limit,
-    spectral_radius,
-    symmetrize,
-)
+from .linalg import RANK_REL, as_matrix, pinv, residual_limit, spectral_radius, symmetrize
 
 
 class ProblemFormatError(ValueError):
@@ -80,13 +72,12 @@ class PopovTriple:
     def m(self) -> int:
         return self.B.shape[1]
 
-    def popov_matrix(self) -> np.ndarray:
-        """The stacked weight matrix [[Q, S], [S^T, R]]."""
-        return np.block([[self.Q, self.S], [self.S.T, self.R]])
-
     # A backward step is the Schur complement of [A B]^T X [A B] + Pi, so
     # every step reads these two; they are built once per triple.
-    Pi = cached_property(popov_matrix)
+    @cached_property
+    def Pi(self) -> np.ndarray:
+        """The stacked weight (Popov) matrix [[Q, S], [S^T, R]]."""
+        return np.block([[self.Q, self.S], [self.S.T, self.R]])
 
     @cached_property
     def AB(self) -> np.ndarray:
@@ -161,15 +152,15 @@ class ValidationReport:
         }
 
 
-def _residual_check(name: str, residual: float, scale: float, tol: Tolerance) -> CheckResult:
-    thr = residual_limit(scale, tol)
+def _residual_check(name: str, residual: float, scale: float) -> CheckResult:
+    thr = residual_limit(scale)
     return CheckResult(name, residual <= thr, residual, thr)
 
 
-def _psd_check(name: str, M: np.ndarray, tol: Tolerance, describe: bool = False) -> CheckResult:
-    """-lambda_min <= rank_rel * max|lambda| on the symmetric part of M."""
+def _psd_check(name: str, M: np.ndarray, describe: bool = False) -> CheckResult:
+    """-lambda_min <= RANK_REL * max|lambda| on the symmetric part of M."""
     w = np.linalg.eigvalsh(symmetrize(M)) if M.size else np.zeros(0)
-    cutoff = tol.rank_rel * float(np.max(np.abs(w))) if w.size else 0.0
+    cutoff = RANK_REL * float(np.max(np.abs(w))) if w.size else 0.0
     neg = float(max(0.0, -np.min(w))) if w.size else 0.0
     detail = ""
     if describe:
@@ -177,7 +168,7 @@ def _psd_check(name: str, M: np.ndarray, tol: Tolerance, describe: bool = False)
     return CheckResult(name, neg <= cutoff, neg, cutoff, detail)
 
 
-def validate(problem, tol: Tolerance = DEFAULT_TOL) -> ValidationReport:
+def validate(problem) -> ValidationReport:
     """Semantic validation of a PopovTriple or LQProblem.
 
     Checks: symmetry of the stacked weight matrix, its positive
@@ -196,23 +187,23 @@ def validate(problem, tol: Tolerance = DEFAULT_TOL) -> ValidationReport:
 
     Pi = triple.Pi
     checks = [
-        _residual_check("popov_symmetric", float(np.linalg.norm(Pi - Pi.T)), float(np.linalg.norm(Pi)), tol),
-        _psd_check("popov_psd", Pi, tol, describe=True),
+        _residual_check("popov_symmetric", float(np.linalg.norm(Pi - Pi.T)), float(np.linalg.norm(Pi))),
+        _psd_check("popov_psd", Pi, describe=True),
     ]
-    proj_resid = float(np.linalg.norm(triple.S @ (np.eye(triple.m) - pinv(triple.R, tol) @ triple.R)))
-    checks.append(_residual_check("kernel_inclusion", proj_resid, float(np.linalg.norm(triple.S)), tol))
+    proj_resid = float(np.linalg.norm(triple.S @ (np.eye(triple.m) - pinv(triple.R) @ triple.R)))
+    checks.append(_residual_check("kernel_inclusion", proj_resid, float(np.linalg.norm(triple.S))))
 
     if terminal is not None:
         skew = float(np.linalg.norm(terminal - terminal.T))
-        checks.append(_residual_check("terminal_symmetric", skew, float(np.linalg.norm(terminal)), tol))
-        checks.append(_psd_check("terminal_psd", terminal, tol))
+        checks.append(_residual_check("terminal_symmetric", skew, float(np.linalg.norm(terminal))))
+        checks.append(_psd_check("terminal_psd", terminal))
 
     return ValidationReport(tuple(checks))
 
 
-def require_valid(problem, tol: Tolerance = DEFAULT_TOL):
+def require_valid(problem):
     """Raise ProblemValidationError unless the problem validates."""
-    report = validate(problem, tol)
+    report = validate(problem)
     if not report.passed:
         raise ProblemValidationError(report)
     return report

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, symmetric_lstsq, symmetrize
+from .linalg import RESIDUAL_ABS, symmetric_lstsq, symmetrize
 from .model import LQProblem, require_valid
 
 
@@ -39,7 +39,7 @@ class BatchQP:
         return float(u @ self.H @ u + 2.0 * self.g @ u + self.c)
 
 
-def batch_matrices(problem: LQProblem, x0=None, tol: Tolerance = DEFAULT_TOL) -> BatchQP:
+def batch_matrices(problem: LQProblem, x0=None) -> BatchQP:
     """Assemble H, g, c for the stacked input u = (u_0, ..., u_{T-1}).
 
     With state stack X = (x_0, ..., x_T) = Phi x0 + Gamma u (Phi stacks
@@ -58,7 +58,7 @@ def batch_matrices(problem: LQProblem, x0=None, tol: Tolerance = DEFAULT_TOL) ->
     product each.  g and c need only the free response x_t = A^t x0.  The
     largest array is Gamma^T, T m x (T+1) n.
     """
-    require_valid(problem, tol)
+    require_valid(problem)
     if x0 is None:
         x0 = problem.x0
     if x0 is None:
@@ -99,7 +99,7 @@ def batch_matrices(problem: LQProblem, x0=None, tol: Tolerance = DEFAULT_TOL) ->
     return BatchQP(H, g, c)
 
 
-def batch_optimal(qp: BatchQP, tol: Tolerance = DEFAULT_TOL):
+def batch_optimal(qp: BatchQP):
     """Minimum-norm minimiser and optimal value of the batch cost.
 
     u* = -H^+ g and J* = c + g^T u* = c - g^T H^+ g.  The pseudo-inverse
@@ -113,9 +113,9 @@ def batch_optimal(qp: BatchQP, tol: Tolerance = DEFAULT_TOL):
     eigen-solve's by 5e-11.  Tiny negative values of J* (round-off on
     problems whose true optimum is 0) are clamped.
     """
-    H_pinv_g, _ = symmetric_lstsq(qp.H, qp.g, tol)
+    H_pinv_g, _ = symmetric_lstsq(qp.H, qp.g)
     u_star = -H_pinv_g
     j_star = qp.c + float(qp.g @ u_star)
-    if -tol.residual_abs <= j_star < 0.0:
+    if -RESIDUAL_ABS <= j_star < 0.0:
         j_star = 0.0
     return u_star, j_star

@@ -13,14 +13,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_TOL,
-    Tolerance,
-    is_nonsingular,
-    nilpotent_eigenspace,
-    numerical_rank,
-    pinv,
-)
+from .linalg import RANK_REL, is_nonsingular, nilpotent_eigenspace, numerical_rank, pinv
 from .model import PopovTriple
 from .cgdare import CgdareSolution
 
@@ -71,18 +64,18 @@ class NSingularCriterion(NamedTuple):
         return self.n_singular == (self.r_singular or self.drift_singular)
 
 
-def _drift_singular(triple: PopovTriple, tol: Tolerance) -> bool:
+def _drift_singular(triple: PopovTriple) -> bool:
     """Singularity of A - B R^+ S^T, judged against the terms forming it."""
-    feed = triple.B @ pinv(triple.R, tol) @ triple.S.T
+    feed = triple.B @ pinv(triple.R) @ triple.S.T
     scale = float(np.linalg.norm(triple.A)) + float(np.linalg.norm(feed))
-    return not is_nonsingular(triple.A - feed, tol, scale=scale)
+    return not is_nonsingular(triple.A - feed, scale=scale)
 
 
-def n_singular_criterion(pencil: SymplecticPencil, triple: PopovTriple, tol: Tolerance = DEFAULT_TOL) -> NSingularCriterion:
+def n_singular_criterion(pencil: SymplecticPencil, triple: PopovTriple) -> NSingularCriterion:
     """Evaluate both sides of the N-singularity equivalence numerically."""
-    n_sing = not is_nonsingular(pencil.N, tol)
-    r_sing = not is_nonsingular(triple.R, tol)
-    return NSingularCriterion(n_sing, r_sing, _drift_singular(triple, tol))
+    n_sing = not is_nonsingular(pencil.N)
+    r_sing = not is_nonsingular(triple.R)
+    return NSingularCriterion(n_sing, r_sing, _drift_singular(triple))
 
 
 class ClosedLoopSingularCriterion(NamedTuple):
@@ -99,14 +92,12 @@ class ClosedLoopSingularCriterion(NamedTuple):
         return self.a_x_singular == (self.rank_drop or self.drift_singular)
 
 
-def closed_loop_singular_criterion(
-    solution: CgdareSolution, tol: Tolerance = DEFAULT_TOL
-) -> ClosedLoopSingularCriterion:
+def closed_loop_singular_criterion(solution: CgdareSolution) -> ClosedLoopSingularCriterion:
     triple = solution.triple
     a_x_sing = solution.dim_u > 0
-    rank_R = numerical_rank(triple.R, tol)
-    rank_RX = numerical_rank(solution.R_X, tol)
-    drift_sing = _drift_singular(triple, tol)
+    rank_R = numerical_rank(triple.R)
+    rank_RX = numerical_rank(solution.R_X)
+    drift_sing = _drift_singular(triple)
     return ClosedLoopSingularCriterion(a_x_sing, rank_R < rank_RX, drift_sing, rank_R, rank_RX)
 
 
@@ -114,7 +105,6 @@ def det_identity_check(
     pencil: SymplecticPencil,
     solution: CgdareSolution,
     z_samples: Sequence[complex],
-    tol: Tolerance = DEFAULT_TOL,
 ) -> float:
     """Worst relative defect of the determinant factorisation over z samples.
 
@@ -146,7 +136,7 @@ class MuReport(NamedTuple):
     read from the staircase of `linalg.nilpotent_eigenspace` (for A_X, the
     reference's own dim U); they stay integer-exact for defective
     eigenvalues.  eig_count_* are the raw counts of eigenvalues
-    with modulus below rank_rel * (1 + spectral radius); they agree with
+    with modulus below RANK_REL * (1 + spectral radius); they agree with
     mu_* on non-defective spectra and scatter on Jordan blocks, which is
     why they are only a cross-check.
     """
@@ -160,26 +150,26 @@ class MuReport(NamedTuple):
     eig_count_block: int
 
 
-def _eig_count_near_zero(M: np.ndarray, tol: Tolerance) -> int:
+def _eig_count_near_zero(M: np.ndarray) -> int:
     if M.shape[0] == 0:
         return 0
     w = np.abs(np.linalg.eigvals(M))
-    return int(np.count_nonzero(w <= tol.rank_rel * (1.0 + float(w.max()))))
+    return int(np.count_nonzero(w <= RANK_REL * (1.0 + float(w.max()))))
 
 
-def mu_bookkeeping(solution: CgdareSolution, tol: Tolerance = DEFAULT_TOL) -> MuReport:
+def mu_bookkeeping(solution: CgdareSolution) -> MuReport:
     """Multiplicity bookkeeping mu(block) = mu(A_X) + mu(R_X)."""
     triple = solution.triple
     block = np.block([[triple.A, triple.B], [triple.S.T, triple.R]])
     mu_ax = solution.dim_u
-    mu_rx = nilpotent_eigenspace(solution.R_X, tol)[1]
-    mu_blk = nilpotent_eigenspace(block, tol)[1]
+    mu_rx = nilpotent_eigenspace(solution.R_X)[1]
+    mu_blk = nilpotent_eigenspace(block)[1]
     return MuReport(
         mu_AX=mu_ax,
         mu_RX=mu_rx,
         mu_block=mu_blk,
         additive=(mu_blk == mu_ax + mu_rx),
-        eig_count_AX=_eig_count_near_zero(solution.A_X, tol),
-        eig_count_RX=_eig_count_near_zero(solution.R_X, tol),
-        eig_count_block=_eig_count_near_zero(block, tol),
+        eig_count_AX=_eig_count_near_zero(solution.A_X),
+        eig_count_RX=_eig_count_near_zero(solution.R_X),
+        eig_count_block=_eig_count_near_zero(block),
     )

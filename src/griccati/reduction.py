@@ -19,16 +19,15 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (
-    DEFAULT_TOL,
+    RESIDUAL_REL,
     InternalInconsistencyError,
-    Tolerance,
     check_symmetric,
     is_nonsingular,
     pinv,
     symmetrize,
     within_residual,
 )
-from .model import LQProblem
+from .model import LQProblem, require_valid
 from .cgdare import CgdareSolution
 from .grde import GrdeTrajectory, _projectors, _schur_step, _sweep, solve_full
 
@@ -81,7 +80,7 @@ class ReductionData:
         return self.Z.shape[0]
 
 
-def build_reduction(problem: LQProblem, reference: CgdareSolution, tol: Tolerance = DEFAULT_TOL) -> ReductionData:
+def build_reduction(problem: LQProblem, reference: CgdareSolution) -> ReductionData:
     """Rotate the problem into the [U, U_c] basis of a reference solution.
 
     The basis is the reference's T_orth, whose staircase makes the rotated
@@ -90,7 +89,7 @@ def build_reduction(problem: LQProblem, reference: CgdareSolution, tol: Toleranc
     an invariant subspace), the trailing block Z is non-singular and N0^nu
     vanishes.  Any of them failing raises InternalInconsistencyError.
     """
-    if not reference.accepted(tol):
+    if not reference.accepted():
         raise ValueError(
             f"reference solution not accepted (residual {reference.residual_norm:.3e}, "
             f"kernel condition {'ok' if reference.kernel_condition_ok else 'violated'})"
@@ -102,14 +101,14 @@ def build_reduction(problem: LQProblem, reference: CgdareSolution, tol: Toleranc
     Z = A_rot[k:, k:]
     lower_left = float(np.linalg.norm(A_rot[k:, :k]))
     scale = float(np.linalg.norm(reference.A_X))
-    if not within_residual(lower_left, scale, tol):
+    if not within_residual(lower_left, scale):
         raise InternalInconsistencyError(
             f"nilpotent eigenspace is not invariant: lower-left norm {lower_left:.3e}"
         )
-    if Z.shape[0] and not is_nonsingular(Z, tol):
+    if Z.shape[0] and not is_nonsingular(Z):
         raise InternalInconsistencyError("trailing closed-loop block is singular")
     defect = float(np.linalg.norm(np.linalg.matrix_power(N0, reference.nu))) if k else 0.0
-    if not within_residual(defect, scale, tol):
+    if not within_residual(defect, scale):
         raise InternalInconsistencyError(
             f"leading block is not nilpotent of index {reference.nu}: defect {defect:.3e}"
         )
@@ -131,16 +130,16 @@ def build_reduction(problem: LQProblem, reference: CgdareSolution, tol: Toleranc
     )
 
 
-def reduced_step(Psi, rd: ReductionData, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def reduced_step(Psi, rd: ReductionData) -> np.ndarray:
     """One backward step of the homogeneous reduced recursion.
 
     Psi_prev = Z^T Psi Z - Z^T Psi B2 (R_full + B2^T Psi B2)^+ B2^T Psi Z.
     Psi = 0 is a fixed point, whose closed loop is Z itself.
     """
-    Psi_s = check_symmetric(Psi, tol, "reduced-state Psi")
+    Psi_s = check_symmetric(Psi, "reduced-state Psi")
     if Psi_s.shape[0] != rd.dim_reduced:
         raise ValueError(f"Psi has size {Psi_s.shape[0]}, expected {rd.dim_reduced}")
-    return _schur_step(Psi_s, rd.ZB2, rd.Pi, tol)[0]
+    return _schur_step(Psi_s, rd.ZB2, rd.Pi)[0]
 
 
 @dataclass(frozen=True)
@@ -172,9 +171,9 @@ def checkpoint_blocks(Delta, rd: ReductionData):
     return D[:k, :k], D[:k, k:], D[k:, k:]
 
 
-def _iterate_reduced(Psi_terminal, steps: int, rd: ReductionData, tol: Tolerance):
+def _iterate_reduced(Psi_terminal, steps: int, rd: ReductionData):
     """Phase-two rule of the hybrid solver: step the trailing block."""
-    Psi, _, R_X, R_X_pinv = _sweep(Psi_terminal, rd.ZB2, rd.Pi, steps, tol)
+    Psi, _, R_X, R_X_pinv = _sweep(Psi_terminal, rd.ZB2, rd.Pi, steps)
     return np.array(Psi), np.array(R_X), np.array(R_X_pinv)
 
 
@@ -211,41 +210,43 @@ def _result(problem: LQProblem, rd: ReductionData, trajectory, full_steps: int, 
     )
 
 
-def _solve_reduced(problem: LQProblem, rd: ReductionData, tol: Tolerance, phase_two) -> HybridSolveResult:
+def _solve_reduced(problem: LQProblem, rd: ReductionData, phase_two) -> HybridSolveResult:
     """The reduced solve shared by the hybrid and the closed-form routes.
 
-    Runs the nu full steps, keeping their gains, checks that the difference
-    to the reference is confined to the trailing block, and takes the rest
-    from phase_two(Psi_{T'}, T', rd, tol).  That returns the stack
+    Validates the problem as solve_full does, runs the nu full steps,
+    keeping their gains, checks that the difference to the reference is
+    confined to the trailing block, and takes the rest from
+    phase_two(Psi_{T'}, T', rd).  That returns the stack
     Psi_{T'}, ..., Psi_0 and, for each of its steps, the curvature R_X and
     its pinv; X_t, K_t and G_t follow from them in stacked products after
     the loop.  When the horizon is shorter than nu or the checkpoint fails,
     the result has used_fallback set, its reason, and trajectory None; the
     caller decides what follows.
     """
+    require_valid(problem)
     T, nu, triple = problem.T, rd.nu, problem.triple
     if T < nu:
         return _result(problem, rd, None, T, reason=f"horizon {T} shorter than nilpotency index {nu}")
 
-    X, K, R_X, R_X_pinv = _sweep(symmetrize(problem.P), triple.AB, triple.Pi, nu, tol)
+    X, K, R_X, R_X_pinv = _sweep(symmetrize(problem.P), triple.AB, triple.Pi, nu)
     X, K, G = X[::-1], K[::-1], _projectors(R_X, R_X_pinv)[::-1]
     Delta = X[0] - rd.X_circ
     D11, D12, D22 = checkpoint_blocks(Delta, rd)
     off_norm = float(max(np.linalg.norm(D11), np.linalg.norm(D12)))
-    threshold = tol.residual_rel * (float(np.linalg.norm(rd.X_circ)) + float(np.linalg.norm(Delta)))
+    threshold = RESIDUAL_REL * (float(np.linalg.norm(rd.X_circ)) + float(np.linalg.norm(Delta)))
     if off_norm > threshold:
         return _result(problem, rd, None, T, off_norm, threshold, "checkpoint block structure violated")
 
     # Phase two: only the trailing block moves.
     if T > nu:
-        X2, K2, G2 = _phase_two_outputs(*phase_two(D22, T - nu, rd, tol), rd)
+        X2, K2, G2 = _phase_two_outputs(*phase_two(D22, T - nu, rd), rd)
         X = list(X2[::-1]) + X
         K = list(K2[::-1]) + K
         G = G2[::-1] + G
     return _result(problem, rd, GrdeTrajectory(tuple(X), tuple(K), tuple(G)), nu, off_norm, threshold)
 
 
-def solve_hybrid(problem: LQProblem, rd: ReductionData, tol: Tolerance = DEFAULT_TOL) -> HybridSolveResult:
+def solve_hybrid(problem: LQProblem, rd: ReductionData) -> HybridSolveResult:
     """Hybrid backward solve: nu full steps, then the reduced recursion.
 
     After nu full steps the difference to the reference solution is checked
@@ -256,10 +257,10 @@ def solve_hybrid(problem: LQProblem, rd: ReductionData, tol: Tolerance = DEFAULT
     recursion runs instead and is reported as T full steps, not a fallback.
     """
     if rd.dim_u == 0:
-        return _result(problem, rd, solve_full(problem, tol), problem.T)
-    result = _solve_reduced(problem, rd, tol, _iterate_reduced)
+        return _result(problem, rd, solve_full(problem), problem.T)
+    result = _solve_reduced(problem, rd, _iterate_reduced)
     if result.used_fallback:
-        result = replace(result, trajectory=solve_full(problem, tol))
+        result = replace(result, trajectory=solve_full(problem))
     return result
 
 
@@ -283,7 +284,6 @@ def delta_recursion_check(
     problem: LQProblem,
     reference: CgdareSolution,
     traj: GrdeTrajectory,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> DeltaCheckReport:
     """Measure the one-step difference identity and the deadbeat property."""
     if traj.horizon != problem.T:
@@ -298,7 +298,7 @@ def delta_recursion_check(
     step_residuals = []
     for t in range(T - 1, -1, -1):
         R_t = R + B.T @ traj.X[t + 1] @ B
-        F = A_X.T @ (np.eye(problem.n) - deltas[t + 1] @ B @ pinv(R_t, tol) @ B.T)
+        F = A_X.T @ (np.eye(problem.n) - deltas[t + 1] @ B @ pinv(R_t) @ B.T)
         step_residuals.append(float(np.linalg.norm(deltas[t] - F @ deltas[t + 1] @ A_X)))
     deadbeat = []
     for tau in range(reference.nu, T + 1):

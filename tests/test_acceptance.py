@@ -18,7 +18,7 @@ from griccati.cgdare import (
 )
 from griccati.closedform import gramian_sweep
 from griccati.grde import optimal_cost, solve_full
-from griccati.linalg import NumericalRefusal, Tolerance, kernel_basis, pinv, symmetrize
+from griccati.linalg import NumericalRefusal, kernel_basis, pinv, symmetrize
 from griccati.model import random_problem
 from griccati.oracle import batch_matrices, batch_optimal
 from griccati.pencil import (
@@ -244,7 +244,6 @@ def test_criterion_08_closed_form_vs_iterated():
 
 
 def test_criterion_09_primitive_identity_suites():
-    tol = Tolerance()
     rng = np.random.default_rng(90)
 
     worst_penrose = 0.0
@@ -253,7 +252,7 @@ def test_criterion_09_primitive_identity_suites():
         cols = 1 + int(rng.integers(6))
         r = 1 + int(rng.integers(min(rows, cols)))
         A = rng.normal(size=(rows, r)) @ rng.normal(size=(r, cols)) if i % 2 else rng.normal(size=(rows, cols))
-        P = pinv(A, tol)
+        P = pinv(A)
         scale = max(1.0, float(np.linalg.norm(A)))
         worst_penrose = max(
             worst_penrose,
@@ -270,7 +269,7 @@ def test_criterion_09_primitive_identity_suites():
         r = int(rng.integers(m + 1))
         W = rng.normal(size=(m, r))
         R = W @ W.T
-        G = np.eye(m) - pinv(R, tol) @ R
+        G = np.eye(m) - pinv(R) @ R
         worst_proj = max(
             worst_proj,
             float(np.linalg.norm(G @ G - G)),
@@ -286,7 +285,7 @@ def test_criterion_09_primitive_identity_suites():
         W = rng.normal(size=(p + q, r))
         M = W @ W.T
         X, Y, Z = M[:p, :p], M[:p, p:], M[p:, p:]
-        Zp = pinv(Z, tol)
+        Zp = pinv(Z)
         worst_block = max(
             worst_block, float(np.linalg.norm(Y @ (np.eye(q) - Zp @ Z)) / max(1.0, np.linalg.norm(Y)))
         )
@@ -306,8 +305,8 @@ def test_criterion_09_primitive_identity_suites():
         scale = max(1.0, float(np.linalg.norm(M)) * float(np.linalg.norm(A)) ** 2)
         worst_subst = max(
             worst_subst,
-            float(np.linalg.norm(G @ pinv(G, tol) @ (A.T @ M) - A.T @ M)) / scale,
-            float(np.linalg.norm(M @ A @ kernel_basis(G, tol))) / scale,
+            float(np.linalg.norm(G @ pinv(G) @ (A.T @ M) - A.T @ M)) / scale,
+            float(np.linalg.norm(M @ A @ kernel_basis(G))) / scale,
         )
     assert worst_subst <= 1e-9
     print(

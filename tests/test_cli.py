@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -5,8 +6,10 @@ import sys
 import numpy as np
 import pytest
 
+from griccati import cli
 from griccati.cli import main
-from griccati.model import problem_to_json, save_problem
+from griccati.linalg import InternalInconsistencyError, NumericalRefusal
+from griccati.model import problem_to_json, random_problem, save_problem
 
 from conftest import scalar_two_step
 
@@ -238,10 +241,53 @@ def test_json_flag_suppresses_summary(tmp_path, capsys):
     assert err != ""
 
 
-def test_tolerance_flags_accepted(tmp_path, capsys):
+def test_solve_invalid_problem_exit_code(tmp_path, capsys):
+    # Every method validates the problem, the reduced ones included.
+    problem = random_problem(6, 2, 3, "nilpotent_block", horizon=20, nilpotent_dim=3)
+    path = _write(tmp_path, dataclasses.replace(problem, P=-np.eye(problem.n)))
+    for method in ("full", "reduced", "closed-form"):
+        code, report, err = _run(capsys, ["solve", path, "--method", method])
+        assert code == 1, method
+        assert report["status"] == "error"
+        assert err == "error: problem validation failed: terminal_psd\n"
+
+
+@pytest.mark.parametrize(
+    "exc, code, prefix",
+    [
+        (ValueError("bad input"), 1, "error"),
+        (FileNotFoundError("no file"), 1, "error"),
+        (NumericalRefusal("cannot"), 2, "numerical refusal"),
+        (InternalInconsistencyError("broken"), 3, "internal inconsistency"),
+    ],
+)
+def test_error_exit_codes(tmp_path, capsys, monkeypatch, exc, code, prefix):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_validate", fail)
+    got, report, err = _run(capsys, ["validate", "p.json"])
+    assert got == code
+    assert report == {
+        "command": "validate",
+        "inputs": {},
+        "results": {},
+        "residuals": {},
+        "timings": {},
+        "status": "error",
+        "reason": str(exc),
+    }
+    assert err == f"{prefix}: {exc}\n"
+
+
+def test_tolerance_flags_rejected(tmp_path, capsys):
+    # The cutoffs are fixed constants of griccati.linalg; the flags are gone.
     path = _write(tmp_path, scalar_two_step())
-    code, report, _ = _run(capsys, ["--rank-tol", "1e-12", "--residual-tol", "1e-10", "verify", path])
-    assert code == 0
+    for flag, value in (("--rank-tol", "1e-12"), ("--residual-tol", "1e-10")):
+        with pytest.raises(SystemExit) as exc:
+            main([flag, value, "verify", path])
+        assert exc.value.code == 1
+        assert "usage" in capsys.readouterr().err
 
 
 def test_console_script_entry_point(tmp_path):

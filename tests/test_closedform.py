@@ -7,7 +7,7 @@ from griccati.cgdare import find_reference
 from griccati.closedform import gramian_sweep, solve_closed_form
 from griccati.grde import solve_full
 from griccati.linalg import NumericalRefusal
-from griccati.model import random_problem
+from griccati.model import ProblemValidationError, random_problem
 from griccati.reduction import ReductionData, build_reduction, checkpoint_blocks, reduced_step, solve_hybrid
 
 from conftest import PHI, scalar_j_problem, scaled_problem
@@ -270,3 +270,20 @@ def test_empty_reduced_block():
     for Xa, Xb in zip(out.trajectory.X, full.X):
         assert np.linalg.norm(Xa - Xb) <= 1e-10
     _assert_trajectories_match(out.trajectory, full, rtol=1e-10)
+
+
+def test_every_solver_validates_the_problem():
+    # P = -I fails terminal_psd; the reference search never reads P, so each
+    # route gets as far as its solver, which must refuse it as solve_full does.
+    for problem, nu in (
+        (random_problem(6, 2, 3, "nilpotent_block", horizon=20, nilpotent_dim=3), 3),
+        (random_problem(4, 2, 5, "generic", horizon=10), 0),
+    ):
+        problem = dataclasses.replace(problem, P=-np.eye(problem.n))
+        rd = build_reduction(problem, find_reference(problem).solution)
+        assert rd.nu == nu
+        with pytest.raises(ProblemValidationError, match="terminal_psd"):
+            solve_full(problem)
+        for solve in (solve_hybrid, solve_closed_form):
+            with pytest.raises(ProblemValidationError, match="terminal_psd"):
+                solve(problem, rd)

@@ -11,7 +11,7 @@ from griccati.grde import (
     solve_full,
     trajectory_to_json,
 )
-from griccati.linalg import Tolerance, pinv
+from griccati.linalg import pinv
 from griccati.model import (
     LQProblem,
     PopovTriple,
@@ -44,7 +44,6 @@ def test_uncontrolled_closed_form():
     #   X_t = (A^T)^{T-t} P A^{T-t} + sum_{k<T-t} (A^T)^k Q A^k
     # and the gain/projector are the constant K = R^+ S^T, G = I - R^+ R.
     rng = np.random.default_rng(4)
-    tol = Tolerance()
     for _ in range(10):
         n, m, T = 3, 2, 6
         A = rng.normal(size=(n, n)) * 0.6
@@ -63,10 +62,10 @@ def test_uncontrolled_closed_form():
                 Ak2 = np.linalg.matrix_power(A, k)
                 expect = expect + Ak2.T @ Q @ Ak2
             assert np.linalg.norm(traj.X[t] - expect) <= 1e-9 * max(1.0, np.linalg.norm(expect))
-        K_const = pinv(R, tol) @ np.zeros((m, n))
+        K_const = pinv(R) @ np.zeros((m, n))
         for t in range(T):
             assert np.linalg.norm(traj.K[t] - K_const) <= 1e-12
-            assert np.linalg.norm(traj.G[t] - (np.eye(m) - pinv(R, tol) @ R)) <= 1e-10
+            assert np.linalg.norm(traj.G[t] - (np.eye(m) - pinv(R) @ R)) <= 1e-10
 
 
 def test_iterates_stay_symmetric_psd():
@@ -83,7 +82,6 @@ def test_iterates_stay_symmetric_psd():
 
 
 def test_projector_properties():
-    tol = Tolerance()
     for i in range(20):
         problem = random_problem(3, 2, 700 + i, "singular_R")
         traj = solve_full(problem)
@@ -168,9 +166,9 @@ def test_one_pseudo_inverse_per_step(monkeypatch):
     # closed_loop takes its residual, gain and kernel condition from one.
     slices = []
 
-    def counting_pinv(A, tol):
+    def counting_pinv(A):
         slices.append(int(np.prod(A.shape[:-2])))
-        return linalg._pinv(A, tol)
+        return linalg._pinv(A)
 
     for module in (grde, closedform):
         monkeypatch.setattr(module, "_pinv", counting_pinv)
@@ -206,7 +204,6 @@ def _with_cross_weight(problem, rng):
 
 
 def test_gains_match_their_definition():
-    tol = Tolerance()
     rng = np.random.default_rng(12)
     for kind in ("generic", "singular_R", "nilpotent_block"):
         checked = 0
@@ -220,9 +217,9 @@ def test_gains_match_their_definition():
                 X = traj.X[t + 1]
                 R_X = t3.R + t3.B.T @ X @ t3.B
                 S_X = t3.A.T @ X @ t3.B + t3.S
-                K = pinv(R_X, tol) @ (t3.S.T + t3.B.T @ X @ t3.A)
-                G = np.eye(problem.m) - pinv(R_X, tol) @ R_X
-                X_t = t3.A.T @ X @ t3.A - S_X @ pinv(R_X, tol) @ S_X.T + t3.Q
+                K = pinv(R_X) @ (t3.S.T + t3.B.T @ X @ t3.A)
+                G = np.eye(problem.m) - pinv(R_X) @ R_X
+                X_t = t3.A.T @ X @ t3.A - S_X @ pinv(R_X) @ S_X.T + t3.Q
                 assert np.linalg.norm(traj.X[t] - X_t) <= 1e-12 * (1.0 + np.linalg.norm(X_t)), (kind, seed, t)
                 assert np.linalg.norm(traj.K[t] - K) <= 1e-12 * (1.0 + np.linalg.norm(K)), (kind, seed, t)
                 assert np.linalg.norm(traj.G[t] - G) <= 1e-12 * (1.0 + np.linalg.norm(G)), (kind, seed, t)

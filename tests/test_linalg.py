@@ -3,7 +3,9 @@ import pytest
 
 from griccati.grde import solve_full
 from griccati.linalg import (
-    Tolerance,
+    RANK_REL,
+    RESIDUAL_ABS,
+    RESIDUAL_REL,
     _pinv,
     inertia,
     is_nonsingular,
@@ -23,24 +25,15 @@ from griccati.oracle import batch_matrices
 
 
 def test_tolerance_defaults_frozen():
-    tol = Tolerance()
-    assert tol.rank_rel == 1e-10
-    assert tol.residual_abs == 1e-9
-    assert tol.residual_rel == 1e-8
-
-
-def test_tolerance_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        Tolerance(rank_rel=0.0)
-    with pytest.raises(ValueError):
-        Tolerance(residual_abs=-1e-9)
+    assert RANK_REL == 1e-10
+    assert RESIDUAL_ABS == 1e-9
+    assert RESIDUAL_REL == 1e-8
 
 
 def test_within_residual_mixed_scale():
-    tol = Tolerance()
-    assert within_residual(1e-10, 0.0, tol)
-    assert within_residual(0.5e-8 * 100.0, 100.0, tol)
-    assert not within_residual(1e-5, 100.0, tol)
+    assert within_residual(1e-10, 0.0)
+    assert within_residual(0.5e-8 * 100.0, 100.0)
+    assert not within_residual(1e-5, 100.0)
 
 
 def test_pinv_diagonal_frozen():
@@ -59,8 +52,7 @@ def _rank_of_pinv(P, A):
 
 
 def test_private_pinv_matches_checked_pinv():
-    tol = Tolerance()
-    cutoff = tol.rank_rel * 1.0 * 2  # sigma_max 1, 2 x 2
+    cutoff = RANK_REL * 1.0 * 2  # sigma_max 1, 2 x 2
     cases = [
         (np.zeros((2, 2)), 0),
         (np.diag([1.0, cutoff * (1 + 1e-6)]), 2),
@@ -81,8 +73,8 @@ def test_private_pinv_matches_checked_pinv():
             assert not np.any(curvature[2]) and not np.any(curvature[:, 2])
             cases.append((curvature, None))
     for A, rank in cases:
-        P = pinv(A, tol)
-        P_fast = _pinv(A, tol)
+        P = pinv(A)
+        P_fast = _pinv(A)
         assert np.linalg.norm(P_fast - P) <= 1e-15 * np.linalg.norm(P)
         assert _rank_of_pinv(P_fast, A) == _rank_of_pinv(P, A)
         assert _rank_of_pinv(P, A) == (A.shape[0] - 1 if rank is None else rank)
@@ -90,10 +82,10 @@ def test_private_pinv_matches_checked_pinv():
     # A stack is cut slice by slice: a uniformly tiny slice keeps full rank
     # although it sits far below the cutoff of its neighbours.
     stack = np.array([np.diag([1.0, 1e-11]), 1e-11 * np.eye(2), np.zeros((2, 2)), [[2.0, 1.0], [1.0, 3.0]]])
-    P_stack = _pinv(stack, tol)
+    P_stack = _pinv(stack)
     assert P_stack.shape == stack.shape
     for A, P, rank in zip(stack, P_stack, (1, 2, 0, 2)):
-        P_ref = pinv(A, tol)
+        P_ref = pinv(A)
         assert _rank_of_pinv(P, A) == _rank_of_pinv(P_ref, A) == rank
         assert np.linalg.norm(P - P_ref) <= 1e-15 * np.linalg.norm(P_ref)
 
@@ -199,7 +191,7 @@ def _check_staircase(A, dim_u, nu):
     n = A.shape[0]
     assert np.linalg.norm(Q.T @ Q - np.eye(n)) <= 1e-14 * n
     A_rot = Q.T @ A @ Q
-    cutoff = svd_cutoff(np.linalg.svd(A, compute_uv=False), A.shape, Tolerance())
+    cutoff = svd_cutoff(np.linalg.svd(A, compute_uv=False), A.shape)
     assert np.linalg.norm(A_rot[k:, :k]) <= cutoff
     assert np.linalg.norm(np.linalg.matrix_power(A_rot[:k, :k], nu)) <= 1e-12 * max(1.0, np.linalg.norm(A)) ** nu
     if k < n:
@@ -315,7 +307,6 @@ def test_psd_block_kernel_and_schur():
     # For [[X, Y], [Y^T, Z]] >= 0: Y annihilates ker Z, and the generalized
     # Schur complement X - Y Z^+ Y^T stays positive semidefinite.
     rng = np.random.default_rng(17)
-    tol = Tolerance()
     for i in range(100):
         p = 1 + int(rng.integers(4))
         q = 1 + int(rng.integers(4))
@@ -323,7 +314,7 @@ def test_psd_block_kernel_and_schur():
         W = rng.normal(size=(p + q, r))
         M = W @ W.T
         X, Y, Z = M[:p, :p], M[:p, p:], M[p:, p:]
-        Zp = pinv(Z, tol)
+        Zp = pinv(Z)
         scale = max(1.0, np.linalg.norm(Y))
         assert np.linalg.norm(Y @ (np.eye(q) - Zp @ Z)) <= 1e-9 * scale
         schur = symmetrize(X - Y @ Zp @ Y.T)
@@ -334,7 +325,6 @@ def test_pinv_substitution_identity():
     # For M >= 0 (possibly singular) and any A:
     #   ker(A^T M A) = ker(M A)  and  (A^T M A)(A^T M A)^+ (A^T M) = A^T M.
     rng = np.random.default_rng(19)
-    tol = Tolerance()
     for i in range(100):
         n = 1 + int(rng.integers(5))
         k = 1 + int(rng.integers(5))
@@ -343,11 +333,11 @@ def test_pinv_substitution_identity():
         M = L @ L.T
         A = rng.normal(size=(n, k))
         G = A.T @ M @ A
-        Gp = pinv(G, tol)
+        Gp = pinv(G)
         scale = max(1.0, np.linalg.norm(M) * np.linalg.norm(A))
         assert np.linalg.norm(G @ Gp @ (A.T @ M) - A.T @ M) <= 1e-9 * scale
-        KG = kernel_basis(G, tol)
+        KG = kernel_basis(G)
         assert np.linalg.norm(M @ A @ KG) <= 1e-9 * scale
-        KMA = kernel_basis(M @ A, tol)
+        KMA = kernel_basis(M @ A)
         assert np.linalg.norm(G @ KMA) <= 1e-9 * scale
         assert KG.shape[1] == KMA.shape[1]

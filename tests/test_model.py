@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from griccati.linalg import Tolerance
+from griccati.linalg import RANK_REL
 from griccati.model import (
     LQProblem,
     PopovTriple,
@@ -207,13 +207,12 @@ def test_random_problem_all_kinds_validate():
 
 
 def test_singular_r_kind_is_singular():
-    tol = Tolerance()
     for i in range(20):
         m = 2 + i % 2
         problem = random_problem(3, m, 400 + i, "singular_R")
         R = problem.triple.R
         s = np.linalg.svd(R, compute_uv=False)
-        assert s[-1] <= tol.rank_rel * max(1.0, s[0]), "R must be rank deficient"
+        assert s[-1] <= RANK_REL * max(1.0, s[0]), "R must be rank deficient"
 
 
 def test_singular_r_with_one_input_degenerates():
