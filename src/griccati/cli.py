@@ -102,6 +102,13 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.passed else EXIT_INPUT
 
 
+def _report_tail(run: RunReport, result) -> None:
+    """Steps filled from the reduced recursion's fixed point, and why none were, if refused."""
+    run.results["tail_steps"] = result.tail_steps
+    if result.tail_reason:
+        run.results["tail_reason"] = result.tail_reason
+
+
 def cmd_solve(args) -> int:
     problem, X_ref = load_problem(args.problem)
     run = RunReport(
@@ -145,6 +152,7 @@ def cmd_solve(args) -> int:
                 else:
                     run.results["method_used"] = "reduced"
                     run.results["reduced_steps"] = hres.reduced_steps
+                    _report_tail(run, hres)
             else:  # closed-form
                 try:
                     cres = solve_closed_form(problem, rd)
@@ -152,6 +160,7 @@ def cmd_solve(args) -> int:
                     run.results["method_used"] = "closed-form"
                     run.results["horizon_prime"] = cres.reduced_steps
                     run.residuals["checkpoint_off_norm"] = cres.checkpoint_off_norm
+                    _report_tail(run, cres)
                 except NumericalRefusal as exc:
                     traj = solve_full(problem)
                     run.status = "fallback"

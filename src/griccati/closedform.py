@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import RANK_REL, NumericalRefusal, _pinv, is_nonsingular, symmetrize
+from .linalg import RANK_REL, NumericalRefusal, is_nonsingular, symmetrize
 from .model import LQProblem
 from .reduction import HybridSolveResult, ReductionData, _solve_reduced
 
@@ -59,13 +59,13 @@ def gramian_sweep(Psi_terminal, steps: int, rd: ReductionData):
 
 
 def _gramian_rule(Psi_terminal, steps: int, rd: ReductionData):
-    """Phase-two rule: the sweep's Psi stack, with the curvature of each
-    step R_full + B2^T Psi B2 and its pinv taken over the whole stack."""
-    Psi = np.array([Psi_terminal, *gramian_sweep(Psi_terminal, steps, rd)])
-    (d, m), N = rd.B2.shape, steps
-    PsiB = (Psi[:-1].reshape(N * d, d) @ rd.B2).reshape(N, d, m)
-    R_X = rd.R_full + rd.B2.T @ PsiB
-    return Psi, R_X, _pinv(R_X)
+    """Phase-two rule (see reduction._iterate_reduced): the sweep's Psi,
+    each with the curvature R_full + B2^T Psi B2 of its step.  Their pinvs
+    are left to one stacked call over the steps taken."""
+    Psi = Psi_terminal
+    for Psi_prev in gramian_sweep(Psi_terminal, steps, rd):
+        yield Psi_prev, rd.R_full + rd.B2.T @ Psi @ rd.B2, None
+        Psi = Psi_prev
 
 
 def solve_closed_form(problem: LQProblem, rd: ReductionData) -> HybridSolveResult:

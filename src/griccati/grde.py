@@ -100,6 +100,11 @@ def riccati_map(X, triple: PopovTriple) -> np.ndarray:
 def solve_full(problem: LQProblem) -> GrdeTrajectory:
     """Full backward recursion from the terminal weight down to time 0."""
     require_valid(problem)
+    return _full_trajectory(problem)
+
+
+def _full_trajectory(problem: LQProblem) -> GrdeTrajectory:
+    """solve_full without the validation, for callers that have validated."""
     triple = problem.triple
     X, K, R_X, R_X_pinv = _sweep(symmetrize(problem.P), triple.AB, triple.Pi, problem.T)
     return GrdeTrajectory(tuple(X[::-1]), tuple(K[::-1]), _projectors(R_X, R_X_pinv)[::-1])
@@ -136,16 +141,16 @@ def simulate(problem: LQProblem, traj: GrdeTrajectory, x0=None, v: Optional[list
     states = np.zeros((problem.T + 1, problem.n))
     inputs = np.zeros((problem.T, problem.m))
     states[0] = x
-    cost = 0.0
     for t in range(problem.T):
         u = -traj.K[t] @ states[t]
         if v is not None:
             u = u + traj.G[t] @ np.asarray(v[t], dtype=float).reshape(-1)
         inputs[t] = u
-        cost += float(states[t] @ Q @ states[t] + 2.0 * states[t] @ S @ u + u @ R @ u)
         states[t + 1] = A @ states[t] + B @ u
-    cost += float(states[problem.T] @ problem.P @ states[problem.T])
-    return states, inputs, cost
+    # Stage costs x^T Q x + 2 x^T S u + u^T R u of all t < T at once.
+    x, u, x_T = states[:-1], inputs, states[-1]
+    cost = np.sum((x @ Q) * x) + 2.0 * np.sum((x @ S) * u) + np.sum((u @ R) * u)
+    return states, inputs, float(cost + x_T @ problem.P @ x_T)
 
 
 def trajectory_to_json(traj: GrdeTrajectory) -> str:

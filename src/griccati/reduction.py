@@ -9,6 +9,11 @@ trailing diagonal block Psi_t.  The hybrid solver therefore runs nu full
 steps, checks the predicted block structure, and iterates the small
 homogeneous recursion for the rest of the horizon.  The closed form in
 closedform shares that driver and replaces only the iteration.
+
+Psi = 0 is a fixed point of the reduced recursion, and Psi decays like
+Z^s towards it.  Phase two stops at the first step where a certificate
+proves that no later Psi can move X_t beyond rounding, and fills the
+remaining steps with the fixed point's outputs (_tail_bound).
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import numpy as np
 from .linalg import (
     RESIDUAL_REL,
     InternalInconsistencyError,
+    _pinv,
     check_symmetric,
     is_nonsingular,
     pinv,
@@ -29,7 +35,9 @@ from .linalg import (
 )
 from .model import LQProblem, require_valid
 from .cgdare import CgdareSolution
-from .grde import GrdeTrajectory, _projectors, _schur_step, _sweep, solve_full
+from .grde import GrdeTrajectory, _full_trajectory, _projectors, _schur_step, _sweep, solve_full
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -150,6 +158,11 @@ class HybridSolveResult:
     structural checkpoint failed, and fallback_reason says which; the
     hybrid solver then recomputes the trajectory with the plain full
     recursion.  The measured block norms are kept either way.
+
+    reduced_steps = T - full_steps counts the whole reduced horizon; the
+    last tail_steps of it (the earliest times) were not iterated but filled
+    with the fixed point's outputs.  tail_reason says why the certificate
+    for that cut was refused, when it was computed and refused.
     """
 
     trajectory: GrdeTrajectory
@@ -158,10 +171,12 @@ class HybridSolveResult:
     dim_reduced: int
     full_steps: int
     reduced_steps: int
+    tail_steps: int
     checkpoint_off_norm: float
     checkpoint_threshold: float
     used_fallback: bool
     fallback_reason: str = ""
+    tail_reason: str = ""
 
 
 def checkpoint_blocks(Delta, rd: ReductionData):
@@ -172,9 +187,112 @@ def checkpoint_blocks(Delta, rd: ReductionData):
 
 
 def _iterate_reduced(Psi_terminal, steps: int, rd: ReductionData):
-    """Phase-two rule of the hybrid solver: step the trailing block."""
-    Psi, _, R_X, R_X_pinv = _sweep(Psi_terminal, rd.ZB2, rd.Pi, steps)
-    return np.array(Psi), np.array(R_X), np.array(R_X_pinv)
+    """Phase-two rule of the hybrid solver: step the trailing block.
+
+    A phase-two rule yields, for each step s < steps, Psi_{T'-s-1} with the
+    curvature R_full + B2^T Psi_{T'-s} B2 of that step and its pinv, or
+    None for the pinv when the rule has not formed it.
+    """
+    Psi, d = Psi_terminal, rd.dim_reduced
+    for _ in range(steps):
+        Psi, _, W, R_X_pinv = _schur_step(Psi, rd.ZB2, rd.Pi)
+        yield Psi, W[d:, d:], R_X_pinv
+
+
+def _stein_norm(Z) -> float | None:
+    """||L||_2 for Z L Z^T - L = -I by Smith doubling, or None.
+
+    L = sum_j Z^j (Z^j)^T.  After k doublings L holds the first 2^k terms
+    and A = Z^(2^k); the next adds A L A^T.  The sum is taken as converged
+    once that increment is below eps ||L||_F: as L >= I, ||A||_2^2 is then
+    below eps ||L||_F too, and the terms left out are below eps^2 ||L||_F^2
+    ||L||_2.  A sum that is not finite, or still growing after 64
+    doublings, gives None: rho(Z) >= 1, or too close to 1 to matter.
+    """
+    L, A = np.eye(Z.shape[0]), Z
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(64):
+            increment = A @ L @ A.T
+            L = L + increment
+            L_F = float(np.linalg.norm(L))
+            if not np.isfinite(L_F):
+                return None
+            if np.linalg.norm(increment) <= _EPS * L_F:
+                return float(np.linalg.norm(L, 2))
+            A = A @ A
+    return None
+
+
+def _tail_bound(rd: ReductionData) -> tuple[float, str]:
+    """Largest ||Psi_s||_F from which phase two may stop, or -1 and why not.
+
+    With R_full invertible let C = B2 R_full^{-1} B2^T and W_j =
+    sum_{i<j} Z^i C (Z^i)^T.  The reduced recursion from Psi_s is then the
+    Gramian rule of closedform, Psi_{s+j} = (Z^j)^T Psi_s (I + W_j Psi_s)^{-1} Z^j,
+    wherever the inverse exists.  With L as in _stein_norm, -||C|| L <= W_j
+    <= ||C|| L and Z^j (Z^j)^T <= L, so for every j >= 0
+
+        ||W_j Psi_s||_2  <=  ||L|| ||B2||^2 ||R_full^{-1}|| ||Psi_s||  =: q,
+        ||Psi_{s+j}||_2  <=  ||Z^j||^2 ||Psi_s|| / (1 - q)  <=  2 ||L|| ||Psi_s||   if q <= 1/2,
+        ||X_t - X_circ||_2 = ||U_c Psi_t U_c^T||_2 = ||Psi_t||_2  <=  eps ||X_circ||_2
+                                                     if 2 ||L|| ||Psi_s|| <= eps ||X_circ||_2.
+
+    Both conditions are tested on ||Psi_s||_F >= ||Psi_s||_2.  The one on
+    q keeps every I + W_j Psi_s invertible, so the formula holds for every
+    later step: the quadratic term stays below the linear contraction.
+    An empty reduced block has nothing to bound.
+    """
+    if rd.dim_reduced == 0:
+        return np.inf, ""
+    if not is_nonsingular(rd.R_full):
+        return -1.0, "full curvature R_full is singular"
+    L_norm = _stein_norm(rd.Z)
+    if L_norm is None:
+        return -1.0, "Stein sum of Z did not converge: rho(Z) is 1 or more, or too close to 1"
+    R_inv_norm = 1.0 / np.linalg.svd(rd.R_full, compute_uv=False)[-1]
+    quad = L_norm * float(np.linalg.norm(rd.B2, 2)) ** 2 * R_inv_norm
+    psi_max = _EPS * float(np.linalg.norm(rd.X_circ, 2)) / (2.0 * L_norm)
+    return (min(psi_max, 0.5 / quad) if quad > 0.0 else psi_max), ""
+
+
+def _fixed_point_outputs(rd: ReductionData):
+    """X_t, K_t and G_t at Psi = 0: X_circ, R_full^+ S_full^T and
+    I - R_full^+ R_full, read-only, as every tail step shares them."""
+    R_pinv = pinv(rd.R_full)
+    out = (symmetrize(rd.X_circ), R_pinv @ rd.S_full.T, np.eye(rd.R_full.shape[0]) - R_pinv @ rd.R_full)
+    for M in out:
+        M.setflags(write=False)
+    return out
+
+
+def _phase_two(Psi_terminal, steps: int, rd: ReductionData, rule):
+    """Take steps from rule until the stationary tail is certified.
+
+    Before each step the current ||Psi_s||_F is tested: ||L|| >= 1 makes
+    ||Psi_s||_F <= eps ||X_circ||_F necessary for a cut, and only then is
+    the certificate computed, once.  Returns the Psi, R_X and R_X^+ stacks
+    of the steps taken, the pinvs a rule left out taken in one stacked
+    call, and the certificate's refusal, if any.
+    """
+    Psi, R_X, R_X_pinv = [Psi_terminal], [], []
+    psi_max, reason = None, ""
+    necessary = _EPS * float(np.linalg.norm(rd.X_circ))
+    sweep = rule(Psi_terminal, steps, rd)
+    while len(R_X) < steps:
+        psi = float(np.linalg.norm(Psi[-1]))
+        if psi <= necessary:
+            if psi_max is None:
+                psi_max, reason = _tail_bound(rd)
+            if psi <= psi_max:
+                break
+        Psi_prev, R, R_pinv = next(sweep)
+        Psi.append(Psi_prev)
+        R_X.append(R)
+        R_X_pinv.append(R_pinv)
+    R_X = np.array(R_X)
+    if R_X_pinv and R_X_pinv[0] is None:
+        R_X_pinv = _pinv(R_X)
+    return np.array(Psi), R_X, np.asarray(R_X_pinv), reason
 
 
 def _phase_two_outputs(Psi, R_X, R_X_pinv, rd: ReductionData):
@@ -195,7 +313,17 @@ def _phase_two_outputs(Psi, R_X, R_X_pinv, rd: ReductionData):
     return symmetrize(X), K, _projectors(R_X, R_X_pinv)
 
 
-def _result(problem: LQProblem, rd: ReductionData, trajectory, full_steps: int, off_norm=0.0, threshold=0.0, reason=""):
+def _result(
+    problem: LQProblem,
+    rd: ReductionData,
+    trajectory,
+    full_steps: int,
+    off_norm=0.0,
+    threshold=0.0,
+    reason="",
+    tail_steps=0,
+    tail_reason="",
+):
     return HybridSolveResult(
         trajectory=trajectory,
         nu=rd.nu,
@@ -203,10 +331,12 @@ def _result(problem: LQProblem, rd: ReductionData, trajectory, full_steps: int, 
         dim_reduced=rd.dim_reduced,
         full_steps=full_steps,
         reduced_steps=problem.T - full_steps,
+        tail_steps=tail_steps,
         checkpoint_off_norm=off_norm,
         checkpoint_threshold=threshold,
         used_fallback=bool(reason),
         fallback_reason=reason,
+        tail_reason=tail_reason,
     )
 
 
@@ -215,11 +345,11 @@ def _solve_reduced(problem: LQProblem, rd: ReductionData, phase_two) -> HybridSo
 
     Validates the problem as solve_full does, runs the nu full steps,
     keeping their gains, checks that the difference to the reference is
-    confined to the trailing block, and takes the rest from
-    phase_two(Psi_{T'}, T', rd).  That returns the stack
-    Psi_{T'}, ..., Psi_0 and, for each of its steps, the curvature R_X and
-    its pinv; X_t, K_t and G_t follow from them in stacked products after
-    the loop.  When the horizon is shorter than nu or the checkpoint fails,
+    confined to the trailing block, and takes the rest from the rule
+    phase_two(Psi_{T'}, T', rd) (see _iterate_reduced) until _phase_two
+    certifies a stationary tail.  X_t, K_t and G_t of the steps taken
+    follow in stacked products after the loop; every tail step shares the
+    fixed point's.  When the horizon is shorter than nu or the checkpoint fails,
     the result has used_fallback set, its reason, and trajectory None; the
     caller decides what follows.
     """
@@ -238,12 +368,18 @@ def _solve_reduced(problem: LQProblem, rd: ReductionData, phase_two) -> HybridSo
         return _result(problem, rd, None, T, off_norm, threshold, "checkpoint block structure violated")
 
     # Phase two: only the trailing block moves.
-    if T > nu:
-        X2, K2, G2 = _phase_two_outputs(*phase_two(D22, T - nu, rd), rd)
+    Psi, R_X, R_X_pinv, tail_reason = _phase_two(D22, T - nu, rd, phase_two)
+    if len(R_X):
+        X2, K2, G2 = _phase_two_outputs(Psi, R_X, R_X_pinv, rd)
         X = list(X2[::-1]) + X
         K = list(K2[::-1]) + K
         G = G2[::-1] + G
-    return _result(problem, rd, GrdeTrajectory(tuple(X), tuple(K), tuple(G)), nu, off_norm, threshold)
+    tail = T - nu - len(R_X)
+    if tail:
+        X_0, K_0, G_0 = _fixed_point_outputs(rd)
+        X, K, G = [X_0] * tail + X, [K_0] * tail + K, (G_0,) * tail + G
+    trajectory = GrdeTrajectory(tuple(X), tuple(K), tuple(G))
+    return _result(problem, rd, trajectory, nu, off_norm, threshold, "", tail, tail_reason)
 
 
 def solve_hybrid(problem: LQProblem, rd: ReductionData) -> HybridSolveResult:
@@ -259,8 +395,8 @@ def solve_hybrid(problem: LQProblem, rd: ReductionData) -> HybridSolveResult:
     if rd.dim_u == 0:
         return _result(problem, rd, solve_full(problem), problem.T)
     result = _solve_reduced(problem, rd, _iterate_reduced)
-    if result.used_fallback:
-        result = replace(result, trajectory=solve_full(problem))
+    if result.used_fallback:  # _solve_reduced has validated the problem
+        result = replace(result, trajectory=_full_trajectory(problem))
     return result
 
 

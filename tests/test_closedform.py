@@ -11,7 +11,13 @@ from griccati.model import ProblemValidationError, random_problem
 from griccati.reduction import ReductionData, build_reduction, checkpoint_blocks, reduced_step, solve_hybrid
 
 from conftest import PHI, scalar_j_problem, scaled_problem
-from test_reduction import _assert_trajectories_match, _drift_singular_problem
+from test_reduction import (
+    _assert_trajectories_match,
+    _drift_singular_problem,
+    headline_problem,
+    large_terminal_weight_problem,
+    live_scalar_problem,
+)
 
 
 def _synthetic_rd(Z, B2, R_full, m=None):
@@ -195,6 +201,7 @@ def test_solve_closed_form_long_horizon(n, seed, nilpotent_dim):
     rd = build_reduction(problem, res.solution)
     out = solve_closed_form(problem, rd)
     assert out.reduced_steps == 500 - rd.nu
+    assert 0 < out.tail_steps < out.reduced_steps and out.tail_reason == ""
     _assert_trajectories_match(out.trajectory, solve_full(problem), rtol=1e-8)
     # Same checkpoint and shape of result as the hybrid solve.
     hyb = solve_hybrid(problem, rd)
@@ -266,6 +273,7 @@ def test_empty_reduced_block():
     rd = build_reduction(problem, res.solution)
     assert rd.dim_reduced == 0
     out = solve_closed_form(problem, rd)
+    assert (out.tail_steps, out.tail_reason) == (problem.T - rd.nu, "")
     full = solve_full(problem)
     for Xa, Xb in zip(out.trajectory.X, full.X):
         assert np.linalg.norm(Xa - Xb) <= 1e-10
@@ -287,3 +295,51 @@ def test_every_solver_validates_the_problem():
         for solve in (solve_hybrid, solve_closed_form):
             with pytest.raises(ProblemValidationError, match="terminal_psd"):
                 solve(problem, rd)
+
+
+def test_closed_form_tail_headline():
+    # The sweep stops where the hybrid does, give or take the rounding in
+    # Psi, and its tail matches the full recursion as closely.
+    problem = headline_problem()
+    rd = build_reduction(problem, find_reference(problem).solution)
+    out = solve_closed_form(problem, rd)
+    assert abs(out.tail_steps - solve_hybrid(problem, rd).tail_steps) <= 1
+    assert out.tail_steps > 0
+    _assert_trajectories_match(out.trajectory, solve_full(problem), rtol=1e-10)
+    with pytest.raises(ValueError, match="read-only"):
+        out.trajectory.K[0][0, 0] = 1.0
+
+
+@pytest.mark.parametrize("q", [1e-6, 1e-2, 0.0])
+def test_closed_form_tail_as_rho_z_nears_one(q):
+    # rho(Z) = 0.999 never cuts within the horizon, 0.905 cuts late, and
+    # Z = 1 (with Psi = 0 throughout) has its cut refused by the Stein sum.
+    problem, X_ref = live_scalar_problem(q, 300)
+    if q == 0.0:
+        problem = dataclasses.replace(problem, P=X_ref)
+    rd = build_reduction(problem, find_reference(problem, X_ref=X_ref).solution)
+    out = solve_closed_form(problem, rd)
+    reduced = problem.T - rd.nu
+    if q == 1e-2:
+        assert 0 < out.tail_steps < reduced // 2 and out.tail_reason == ""
+    else:
+        assert out.tail_steps == 0
+        assert ("rho(Z)" in out.tail_reason) == (q == 0.0)
+    _assert_trajectories_match(out.trajectory, solve_full(problem), rtol=1e-12)
+
+
+def test_closed_form_tail_after_large_terminal_weight():
+    problem = large_terminal_weight_problem()
+    rd = build_reduction(problem, find_reference(problem).solution)
+    out = solve_closed_form(problem, rd)
+    assert out.tail_steps > 0
+    _assert_trajectories_match(out.trajectory, solve_full(problem), rtol=1e-10)
+
+
+def test_closed_form_singular_full_curvature_refuses_before_any_cut():
+    # The hybrid iterates the whole horizon here; the closed form needs
+    # R_full^{-1} on its first step and refuses.
+    problem, _ = live_scalar_problem(1.0, 60, dead_input=True)
+    rd = build_reduction(problem, find_reference(problem).solution)
+    with pytest.raises(NumericalRefusal, match="R_full is singular"):
+        solve_closed_form(problem, rd)

@@ -142,6 +142,28 @@ def test_simulate_free_directions_cost_invariant():
         assert np.linalg.norm(inputs1 - inputs0) > 1e-6, "free direction did not move the input"
 
 
+def test_simulate_cost_matches_per_step_sum():
+    # The stage costs are summed in stacked products after the forward
+    # loop; the per-step sum over the returned states and inputs is the
+    # reference, with a cross weight S != 0 and with free inputs v.
+    rng = np.random.default_rng(21)
+    cases = [
+        _with_cross_weight(random_problem(20, 2, 42, "nilpotent_block", horizon=50, nilpotent_dim=15), rng),
+        _with_cross_weight(random_problem(12, 2, 3, "nilpotent_block", horizon=84, nilpotent_dim=2), rng),
+        _with_cross_weight(random_problem(4, 2, 903, "singular_R", horizon=20), rng),
+    ]
+    for problem in cases:
+        t3 = problem.triple
+        traj = solve_full(problem)
+        for v in (None, [rng.normal(size=problem.m) for _ in range(problem.T)]):
+            states, inputs, cost = simulate(problem, traj, v=v)
+            want = 0.0
+            for x, u in zip(states[:-1], inputs):
+                want += float(x @ t3.Q @ x + 2.0 * x @ t3.S @ u + u @ t3.R @ u)
+            want += float(states[-1] @ problem.P @ states[-1])
+            assert abs(cost - want) <= 1e-13 * abs(want), (problem.n, v is None)
+
+
 def test_simulate_needs_initial_state():
     problem = scalar_two_step()
     problem = LQProblem(problem.triple, problem.P, problem.T)  # drop x0
@@ -170,7 +192,7 @@ def test_one_pseudo_inverse_per_step(monkeypatch):
         slices.append(int(np.prod(A.shape[:-2])))
         return linalg._pinv(A)
 
-    for module in (grde, closedform):
+    for module in (grde, reduction):
         monkeypatch.setattr(module, "_pinv", counting_pinv)
     problem = random_problem(4, 2, 41, "singular_R", horizon=9)
     solve_full(problem)

@@ -3,10 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from griccati import grde, reduction
 from griccati.cgdare import closed_loop, find_reference
 from griccati.grde import solve_full
 from griccati.linalg import InternalInconsistencyError
-from griccati.model import LQProblem, PopovTriple, random_problem
+from griccati.model import LQProblem, PopovTriple, random_problem, require_valid
 from griccati.reduction import (
     build_reduction,
     checkpoint_blocks,
@@ -15,7 +16,7 @@ from griccati.reduction import (
     solve_hybrid,
 )
 
-from conftest import PHI, scalar_j_problem
+from conftest import PHI, dare_scalar_roots, scalar_j_problem
 
 
 def _assert_trajectories_match(t_a, t_b, rtol=1e-8):
@@ -42,6 +43,35 @@ def _drift_singular_problem(seed, n=3, m=2, T=10):
     LP = rng.normal(size=(n, n))
     P = LP @ LP.T / n
     return LQProblem(PopovTriple(A, B, Q, S, R), P, T, rng.normal(size=n))
+
+
+def live_scalar_problem(q, T, P=None, dead_input=False):
+    """scalar_j_problem's shape with live weight q, and its exact reference.
+
+    A = diag(0, 1), B = [0; 1], Q = diag(1, q), R = 1: the reference is
+    diag(1, x) with x the positive root of x^2 = q (1 + x), so dim U = 1,
+    nu = 1 and Z = 1 / (1 + x), which tends to 1 as q -> 0.  dead_input
+    adds an input that reaches nothing and costs nothing, so R_full is
+    singular.
+    """
+    x = dare_scalar_roots(1.0, 1.0, q, 1.0)[0]
+    B, R = np.array([[0.0], [1.0]]), np.eye(1)
+    if dead_input:
+        B, R = np.hstack([B, np.zeros((2, 1))]), np.diag([1.0, 0.0])
+    P = np.zeros((2, 2)) if P is None else P
+    triple = PopovTriple(np.diag([0.0, 1.0]), B, np.diag([1.0, q]), np.zeros(B.shape), R)
+    return LQProblem(triple, P, T, [1.0, 1.0]), np.diag([1.0, x])
+
+
+def large_terminal_weight_problem():
+    """A nilpotent_block problem whose P = 1e6 I dwarfs the reference
+    (||X_circ||_F ~ 3): Psi_{T'} is large and positive definite."""
+    problem = random_problem(12, 2, 3, "nilpotent_block", horizon=300, nilpotent_dim=4)
+    return dataclasses.replace(problem, P=1e6 * np.eye(problem.n))
+
+
+def headline_problem():
+    return random_problem(20, 2, 42, "nilpotent_block", horizon=500, nilpotent_dim=15)
 
 
 def test_scalar_decoupled_goldens():
@@ -192,6 +222,12 @@ def test_hybrid_whole_state_nilpotent():
     _assert_trajectories_match(result.trajectory, full)
     for t in range(T - rd.nu + 1):
         assert np.linalg.norm(full.X[t] - res.solution.X) <= 1e-10
+    # Nothing is left to bound, so every reduced step is tail, down to T = nu + 1.
+    for horizon in (T, rd.nu + 1):
+        short = dataclasses.replace(problem, T=horizon)
+        result = solve_hybrid(short, rd)
+        assert (result.tail_steps, result.tail_reason) == (horizon - rd.nu, "")
+        _assert_trajectories_match(result.trajectory, solve_full(short))
 
 
 def test_hybrid_multiple_jordan_blocks():
@@ -227,7 +263,24 @@ def test_hybrid_short_horizon_fallback():
     result = solve_hybrid(problem, rd)
     assert result.used_fallback
     assert "horizon" in result.fallback_reason
+    assert result.tail_steps == 0
     _assert_trajectories_match(result.trajectory, solve_full(problem))
+
+
+def test_hybrid_fallback_validates_once(monkeypatch):
+    problem = random_problem(4, 1, 1900, "nilpotent_block", horizon=1, nilpotent_dim=3)
+    rd = build_reduction(problem, find_reference(problem).solution)
+    calls = []
+
+    def counting_require_valid(p):
+        calls.append(p)
+        return require_valid(p)
+
+    for module in (reduction, grde):
+        monkeypatch.setattr(module, "require_valid", counting_require_valid)
+    result = solve_hybrid(problem, rd)
+    assert result.used_fallback and "horizon" in result.fallback_reason
+    assert len(calls) == 1
 
 
 def test_hybrid_horizon_equals_index():
@@ -238,8 +291,85 @@ def test_hybrid_horizon_equals_index():
     assert rd.nu == 2
     result = solve_hybrid(problem, rd)
     assert not result.used_fallback
-    assert result.full_steps == 2 and result.reduced_steps == 0
+    assert result.full_steps == 2 and result.reduced_steps == 0 and result.tail_steps == 0
     _assert_trajectories_match(result.trajectory, solve_full(problem))
+
+
+def test_hybrid_horizon_one_past_index():
+    problem = random_problem(3, 1, 1901, "nilpotent_block", horizon=3, nilpotent_dim=2)
+    rd = build_reduction(problem, find_reference(problem).solution)
+    assert rd.nu == 2 and rd.dim_reduced > 0
+    result = solve_hybrid(problem, rd)
+    assert not result.used_fallback
+    assert result.full_steps == 2 and result.reduced_steps == 1 and result.tail_steps in (0, 1)
+    _assert_trajectories_match(result.trajectory, solve_full(problem), rtol=1e-12)
+
+
+def test_tail_headline_matches_full_and_is_read_only():
+    problem = headline_problem()
+    rd = build_reduction(problem, find_reference(problem).solution)
+    result = solve_hybrid(problem, rd)
+    assert not result.used_fallback and result.tail_reason == ""
+    assert 0 < result.tail_steps < result.reduced_steps == problem.T - rd.nu
+    _assert_trajectories_match(result.trajectory, solve_full(problem), rtol=1e-10)
+    # The tail is one shared array per output, at the reference's own values.
+    traj = result.trajectory
+    assert np.array_equal(traj.X[0], rd.X_circ)
+    for field in ("X", "K", "G"):
+        first = getattr(traj, field)[0]
+        assert all(M is first for M in getattr(traj, field)[: result.tail_steps])
+        with pytest.raises(ValueError, match="read-only"):
+            first[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("q, tail", [(1e-6, "never"), (1e-2, "late"), (1.0, "early")])
+def test_tail_comes_late_or_never_as_rho_z_nears_one(q, tail):
+    # Psi decays like Z^(2s), so the slower Z, the later the cut.
+    problem, X_ref = live_scalar_problem(q, 300)
+    rd = build_reduction(problem, find_reference(problem, X_ref=X_ref).solution)
+    result = solve_hybrid(problem, rd)
+    assert result.tail_reason == ""
+    reduced = problem.T - rd.nu
+    if tail == "never":  # rho(Z) = 0.999: Psi shrinks by under half over the horizon
+        assert rd.Z[0, 0] > 0.99 and result.tail_steps == 0
+    elif tail == "late":  # rho(Z) = 0.905
+        assert 0 < result.tail_steps < reduced // 2
+    else:  # rho(Z) = 1 / phi^2
+        assert result.tail_steps > reduced * 3 // 4
+    _assert_trajectories_match(result.trajectory, solve_full(problem), rtol=1e-12)
+
+
+def test_tail_refused_when_rho_z_is_one():
+    # q = 0 makes Z = 1, and P = X_circ keeps Psi = 0 exactly: the test
+    # for a cut is met at once, and the Stein sum refuses it.
+    problem, X_ref = live_scalar_problem(0.0, 40)
+    problem = dataclasses.replace(problem, P=X_ref)
+    rd = build_reduction(problem, find_reference(problem, X_ref=X_ref).solution)
+    assert rd.Z[0, 0] == 1.0
+    result = solve_hybrid(problem, rd)
+    assert result.tail_steps == 0 and "rho(Z)" in result.tail_reason
+    _assert_trajectories_match(result.trajectory, solve_full(problem), rtol=1e-14)
+
+
+def test_tail_refused_for_singular_full_curvature():
+    problem, _ = live_scalar_problem(1.0, 60, dead_input=True)
+    res = find_reference(problem)
+    assert res.found
+    rd = build_reduction(problem, res.solution)
+    assert np.linalg.matrix_rank(rd.R_full) == 1
+    result = solve_hybrid(problem, rd)
+    assert not result.used_fallback
+    assert result.tail_steps == 0 and "R_full" in result.tail_reason
+    _assert_trajectories_match(result.trajectory, solve_full(problem), rtol=1e-10)
+
+
+def test_tail_after_large_terminal_weight():
+    problem = large_terminal_weight_problem()
+    rd = build_reduction(problem, find_reference(problem).solution)
+    result = solve_hybrid(problem, rd)
+    assert not result.used_fallback
+    assert result.tail_steps > 0
+    _assert_trajectories_match(result.trajectory, solve_full(problem), rtol=1e-10)
 
 
 def test_hybrid_detects_wrong_reduction():
