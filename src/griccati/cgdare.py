@@ -174,7 +174,7 @@ def find_reference(problem: LQProblem, X_ref: Optional[np.ndarray] = None) -> Re
     it = 0
     for it in range(1, _MAX_ITER + 1):
         X_next = _schur_step(X, M, Pi)[0]
-        if not np.all(np.isfinite(X_next)) or np.linalg.norm(X_next) > _DIVERGENCE_NORM:
+        if not np.linalg.norm(X_next) <= _DIVERGENCE_NORM:  # also catches inf and nan
             return ReferenceSearchResult(None, it, "iterates diverged")
         step = float(np.linalg.norm(X_next - X))
         X = X_next

@@ -25,7 +25,7 @@ from .model import (
     save_problem,
     validate,
 )
-from .grde import optimal_cost, save_trajectory, simulate, solve_full
+from .grde import _full_trajectory, optimal_cost, save_trajectory, simulate, solve_full
 from .oracle import batch_matrices, batch_optimal
 from .cgdare import ReferenceRejectedError, find_reference
 from .pencil import (
@@ -161,8 +161,8 @@ def cmd_solve(args) -> int:
                     run.results["horizon_prime"] = cres.reduced_steps
                     run.residuals["checkpoint_off_norm"] = cres.checkpoint_off_norm
                     _report_tail(run, cres)
-                except NumericalRefusal as exc:
-                    traj = solve_full(problem)
+                except NumericalRefusal as exc:  # raised after _solve_reduced validated
+                    traj = _full_trajectory(problem)
                     run.status = "fallback"
                     run.reason = str(exc)
                     run.results["method_used"] = "full"

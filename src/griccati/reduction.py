@@ -35,7 +35,7 @@ from .linalg import (
 )
 from .model import LQProblem, require_valid
 from .cgdare import CgdareSolution
-from .grde import GrdeTrajectory, _full_trajectory, _projectors, _schur_step, _sweep, solve_full
+from .grde import GrdeTrajectory, _full_trajectory, _projectors, _schur_step, _sweep
 
 _EPS = float(np.finfo(float).eps)
 
@@ -157,8 +157,10 @@ class HybridSolveResult:
     used_fallback is set when the horizon was shorter than nu or the
     structural checkpoint failed, and fallback_reason says which; the
     hybrid solver then recomputes the trajectory with the plain full
-    recursion.  The measured block norms are kept either way.
+    recursion.  The measured block norms are kept either way.  With nu = 0
+    the checkpoint blocks are empty, so no fallback occurs.
 
+    full_steps = nu unless the solve fell back (then T), and
     reduced_steps = T - full_steps counts the whole reduced horizon; the
     last tail_steps of it (the earliest times) were not iterated but filled
     with the fixed point's outputs.  tail_reason says why the certificate
@@ -301,15 +303,19 @@ def _phase_two_outputs(Psi, R_X, R_X_pinv, rd: ReductionData):
     Step s goes from Psi[s] = Psi_{T'-s} to Psi[s + 1] through the curvature
     R_X[s] with pinv R_X_pinv[s].  K = R_X^+ (S_full^T + B2^T Psi A2) and
     X = X_circ + U_c Psi U_c^T are reshaped into 2-D products: a stacked
-    matmul of small slices does not reach BLAS.
+    matmul of small slices does not reach BLAS.  With dim U = 0, U_c = T_orth
+    is exactly I (linalg.nilpotent_eigenspace), and X = X_circ + Psi.
     """
     N, d = R_X.shape[0], rd.dim_reduced
-    U_c = rd.T_orth[:, rd.dim_u:]
-    n, m = U_c.shape[0], rd.B2.shape[1]
+    n, m = rd.T_orth.shape[0], rd.B2.shape[1]
     BtPsi = (rd.B2.T @ Psi[:-1]).reshape(N * m, d)
     K = R_X_pinv @ (rd.S_full.T + (BtPsi @ rd.A2).reshape(N, m, n))
-    PsiU = (Psi[1:].reshape(N * d, d) @ U_c.T).reshape(N, d, n)
-    X = rd.X_circ + (PsiU.transpose(0, 2, 1).reshape(N * n, d) @ U_c.T).reshape(N, n, n)
+    if rd.dim_u:
+        U_c = rd.T_orth[:, rd.dim_u:]
+        PsiU = (Psi[1:].reshape(N * d, d) @ U_c.T).reshape(N, d, n)
+        X = rd.X_circ + (PsiU.transpose(0, 2, 1).reshape(N * n, d) @ U_c.T).reshape(N, n, n)
+    else:
+        X = rd.X_circ + Psi[1:]
     return symmetrize(X), K, _projectors(R_X, R_X_pinv)
 
 
@@ -388,12 +394,11 @@ def solve_hybrid(problem: LQProblem, rd: ReductionData) -> HybridSolveResult:
     After nu full steps the difference to the reference solution is checked
     to be confined to the trailing diagonal block; beyond tolerance, or on
     a horizon shorter than nu, the solver falls back to the full recursion
-    and reports why, with the measured norms.  With dim U = 0 the reduced
-    recursion would be the full one in rotated coordinates, so the full
-    recursion runs instead and is reported as T full steps, not a fallback.
+    and reports why, with the measured norms.  With nu = 0 (dim U = 0) the
+    reduced recursion is the difference recursion Psi_t = X_t - X_circ on
+    the whole state: it runs all T steps, reported as reduced ones, and
+    stops at a certified stationary tail like any other.
     """
-    if rd.dim_u == 0:
-        return _result(problem, rd, solve_full(problem), problem.T)
     result = _solve_reduced(problem, rd, _iterate_reduced)
     if result.used_fallback:  # _solve_reduced has validated the problem
         result = replace(result, trajectory=_full_trajectory(problem))

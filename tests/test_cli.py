@@ -6,12 +6,13 @@ import sys
 import numpy as np
 import pytest
 
-from griccati import cli
+from griccati import cli, grde, reduction
 from griccati.cli import main
 from griccati.linalg import InternalInconsistencyError, NumericalRefusal
-from griccati.model import problem_to_json, random_problem, save_problem
+from griccati.model import problem_to_json, random_problem, require_valid, save_problem
 
 from conftest import scalar_two_step
+from test_reduction import live_scalar_problem
 
 
 def _write(tmp_path, problem, name="prob.json", X_ref=None):
@@ -141,6 +142,34 @@ def test_solve_closed_form_refusal_falls_back(tmp_path, capsys):
     assert report["status"] == "fallback"
     assert "horizon" in report["reason"]
     assert report["results"]["method_used"] == "full"
+
+
+@pytest.mark.parametrize(
+    "problem, reason",
+    [
+        (random_problem(4, 1, 2100, "nilpotent_block", horizon=1, nilpotent_dim=3), "horizon"),
+        (live_scalar_problem(1.0, 60, dead_input=True)[0], "R_full is singular"),
+    ],
+    ids=["short_horizon", "singular_full_curvature"],
+)
+def test_solve_closed_form_refusal_validates_once(tmp_path, capsys, monkeypatch, problem, reason):
+    # The refusal comes after _solve_reduced has validated the problem, so
+    # the full recursion that replaces it must not validate again.
+    path = _write(tmp_path, problem)
+    calls = []
+
+    def counting_require_valid(p):
+        calls.append(p)
+        return require_valid(p)
+
+    for module in (reduction, grde):
+        monkeypatch.setattr(module, "require_valid", counting_require_valid)
+    code, report, _ = _run(capsys, ["solve", path, "--method", "closed-form"])
+    assert code == 2 and reason in report["reason"]
+    assert report["results"]["method_used"] == "full"
+    assert len(calls) == 1
+    trace = float(np.trace(grde.solve_full(problem).X[0]))
+    assert report["results"]["X0_trace"] == trace
 
 
 def test_solve_closed_form_long_horizon(tmp_path, capsys):

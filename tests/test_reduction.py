@@ -6,7 +6,7 @@ import pytest
 from griccati import grde, reduction
 from griccati.cgdare import closed_loop, find_reference
 from griccati.grde import solve_full
-from griccati.linalg import InternalInconsistencyError
+from griccati.linalg import InternalInconsistencyError, symmetrize
 from griccati.model import LQProblem, PopovTriple, random_problem, require_valid
 from griccati.reduction import (
     build_reduction,
@@ -178,13 +178,14 @@ def test_hybrid_drift_singular_unaligned_input():
     assert hit >= 3, f"too few usable drift-singular instances ({hit})"
 
 
-def test_hybrid_nu_zero_runs_full_recursion():
+def test_hybrid_nu_zero_runs_reduced_recursion():
     # Generic problems: no nilpotent part, so U is empty and the reduced
-    # recursion would be the full one in rotated coordinates.  The hybrid
-    # runs the full recursion instead: the same trajectory bit for bit,
-    # reported as T full steps and no fallback, with nu = 0 and the whole
-    # state as the reduced block.
-    for n, m, seed, horizon in ((3, 2, 1800, 8), (5, 2, 1801, 20)):
+    # recursion is the difference recursion Psi_t = X_t - X_circ on the whole
+    # state.  All T steps are reduced ones, with no fallback (the checkpoint
+    # blocks are empty), nu = 0 and the whole state as the reduced block.
+    # On the long n = 50 horizon Psi decays like A_X^s, and a certified tail
+    # takes over well before the horizon ends.
+    for n, m, seed, horizon in ((3, 2, 1800, 8), (5, 2, 1801, 20), (50, 5, 1, 200)):
         problem = random_problem(n, m, seed, "generic", horizon=horizon)
         res = find_reference(problem)
         assert res.found
@@ -193,12 +194,46 @@ def test_hybrid_nu_zero_runs_full_recursion():
         result = solve_hybrid(problem, rd)
         assert not result.used_fallback and result.fallback_reason == ""
         assert (result.nu, result.dim_u, result.dim_reduced) == (0, 0, problem.n)
-        assert result.full_steps == problem.T and result.reduced_steps == 0
-        full = solve_full(problem)
-        for field in ("X", "K", "G"):
-            got, want = getattr(result.trajectory, field), getattr(full, field)
-            assert len(got) == len(want)
-            assert all(np.array_equal(a, b) for a, b in zip(got, want)), field
+        assert result.full_steps == 0 and result.reduced_steps == problem.T
+        assert result.tail_reason == ""
+        _assert_trajectories_match(result.trajectory, solve_full(problem))
+    assert 0 < result.tail_steps < problem.T
+
+
+def test_nu_zero_assembly_equals_rotated_product():
+    # A non-singular A_X leaves the staircase's T_orth = I exactly, so the
+    # X_circ + Psi assembly is the rotated X_circ + U_c Psi U_c^T bit for bit.
+    problem = random_problem(5, 2, 1801, "generic", horizon=20)
+    rd = build_reduction(problem, find_reference(problem).solution)
+    assert rd.dim_u == 0 and np.array_equal(rd.T_orth, np.eye(problem.n))
+    Psi_T = checkpoint_blocks(symmetrize(problem.P) - rd.X_circ, rd)[2]
+    Psi, R_X, R_X_pinv, _ = reduction._phase_two(Psi_T, problem.T, rd, reduction._iterate_reduced)
+    assert len(R_X) == problem.T
+    X = reduction._phase_two_outputs(Psi, R_X, R_X_pinv, rd)[0]
+    U_c = rd.T_orth[:, rd.dim_u :]
+    assert np.array_equal(X, symmetrize(rd.X_circ + U_c @ Psi[1:] @ U_c.T))
+    hybrid = solve_hybrid(problem, rd).trajectory.X
+    assert all(np.array_equal(a, b) for a, b in zip(X, hybrid[::-1][1:]))
+
+
+def test_nu_zero_singular_full_curvature_iterates_whole_horizon():
+    # A generic problem plus an input that reaches nothing and costs
+    # nothing: R_full is singular but A_X is not, so nu = 0 and the tail
+    # certificate is refused; every step is iterated.
+    base = random_problem(4, 2, 1802, "generic", horizon=60)
+    t = base.triple
+    R = np.zeros((3, 3))
+    R[:2, :2] = t.R
+    zero = np.zeros((4, 1))
+    triple = PopovTriple(t.A, np.hstack([t.B, zero]), t.Q, np.hstack([t.S, zero]), R)
+    problem = LQProblem(triple, base.P, base.T, base.x0)
+    rd = build_reduction(problem, find_reference(problem).solution)
+    assert rd.dim_u == 0 and np.linalg.matrix_rank(rd.R_full) == 2
+    result = solve_hybrid(problem, rd)
+    assert not result.used_fallback
+    assert result.full_steps == 0 and result.reduced_steps == problem.T
+    assert result.tail_steps == 0 and "R_full" in result.tail_reason
+    _assert_trajectories_match(result.trajectory, solve_full(problem), rtol=1e-10)
 
 
 def test_hybrid_whole_state_nilpotent():
