@@ -6,11 +6,10 @@ A symmetric X solves the generalised DARE when
 
 and the constrained equation additionally demands ker(R + B^T X B) be
 contained in ker(A^T X B + S).  This module evaluates residuals, packages
-the derived closed-loop quantities, searches for a reference solution by
-fixed-point iteration, and compares pairs of solutions, whose difference is
-pinned down on the closed loop's nilpotent eigenspace.  Scaling the
-weights by c scales every solution by c, so the residual tests here are read
-against the Popov matrix's ||Pi||_F and the kernel condition against ||S_X||.
+the derived closed-loop quantities and searches for a reference solution by
+fixed-point iteration.  Scaling the weights by c scales every solution by
+c, so the residual tests here are read against the Popov matrix's ||Pi||_F
+and the kernel condition against ||S_X||.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from .linalg import (
     check_symmetric,
     inertia,
     nilpotent_eigenspace,
-    subspace_distance,
     symmetrize,
 )
 from .model import LQProblem, PopovTriple
@@ -203,78 +201,3 @@ def find_reference(problem: LQProblem, X_ref: Optional[np.ndarray] = None) -> Re
             f"iteration settled but candidate rejected (residual {sol.residual_norm:.3e})",
         )
     return ReferenceSearchResult(sol, it, "fixed point accepted")
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """How two solutions of the same triple relate.
-
-    coincidence_residual measures (X - Y) restricted to the first solution's
-    nilpotent eigenspace, where all solutions of the constrained equation
-    agree; subspace_distance compares the two eigenspaces themselves.  The
-    two difference identities,
-
-        D(X) - D(Y) = Delta - A_Y^T Delta A_X
-        D(X) - D(Y) = Delta - A_Y^T Delta A_Y + A_Y^T Delta B R_X^+ B^T Delta A_Y
-
-    with Delta = X - Y, hold whenever both kernel constraints do, solutions
-    or not; their residuals are reported for whatever pair was supplied.
-    """
-
-    coincidence_residual: float
-    subspace_distance: float
-    nu_x: int
-    nu_y: int
-    dim_u_x: int
-    dim_u_y: int
-    inertia_RX: tuple
-    inertia_RY: tuple
-    inertia_match: bool
-    identity_onestep_residual: float
-    identity_quadratic_residual: float
-
-
-def difference_identity_residuals(X, Y, triple: PopovTriple):
-    """Residual norms of the two D(X) - D(Y) identities for a symmetric pair."""
-    Xs = check_symmetric(X, "X")
-    Ys = check_symmetric(Y, "Y")
-    A, B = triple.A, triple.B
-    Delta = Xs - Ys
-
-    X_prev, K_X, _, R_X_pinv = _schur_step(Xs, triple.AB, triple.Pi)
-    Y_prev, K_Y, _, _ = _schur_step(Ys, triple.AB, triple.Pi)
-    A_X = A - B @ K_X
-    A_Y = A - B @ K_Y
-
-    lhs = (Xs - X_prev) - (Ys - Y_prev)
-    onestep = lhs - (Delta - A_Y.T @ Delta @ A_X)
-    quadratic = lhs - (Delta - A_Y.T @ Delta @ A_Y + A_Y.T @ Delta @ B @ R_X_pinv @ B.T @ Delta @ A_Y)
-    return float(np.linalg.norm(onestep)), float(np.linalg.norm(quadratic))
-
-
-def compare_solutions(sol_x: CgdareSolution, sol_y: CgdareSolution) -> ComparisonReport:
-    """Compare two accepted solutions of the same triple."""
-    tx, ty = sol_x.triple, sol_y.triple
-    same = all(
-        np.array_equal(getattr(tx, f), getattr(ty, f)) for f in ("A", "B", "Q", "S", "R")
-    )
-    if not same:
-        raise ValueError("solutions belong to different triples")
-
-    Delta = sol_x.X - sol_y.X
-    coincidence = float(np.linalg.norm(Delta @ sol_x.U, 2)) if sol_x.U.size else 0.0
-    sub_dist = subspace_distance(sol_x.U, sol_y.U)
-    onestep, quadratic = difference_identity_residuals(sol_x.X, sol_y.X, tx)
-    return ComparisonReport(
-        coincidence_residual=coincidence,
-        subspace_distance=sub_dist,
-        nu_x=sol_x.nu,
-        nu_y=sol_y.nu,
-        dim_u_x=sol_x.dim_u,
-        dim_u_y=sol_y.dim_u,
-        inertia_RX=sol_x.inertia_RX,
-        inertia_RY=sol_y.inertia_RX,
-        inertia_match=sol_x.inertia_RX == sol_y.inertia_RX,
-        identity_onestep_residual=onestep,
-        identity_quadratic_residual=quadratic,
-    )

@@ -20,6 +20,7 @@ from .linalg import InternalInconsistencyError, NumericalRefusal
 from .model import (
     ProblemFormatError,
     Xorshift64Star,
+    _parse_matrix,
     load_problem,
     random_problem,
     save_problem,
@@ -76,9 +77,12 @@ def _emit(report: RunReport, args, summary_lines):
 
 def _parse_x0(text: str) -> np.ndarray:
     try:
-        return np.array([float(v) for v in text.split(",") if v.strip() != ""])
+        x0 = np.array([float(v) for v in text.split(",") if v.strip() != ""])
     except ValueError as exc:
         raise ProblemFormatError(f"could not parse --x0: {exc}") from exc
+    if not np.all(np.isfinite(x0)):
+        raise ProblemFormatError("--x0 contains non-finite entries")
+    return x0
 
 
 def _rel_diff(a: float, b: float) -> float:
@@ -195,7 +199,7 @@ def cmd_analyze(args) -> int:
             raw = json.load(fh)
         if isinstance(raw, dict) and "X_ref" in raw:
             raw = raw["X_ref"]
-        X_ref = np.array(raw, dtype=float)
+        X_ref = _parse_matrix("X_ref", raw, problem.n, problem.n)
 
     run = RunReport(
         command="analyze",

@@ -165,24 +165,6 @@ def is_nonsingular(M, scale: float = 0.0) -> bool:
     return numerical_rank(A, scale) == A.shape[0]
 
 
-def kernel_basis(M, scale: float = 0.0) -> np.ndarray:
-    """Orthonormal basis of the (numerical) null space, one column per direction.
-
-    Returns a (cols, cols - rank) array; full-rank input gives a (cols, 0)
-    array rather than an error.
-    """
-    A = as_matrix(M)
-    cols = A.shape[1]
-    if cols == 0:
-        return np.zeros((0, 0))
-    if A.shape[0] == 0:
-        return np.eye(cols)
-    U, s, Vt = np.linalg.svd(A, full_matrices=True)
-    cutoff = svd_cutoff(s, A.shape, scale)
-    rank = int(np.count_nonzero(s > cutoff))
-    return Vt[rank:].T.copy()
-
-
 def nilpotent_eigenspace(A, scale: float = 0.0):
     """Staircase deflation onto the generalised eigenspace of the eigenvalue zero.
 
@@ -230,19 +212,6 @@ def inertia(M):
     n_plus = int(np.count_nonzero(w > cutoff))
     n_minus = int(np.count_nonzero(w < -cutoff))
     return (n_plus, n_minus, A.shape[0] - n_plus - n_minus)
-
-
-def subspace_distance(U, V) -> float:
-    """Spectral-norm distance between the orthogonal projectors of two spans."""
-    A = as_matrix(U)
-    B = as_matrix(V)
-    if A.shape[0] != B.shape[0]:
-        raise ValueError("subspace distance needs bases of the same ambient dimension")
-    P = A @ A.T
-    Q = B @ B.T
-    if P.size == 0:
-        return 0.0
-    return float(np.linalg.norm(P - Q, 2))
 
 
 def spectral_radius(A) -> float:

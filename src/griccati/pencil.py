@@ -13,7 +13,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .linalg import RANK_REL, is_nonsingular, nilpotent_eigenspace, numerical_rank, pinv
+from .linalg import is_nonsingular, nilpotent_eigenspace, numerical_rank, pinv
 from .model import PopovTriple
 from .cgdare import CgdareSolution
 
@@ -131,26 +131,13 @@ class MuReport(NamedTuple):
     mu_* are algebraic multiplicities of the eigenvalue zero, dim ker(M^size),
     read from the staircase of `linalg.nilpotent_eigenspace` (for A_X, the
     reference's own dim U); they stay integer-exact for defective
-    eigenvalues.  eig_count_* are the raw counts of eigenvalues
-    with modulus below RANK_REL * (1 + spectral radius); they agree with
-    mu_* on non-defective spectra and scatter on Jordan blocks, which is
-    why they are only a cross-check.
+    eigenvalues.
     """
 
     mu_AX: int
     mu_RX: int
     mu_block: int
     additive: bool
-    eig_count_AX: int
-    eig_count_RX: int
-    eig_count_block: int
-
-
-def _eig_count_near_zero(M: np.ndarray) -> int:
-    if M.shape[0] == 0:
-        return 0
-    w = np.abs(np.linalg.eigvals(M))
-    return int(np.count_nonzero(w <= RANK_REL * (1.0 + float(w.max()))))
 
 
 def mu_bookkeeping(solution: CgdareSolution) -> MuReport:
@@ -165,7 +152,4 @@ def mu_bookkeeping(solution: CgdareSolution) -> MuReport:
         mu_RX=mu_rx,
         mu_block=mu_blk,
         additive=(mu_blk == mu_ax + mu_rx),
-        eig_count_AX=_eig_count_near_zero(solution.A_X),
-        eig_count_RX=_eig_count_near_zero(solution.R_X),
-        eig_count_block=_eig_count_near_zero(block),
     )

@@ -30,6 +30,7 @@ from .linalg import (
     check_symmetric,
     is_nonsingular,
     pinv,
+    svd_cutoff,
     symmetrize,
     within_residual,
 )
@@ -246,12 +247,13 @@ def _tail_bound(rd: ReductionData) -> tuple[float, str]:
     """
     if rd.dim_reduced == 0:
         return np.inf, ""
-    if not is_nonsingular(rd.R_full):
+    s = np.linalg.svd(rd.R_full, compute_uv=False)
+    if not s[-1] > svd_cutoff(s, rd.R_full.shape):  # linalg.is_nonsingular's test
         return -1.0, "full curvature R_full is singular"
     L_norm = _stein_norm(rd.Z)
     if L_norm is None:
         return -1.0, "Stein sum of Z did not converge: rho(Z) is 1 or more, or too close to 1"
-    R_inv_norm = 1.0 / np.linalg.svd(rd.R_full, compute_uv=False)[-1]
+    R_inv_norm = 1.0 / s[-1]
     quad = L_norm * float(np.linalg.norm(rd.B2, 2)) ** 2 * R_inv_norm
     psi_max = _EPS * float(np.linalg.norm(rd.X_circ, 2)) / (2.0 * L_norm)
     return (min(psi_max, 0.5 / quad) if quad > 0.0 else psi_max), ""
@@ -403,51 +405,3 @@ def solve_hybrid(problem: LQProblem, rd: ReductionData) -> HybridSolveResult:
     if result.used_fallback:  # _solve_reduced has validated the problem
         result = replace(result, trajectory=_full_trajectory(problem))
     return result
-
-
-@dataclass(frozen=True)
-class DeltaCheckReport:
-    """Measured backing for the difference recursion and its deadbeat range.
-
-    max_step_residual: worst ||Delta_t - F_{t+1} Delta_{t+1} A_X|| over the
-    horizon, where F_{t+1} = A_X^T (I - Delta_{t+1} B (R + B^T X_{t+1} B)^+ B^T).
-    max_deadbeat_residual: worst ||Delta_{T-tau} U|| over tau in [nu, T],
-    the range where the difference must annihilate the nilpotent eigenspace.
-    """
-
-    max_step_residual: float
-    max_deadbeat_residual: float
-    step_residuals: tuple
-    deadbeat_residuals: tuple
-
-
-def delta_recursion_check(
-    problem: LQProblem,
-    reference: CgdareSolution,
-    traj: GrdeTrajectory,
-) -> DeltaCheckReport:
-    """Measure the one-step difference identity and the deadbeat property."""
-    if traj.horizon != problem.T:
-        raise ValueError("trajectory horizon does not match the problem")
-    A_X = reference.A_X
-    B = problem.triple.B
-    R = problem.triple.R
-    U = reference.U
-    T = problem.T
-
-    deltas = [traj.X[t] - reference.X for t in range(T + 1)]
-    step_residuals = []
-    for t in range(T - 1, -1, -1):
-        R_t = R + B.T @ traj.X[t + 1] @ B
-        F = A_X.T @ (np.eye(problem.n) - deltas[t + 1] @ B @ pinv(R_t) @ B.T)
-        step_residuals.append(float(np.linalg.norm(deltas[t] - F @ deltas[t + 1] @ A_X)))
-    deadbeat = []
-    for tau in range(reference.nu, T + 1):
-        val = float(np.linalg.norm(deltas[T - tau] @ U)) if U.size else 0.0
-        deadbeat.append(val)
-    return DeltaCheckReport(
-        max_step_residual=max(step_residuals) if step_residuals else 0.0,
-        max_deadbeat_residual=max(deadbeat) if deadbeat else 0.0,
-        step_residuals=tuple(reversed(step_residuals)),
-        deadbeat_residuals=tuple(deadbeat),
-    )

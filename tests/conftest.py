@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from griccati.linalg import pinv, svd_cutoff
 from griccati.model import LQProblem, PopovTriple
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
@@ -136,6 +137,65 @@ def grid_minimize(f, dim, radius=2.0, levels=9, pts=11):
         center = best[1]
         radius *= 2.0 / (pts - 1)
     return best
+
+
+def null_space(M):
+    """Orthonormal basis of M's numerical kernel, one column per direction,
+    by the package's rank cutoff."""
+    _, s, Vt = np.linalg.svd(M)
+    rank = int(np.count_nonzero(s > svd_cutoff(s, M.shape)))
+    return Vt[rank:].T
+
+
+def projector_distance(U, V):
+    """Spectral-norm distance between the orthogonal projectors onto span U and span V."""
+    return float(np.linalg.norm(U @ U.T - V @ V.T, 2)) if U.shape[0] else 0.0
+
+
+def _riccati_parts(X, triple):
+    """D(X), the closed loop A_X and (R + B^T X B)^+, written out from the definitions."""
+    A, B, Q, S, R = triple.A, triple.B, triple.Q, triple.S, triple.R
+    S_X = A.T @ X @ B + S
+    R_X_pinv = pinv(R + B.T @ X @ B)
+    D = X - A.T @ X @ A + S_X @ R_X_pinv @ S_X.T - Q
+    return D, A - B @ R_X_pinv @ S_X.T, R_X_pinv
+
+
+def difference_identity_residuals(X, Y, triple):
+    """Residual norms of the two identities, for Delta = X - Y,
+
+        D(X) - D(Y) = Delta - A_Y^T Delta A_X
+        D(X) - D(Y) = Delta - A_Y^T Delta A_Y + A_Y^T Delta B R_X^+ B^T Delta A_Y,
+
+    which hold whenever both kernel constraints do, solutions or not.
+    """
+    D_X, A_X, R_X_pinv = _riccati_parts(X, triple)
+    D_Y, A_Y, _ = _riccati_parts(Y, triple)
+    Delta, B = X - Y, triple.B
+    lhs = D_X - D_Y
+    onestep = lhs - (Delta - A_Y.T @ Delta @ A_X)
+    quadratic = lhs - (Delta - A_Y.T @ Delta @ A_Y + A_Y.T @ Delta @ B @ R_X_pinv @ B.T @ Delta @ A_Y)
+    return float(np.linalg.norm(onestep)), float(np.linalg.norm(quadratic))
+
+
+def delta_recursion_residuals(problem, reference, traj):
+    """Worst residuals of the difference recursion and of its deadbeat range.
+
+    With Delta_t = X_t - X for the reference X and its closed loop A_X:
+    the step residual is the worst ||Delta_t - F_{t+1} Delta_{t+1} A_X||,
+    F_{t+1} = A_X^T (I - Delta_{t+1} B (R + B^T X_{t+1} B)^+ B^T), and the
+    deadbeat residual the worst ||Delta_{T-tau} U|| over tau in [nu, T],
+    where the difference must annihilate the nilpotent eigenspace U.
+    """
+    A_X, U, T = reference.A_X, reference.U, problem.T
+    B, R = problem.triple.B, problem.triple.R
+    deltas = [X - reference.X for X in traj.X]
+    step = []
+    for s in range(T):
+        F = A_X.T @ (np.eye(problem.n) - deltas[s + 1] @ B @ pinv(R + B.T @ traj.X[s + 1] @ B) @ B.T)
+        step.append(np.linalg.norm(deltas[s] - F @ deltas[s + 1] @ A_X))
+    deadbeat = [np.linalg.norm(deltas[T - tau] @ U) for tau in range(reference.nu, T + 1)] if U.size else []
+    return float(max(step, default=0.0)), float(max(deadbeat, default=0.0))
 
 
 def random_psd(rng, n, ridge=0.0):

@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
-from griccati.cgdare import (
-    ReferenceRejectedError,
-    closed_loop,
-    compare_solutions,
-    difference_identity_residuals,
-    find_reference,
-    gdare_residual,
-)
+from griccati.cgdare import ReferenceRejectedError, closed_loop, find_reference, gdare_residual
 from griccati.model import LQProblem, PopovTriple, random_problem
 
-from conftest import PHI, dare_scalar_roots, multi_root_family, random_psd, scalar_two_step
+from conftest import (
+    PHI,
+    dare_scalar_roots,
+    difference_identity_residuals,
+    multi_root_family,
+    projector_distance,
+    random_psd,
+    scalar_two_step,
+)
 
 
 def _scalar_problem():
@@ -165,7 +166,7 @@ def test_identity_reduces_to_zero_for_equal_args():
     assert one <= 1e-12 and quad <= 1e-12
 
 
-def test_compare_solutions_on_constructed_family():
+def test_solutions_coincide_on_constructed_family():
     # One unreachable Jordan block + one controlled scalar: exactly two
     # solutions, agreeing on the nilpotent eigenspace.
     problem, solutions = multi_root_family(j=2, coords=[(0.9, 1.0, 1.0, 1.0)], seed=3)
@@ -176,24 +177,14 @@ def test_compare_solutions_on_constructed_family():
         sol = closed_loop(X, problem.triple)
         assert sol.accepted()
         sols.append(sol)
-    report = compare_solutions(sols[0], sols[1])
-    assert report.nu_x == report.nu_y == 2
-    assert report.dim_u_x == report.dim_u_y == 2
-    assert report.coincidence_residual <= 1e-9
-    assert report.subspace_distance <= 1e-9
-    assert report.inertia_match
-    assert report.identity_onestep_residual <= 1e-9
-    assert report.identity_quadratic_residual <= 1e-9
-
-
-def test_compare_solutions_rejects_mixed_triples():
-    p1 = _scalar_problem()
-    p2 = random_problem(1, 1, 8)
-    s1 = closed_loop([[PHI]], p1.triple)
-    res = find_reference(p2)
-    assert res.found
-    with pytest.raises(ValueError, match="different triples"):
-        compare_solutions(s1, res.solution)
+    x, y = sols
+    assert x.nu == y.nu == 2
+    assert x.dim_u == y.dim_u == 2
+    assert np.linalg.norm((x.X - y.X) @ x.U, 2) <= 1e-9
+    assert projector_distance(x.U, y.U) <= 1e-9
+    assert x.inertia_RX == y.inertia_RX
+    one, quad = difference_identity_residuals(x.X, y.X, problem.triple)
+    assert one <= 1e-9 and quad <= 1e-9
 
 
 def test_reference_search_on_corpus(corpus200_refs):

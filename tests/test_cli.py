@@ -11,7 +11,7 @@ from griccati.cli import main
 from griccati.linalg import InternalInconsistencyError, NumericalRefusal
 from griccati.model import problem_to_json, random_problem, require_valid, save_problem
 
-from conftest import scalar_two_step
+from conftest import PHI, scalar_two_step
 from test_reduction import live_scalar_problem
 
 
@@ -258,6 +258,38 @@ def test_verify_x0_flag(tmp_path, capsys):
     assert abs(report["results"]["cost_grde"] - 1.5) <= 1e-9
     code, report, _ = _run(capsys, ["verify", path, "--x0", "1,2"])
     assert code == 1
+
+
+def test_verify_x0_rejects_non_finite(tmp_path, capsys):
+    path = _write(tmp_path, scalar_two_step())
+    for x0 in ("nan", "inf", "-inf"):
+        code, report, _ = _run(capsys, ["verify", path, f"--x0={x0}"])
+        assert code == 1
+        assert report["status"] == "error"
+        assert "non-finite" in report["reason"]
+
+
+def test_analyze_x_ref_file(tmp_path, capsys):
+    path = _write(tmp_path, scalar_two_step())
+    # The file holds the matrix itself or an object with an X_ref field.
+    for doc in ([[PHI]], {"X_ref": [[PHI]]}):
+        ref = tmp_path / "ref.json"
+        ref.write_text(json.dumps(doc))
+        code, report, _ = _run(capsys, ["analyze", path, "--x-ref", str(ref)])
+        assert code == 0
+        assert report["results"]["reference_found"]
+        assert report["results"]["analysis_level"] == "full"
+        assert report["residuals"]["reference_residual"] <= 1e-12
+
+
+def test_analyze_x_ref_malformed(tmp_path, capsys):
+    path = _write(tmp_path, scalar_two_step())
+    ref = tmp_path / "ref.json"
+    ref.write_text(json.dumps({"foo": 1}))
+    code, report, _ = _run(capsys, ["analyze", path, "--x-ref", str(ref)])
+    assert code == 1
+    assert report["status"] == "error"
+    assert "X_ref" in report["reason"]
 
 
 def test_json_flag_suppresses_summary(tmp_path, capsys):

@@ -9,12 +9,10 @@ from griccati.linalg import (
     _pinv,
     inertia,
     is_nonsingular,
-    kernel_basis,
     nilpotent_eigenspace,
     numerical_rank,
     pinv,
     spectral_radius,
-    subspace_distance,
     svd_cutoff,
     symmetric_lstsq,
     symmetrize,
@@ -22,6 +20,8 @@ from griccati.linalg import (
 )
 from griccati.model import LQProblem, PopovTriple, random_problem
 from griccati.oracle import batch_matrices
+
+from conftest import null_space, projector_distance
 
 
 def test_tolerance_defaults_frozen():
@@ -119,7 +119,7 @@ def test_symmetric_lstsq_rank_and_min_norm():
         x, rank = symmetric_lstsq(H, b)
         assert rank == numerical_rank(H)
         ranks.append(rank)
-        K = kernel_basis(H)
+        K = null_space(H)
         scale = 1.0 + np.linalg.norm(x)
         assert np.linalg.norm(K.T @ x) <= 1e-10 * scale
         assert np.linalg.norm(x - pinv(H) @ b) <= 1e-8 * scale
@@ -162,26 +162,6 @@ def test_numerical_rank_and_nonsingular():
     assert not is_nonsingular(np.diag([1.0, 0.0]))
     # Empty matrix is nonsingular by convention (no singular value below cutoff).
     assert is_nonsingular(np.eye(0))
-
-
-def test_kernel_basis_simple():
-    K = kernel_basis(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    assert K.shape == (2, 1)
-    assert abs(abs(K[1, 0]) - 1.0) <= 1e-14
-    assert kernel_basis(np.eye(3)).shape == (3, 0)
-    assert kernel_basis(np.zeros((2, 2))).shape == (2, 2)
-
-
-def test_kernel_basis_random_rank():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        n = 2 + int(rng.integers(5))
-        r = int(rng.integers(n + 1))
-        A = rng.normal(size=(n, r)) @ rng.normal(size=(r, n))
-        K = kernel_basis(A)
-        assert K.shape == (n, n - min(r, n))
-        assert np.linalg.norm(A @ K) <= 1e-9 * max(1.0, np.linalg.norm(A))
-        assert np.allclose(K.T @ K, np.eye(K.shape[1]), atol=1e-12)
 
 
 def _check_staircase(A, dim_u, nu):
@@ -232,7 +212,7 @@ def test_nilpotent_eigenspace_recovers_prescribed_span():
         U, U_c = Qm[:, :k], Qm[:, k:]
         A = U @ np.eye(k, k=1) @ U.T + U_c @ np.diag(1.0 + rng.uniform(size=n - k)) @ U_c.T
         Q = _check_staircase(A, k, k)
-        assert subspace_distance(Q[:, :k], U) <= 1e-12
+        assert projector_distance(Q[:, :k], U) <= 1e-12
         assert np.linalg.norm(Q[:, k:].T @ U) <= 1e-12
 
 
@@ -265,7 +245,7 @@ def test_nilpotent_eigenspace_jordan_sizes_in_any_coordinates():
         Q = _check_staircase(A, sum(sizes), max(sizes))
         V, _ = np.linalg.qr(rng.normal(size=A.shape))
         Q_rot = _check_staircase(V.T @ A @ V, sum(sizes), max(sizes))
-        assert subspace_distance(Q_rot[:, : sum(sizes)], V.T @ Q[:, : sum(sizes)]) <= 1e-12
+        assert projector_distance(Q_rot[:, : sum(sizes)], V.T @ Q[:, : sum(sizes)]) <= 1e-12
 
 
 def test_inertia_frozen_and_errors():
@@ -284,18 +264,6 @@ def test_inertia_congruence_invariance():
         X = np.diag(d)
         G = rng.normal(size=(n, n)) + 2.0 * np.eye(n)
         assert inertia(symmetrize(G.T @ X @ G)) == inertia(X)
-
-
-def test_subspace_distance():
-    e1 = np.array([[1.0], [0.0]])
-    e2 = np.array([[0.0], [1.0]])
-    assert subspace_distance(e1, e1) <= 1e-15
-    assert abs(subspace_distance(e1, e2) - 1.0) <= 1e-12
-    # Same span, different basis sign/rotation.
-    rng = np.random.default_rng(2)
-    Qm, _ = np.linalg.qr(rng.normal(size=(4, 2)))
-    Rot, _ = np.linalg.qr(rng.normal(size=(2, 2)))
-    assert subspace_distance(Qm, Qm @ Rot) <= 1e-12
 
 
 def test_spectral_radius():
@@ -336,8 +304,8 @@ def test_pinv_substitution_identity():
         Gp = pinv(G)
         scale = max(1.0, np.linalg.norm(M) * np.linalg.norm(A))
         assert np.linalg.norm(G @ Gp @ (A.T @ M) - A.T @ M) <= 1e-9 * scale
-        KG = kernel_basis(G)
+        KG = null_space(G)
         assert np.linalg.norm(M @ A @ KG) <= 1e-9 * scale
-        KMA = kernel_basis(M @ A)
+        KMA = null_space(M @ A)
         assert np.linalg.norm(G @ KMA) <= 1e-9 * scale
         assert KG.shape[1] == KMA.shape[1]

@@ -1,6 +1,7 @@
 import numpy as np
 
 from griccati.cgdare import closed_loop, find_reference
+from griccati.linalg import RANK_REL
 from griccati.model import LQProblem, PopovTriple, random_problem
 from griccati.pencil import (
     build,
@@ -168,7 +169,8 @@ def test_mu_eig_count_cross_check_non_defective():
     assert res.found
     mu = mu_bookkeeping(res.solution)
     assert mu.mu_AX == 1
-    assert mu.eig_count_AX == 1
+    w = np.abs(np.linalg.eigvals(res.solution.A_X))
+    assert np.count_nonzero(w <= RANK_REL * (1.0 + w.max())) == 1
 
 
 def test_det_identity_empty_samples():

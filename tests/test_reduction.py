@@ -6,17 +6,11 @@ import pytest
 from griccati import grde, reduction
 from griccati.cgdare import closed_loop, find_reference
 from griccati.grde import solve_full
-from griccati.linalg import InternalInconsistencyError, symmetrize
+from griccati.linalg import symmetrize
 from griccati.model import LQProblem, PopovTriple, random_problem, require_valid
-from griccati.reduction import (
-    build_reduction,
-    checkpoint_blocks,
-    delta_recursion_check,
-    reduced_step,
-    solve_hybrid,
-)
+from griccati.reduction import build_reduction, checkpoint_blocks, reduced_step, solve_hybrid
 
-from conftest import PHI, dare_scalar_roots, scalar_j_problem
+from conftest import PHI, dare_scalar_roots, delta_recursion_residuals, scalar_j_problem
 
 
 def _assert_trajectories_match(t_a, t_b, rtol=1e-8):
@@ -435,22 +429,9 @@ def test_checkpoint_blocks_layout():
     assert abs(D22[0, 0] - 7.0) <= 1e-12
 
 
-def test_delta_recursion_check_small():
+def test_delta_recursion_small():
     problem = scalar_j_problem(T=7)
     res = find_reference(problem)
-    traj = solve_full(problem)
-    report = delta_recursion_check(problem, res.solution, traj)
-    assert report.max_step_residual <= 1e-9
-    assert report.max_deadbeat_residual <= 1e-9
-    assert len(report.step_residuals) == problem.T
-    with pytest.raises(ValueError, match="horizon"):
-        delta_recursion_check(scalar_j_problem(T=3), res.solution, traj)
-
-
-def test_delta_deadbeat_on_corpus(nilpotent50):
-    for problem, reference in nilpotent50[:10]:
-        if reference is None:
-            continue
-        report = delta_recursion_check(problem, reference, solve_full(problem))
-        assert report.max_step_residual <= 1e-9
-        assert report.max_deadbeat_residual <= 1e-8
+    step, deadbeat = delta_recursion_residuals(problem, res.solution, solve_full(problem))
+    assert step <= 1e-9
+    assert deadbeat <= 1e-9
