@@ -164,6 +164,26 @@ def test_numerical_rank_and_nonsingular():
     assert is_nonsingular(np.eye(0))
 
 
+def test_null_space_simple():
+    K = null_space(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    assert K.shape == (2, 1)
+    assert abs(abs(K[1, 0]) - 1.0) <= 1e-14
+    assert null_space(np.eye(3)).shape == (3, 0)
+    assert null_space(np.zeros((2, 2))).shape == (2, 2)
+
+
+def test_null_space_random_rank():
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        n = 2 + int(rng.integers(5))
+        r = int(rng.integers(n + 1))
+        A = rng.normal(size=(n, r)) @ rng.normal(size=(r, n))
+        K = null_space(A)
+        assert K.shape == (n, n - min(r, n))
+        assert np.linalg.norm(A @ K) <= 1e-9 * max(1.0, np.linalg.norm(A))
+        assert np.allclose(K.T @ K, np.eye(K.shape[1]), atol=1e-12)
+
+
 def _check_staircase(A, dim_u, nu):
     """nilpotent_eigenspace(A) finds (dim_u, nu) and its Q deflates A as promised."""
     Q, k, got_nu = nilpotent_eigenspace(A)
@@ -264,6 +284,18 @@ def test_inertia_congruence_invariance():
         X = np.diag(d)
         G = rng.normal(size=(n, n)) + 2.0 * np.eye(n)
         assert inertia(symmetrize(G.T @ X @ G)) == inertia(X)
+
+
+def test_projector_distance():
+    e1 = np.array([[1.0], [0.0]])
+    e2 = np.array([[0.0], [1.0]])
+    assert projector_distance(e1, e1) <= 1e-15
+    assert abs(projector_distance(e1, e2) - 1.0) <= 1e-12
+    # Same span, different basis sign/rotation.
+    rng = np.random.default_rng(2)
+    Qm, _ = np.linalg.qr(rng.normal(size=(4, 2)))
+    Rot, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+    assert projector_distance(Qm, Qm @ Rot) <= 1e-12
 
 
 def test_spectral_radius():
