@@ -5,11 +5,10 @@ J(u) = u^T H u + 2 g^T u + c, which gives an independent route to the
 optimal cost for cross-checking the Riccati recursion.  Nothing here shares
 code with the recursion beyond the shared linear algebra helpers.
 
-H is assembled from the block structure of the stacked dynamics (block
-Toeplitz input map, block-diagonal weights), as in condensing methods for
-linear-quadratic control (Frison and Jorgensen, CDC 2013), so memory is
-O(T^2 n m) rather than the O(T^2 n^2) of the dense stacked weights; the
-minimiser comes from one symmetric eigen-solve of H.
+H is assembled by a condensing recursion (Frison and Jorgensen, CDC 2013)
+in O(T n^3 + T^2 n m^2) flops and O(T^2 m^2 + T n^2) memory, without forming
+the stacked state-by-input map; the minimiser comes from one symmetric
+eigen-solve of H.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RESIDUAL_ABS, symmetric_lstsq, symmetrize
+from .linalg import RESIDUAL_ABS, symmetric_lstsq
 from .model import LQProblem, require_valid
 
 
@@ -42,21 +41,26 @@ class BatchQP:
 def batch_matrices(problem: LQProblem, x0=None) -> BatchQP:
     """Assemble H, g, c for the stacked input u = (u_0, ..., u_{T-1}).
 
-    With state stack X = (x_0, ..., x_T) = Phi x0 + Gamma u (Phi stacks
+    By definition, with X = (x_0, ..., x_T) = Phi x0 + Gamma u (Phi stacks
     powers of A, Gamma is block lower triangular with blocks A^{i-1-j} B),
-    block-diagonal weights Qbar = diag(Q, ..., Q, P) and Rbar = diag(R, ..., R),
-    and the cross-weight Sbar placing S on the first T diagonal blocks:
+    Qbar = diag(Q, ..., Q, P), Rbar = diag(R, ..., R) and Sbar placing S on
+    the first T diagonal blocks:
 
         H = Gamma^T Qbar Gamma + Gamma^T Sbar + Sbar^T Gamma + Rbar
         g = (Gamma^T Qbar + Sbar^T) Phi x0
         c = x0^T Phi^T Qbar Phi x0
 
-    Only Gamma^T is stored, never Phi, Qbar or Sbar.  Gamma is block
-    Toeplitz, so its block row j is the impulse response
-    [0, B^T, (AB)^T, ..., (A^{T-1} B)^T] shifted right by j blocks, and the
-    block-diagonal weights act on Gamma^T's n-wide column blocks as one 2-D
-    product each.  g and c need only the free response x_t = A^t x0.  The
-    largest array is Gamma^T, T m x (T+1) n.
+    None of these is formed.  With the Lyapunov sums M_T = P,
+    M_s = Q + A^T M_{s+1} A and F_j = B^T M_{j+1} A + S^T,
+
+        H_jj = B^T M_{j+1} B + R,  H_jk = F_j A^{j-k-1} B (j > k),  g_j = F_j A^j x0,
+
+    and c is summed along the free response A^t x0.  The responses and the
+    M_s come from one doubling loop of log2(T) stacked products, and every
+    H_jk below the diagonal is a block of one (T m x n)(n x T m) product of
+    the stacked F_j with [A^{T-1} B, ..., B]: O(T n^3 + T^2 n m^2) flops
+    against the O(T^3 n m^2) of Gamma^T Qbar Gamma, and O(T^2 m^2 + T n^2)
+    memory.
     """
     require_valid(problem)
     if x0 is None:
@@ -70,31 +74,36 @@ def batch_matrices(problem: LQProblem, x0=None) -> BatchQP:
     t3 = problem.triple
     A, B, Q, S, R, P = t3.A, t3.B, t3.Q, t3.S, t3.R, problem.P
 
-    # Free response x_t = A^t x0 for t = 0..T, and the transposed impulse
-    # response (A^{k-1} B)^T for k = 1..T after a zero block at k = 0.
-    free = np.empty((T + 1, n))
-    impulse = np.zeros((T + 1, m, n))
-    free[0] = x0
-    for t in range(T):
-        free[t + 1] = A @ free[t]
-        impulse[t + 1] = B.T if t == 0 else impulse[t] @ A.T
-    impulse = impulse.transpose(1, 0, 2).reshape(m, (T + 1) * n)
-
-    GammaT = np.zeros((T * m, (T + 1) * n))
-    for j in range(T):
-        GammaT[j * m : (j + 1) * m, j * n :] = impulse[:, : (T + 1 - j) * n]
-
-    # Gamma^T Qbar and Gamma^T Sbar, one n-wide column block at a time as a
-    # single product; the last block takes P in place of Q and no S.
-    GQ = (GammaT.reshape(-1, n) @ Q).reshape(T * m, (T + 1) * n)
-    GQ[:, T * n :] = GammaT[:, T * n :] @ P
-    GS = (GammaT.reshape(-1, n) @ S).reshape(T * m, (T + 1) * m)[:, : T * m]
-
-    H = GQ @ GammaT.T + GS + GS.T
-    # Rbar: R on the T diagonal blocks of the (T, m, T, m) view.
-    H.reshape(T, m, T, m)[np.arange(T), :, np.arange(T), :] += R
-    H = symmetrize(H)
-    g = GQ @ free.reshape(-1) + (free[:T] @ S).reshape(-1)
+    # Free and impulse responses A^t [x0 B] (t = 0..T) and Lyapunov sums
+    # M_T = P, M_s = Q + A^T M_{s+1} A, by doubling: with the first k of each
+    # known, A^k gives responses k..2k-1, and M_{s-k} = L_k + (A^k)^T M_s A^k
+    # with L_k = sum_{i<k} (A^i)^T Q A^i gives M_{T-k}..M_{T-2k+1}.
+    resp = np.empty((T + 1, n, 1 + m))
+    resp[0, :, 0], resp[0, :, 1:] = x0, B
+    M = np.empty((T + 1, n, n))
+    M[T] = P
+    Ak, Lk, k = A, Q, 1
+    while k <= T:
+        h = min(k, T + 1 - k)  # entries still missing, at most k
+        resp[k : k + h] = Ak @ resp[:h]
+        M[T + 1 - k - h : T + 1 - k] = Lk + Ak.T @ (M[T + 1 - h :] @ Ak)
+        k += h
+        if k <= T:
+            Lk, Ak = Lk + Ak.T @ (Lk @ Ak), Ak @ Ak
+    free, impulse = resp[:, :, 0], resp[:T, :, 1:]
+    # F_j = B^T M_{j+1} A + S^T couples u_j with x_j over stages j..T, so
+    # H_jk = F_j A^{j-k-1} B below the diagonal.
+    BM = B.T @ M[1:]
+    F = BM @ A + S.T
+    # Block (j, i) of W is F_j A^{T-1-i} B, so H_jk sits at i = T - j + k.
+    W = F.reshape(T * m, n) @ impulse[::-1].transpose(1, 0, 2).reshape(n, T * m)
+    H = np.zeros((T * m, T * m))
+    for j in range(1, T):
+        H[j * m : (j + 1) * m, : j * m] = W[j * m : (j + 1) * m, (T - j) * m :]
+    # Half of H_jj on the diagonal blocks, so that H + H^T also symmetrises them.
+    H.reshape(T, m, T, m)[np.arange(T), :, np.arange(T), :] = 0.5 * (BM @ B + R)
+    H += H.T
+    g = (F @ free[:T, :, None]).reshape(-1)
     c = float(np.sum((free[:T] @ Q) * free[:T]) + free[T] @ P @ free[T])
     return BatchQP(H, g, c)
 

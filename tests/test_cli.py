@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from griccati import cli, grde, reduction
+from griccati import cli, grde, oracle, reduction
 from griccati.cli import main
 from griccati.linalg import InternalInconsistencyError, NumericalRefusal
 from griccati.model import problem_to_json, random_problem, require_valid, save_problem
@@ -258,6 +258,38 @@ def test_verify_x0_flag(tmp_path, capsys):
     assert abs(report["results"]["cost_grde"] - 1.5) <= 1e-9
     code, report, _ = _run(capsys, ["verify", path, "--x0", "1,2"])
     assert code == 1
+    # argparse reads "-1,0.5" after a space as an option, so a vector with
+    # a negative first entry needs the "=" form.
+    problem = random_problem(2, 1, 2201, "generic", horizon=3)
+    path = _write(tmp_path, problem, name="two.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", path, "--x0", "-1,0.5"])
+    assert exc.value.code == 1
+    assert "usage" in capsys.readouterr().err
+    code, report, _ = _run(capsys, ["verify", path, "--x0=-1,0.5"])
+    assert code == 0
+    assert report["inputs"]["x0"] == [-1.0, 0.5]
+    x0 = np.array([-1.0, 0.5])
+    assert report["results"]["cost_grde"] == x0 @ grde.solve_full(problem).X[0] @ x0
+
+
+def test_verify_validates_once(tmp_path, capsys, monkeypatch):
+    # The batch QP validates the problem; the recursion checked against it
+    # must not validate again.
+    problem = random_problem(4, 2, 2200, "nilpotent_block", horizon=12)
+    path = _write(tmp_path, problem)
+    calls = []
+
+    def counting_require_valid(p):
+        calls.append(p)
+        return require_valid(p)
+
+    for module in (grde, oracle):
+        monkeypatch.setattr(module, "require_valid", counting_require_valid)
+    code, report, _ = _run(capsys, ["verify", path])
+    assert code == 0 and report["status"] == "ok"
+    assert len(calls) == 1
+    assert report["results"]["cost_grde"] == grde.optimal_cost(grde.solve_full(problem), problem.x0)
 
 
 def test_verify_x0_rejects_non_finite(tmp_path, capsys):

@@ -162,28 +162,43 @@ def test_x0_required():
     assert abs(qp.c - 8.0) <= 1e-12  # scales quadratically
 
 
-def test_assembly_matches_dense_definition():
-    # The block assembly against the dense formula it replaces: three kinds,
-    # horizons including the empty one, m > n, nonzero S (generic and
-    # singular_R draw one) and an explicit x0 overriding the problem's.
-    rng = np.random.default_rng(15)
+def _growing(problem, rho=1.1):
+    """The problem with A rescaled to spectral radius rho."""
+    A = problem.triple.A
+    A = A * (rho / max(abs(np.linalg.eigvals(A))))
+    return replace(problem, triple=replace(problem.triple, A=A))
+
+
+def _assembly_cases():
+    # Three kinds, horizons including the empty one, m > n, nonzero S
+    # (generic and singular_R draw one), and T = 60 with rho(A) = 1.1, where
+    # the backward Lyapunov sums grow with A.
     for kind in ("generic", "singular_R", "nilpotent_block"):
         for n, m in ((4, 2), (2, 4)):
             for T in (0, 1, 2, 7, 20):
-                problem = random_problem(n, m, 1500 + T, kind, horizon=T)
-                if kind == "generic":
-                    assert np.linalg.norm(problem.triple.S) > 1e-3
-                for x0 in (None, rng.normal(size=n)):
-                    qp = batch_matrices(problem, x0=x0)
-                    ref = dense_batch_matrices(problem, x0=x0)
-                    assert qp.H.shape == ref.H.shape == (T * m, T * m)
-                    assert qp.g.shape == ref.g.shape == (T * m,)
-                    assert _rel(qp.H, ref.H) <= 1e-13, (kind, n, m, T)
-                    assert _rel(qp.g, ref.g) <= 1e-13, (kind, n, m, T)
-                    assert abs(qp.c - ref.c) <= 1e-13 * abs(ref.c), (kind, n, m, T)
-                    if T == 0:
-                        x = problem.x0 if x0 is None else x0
-                        assert abs(qp.c - x @ problem.P @ x) <= 1e-14 * abs(qp.c)
+                yield kind, random_problem(n, m, 1500 + T, kind, horizon=T)
+        yield kind, _growing(random_problem(4, 2, 1560, kind, horizon=60))
+
+
+def test_assembly_matches_dense_definition():
+    # The condensing recursion against the dense formula it replaces, with
+    # the problem's x0 and an explicit x0 overriding it.
+    rng = np.random.default_rng(15)
+    for kind, problem in _assembly_cases():
+        n, m, T = problem.n, problem.m, problem.T
+        if kind == "generic":
+            assert np.linalg.norm(problem.triple.S) > 1e-3
+        for x0 in (None, rng.normal(size=n)):
+            qp = batch_matrices(problem, x0=x0)
+            ref = dense_batch_matrices(problem, x0=x0)
+            assert qp.H.shape == ref.H.shape == (T * m, T * m)
+            assert qp.g.shape == ref.g.shape == (T * m,)
+            assert _rel(qp.H, ref.H) <= 1e-13, (kind, n, m, T)
+            assert _rel(qp.g, ref.g) <= 1e-13, (kind, n, m, T)
+            assert abs(qp.c - ref.c) <= 1e-13 * abs(ref.c), (kind, n, m, T)
+            if T == 0:
+                x = problem.x0 if x0 is None else x0
+                assert abs(qp.c - x @ problem.P @ x) <= 1e-14 * abs(qp.c)
 
 
 def test_long_horizon_cost_pinned():
@@ -191,7 +206,10 @@ def test_long_horizon_cost_pinned():
     # cond(H) ~ 2e7.  The dense assembly with an SVD pseudo-inverse missed
     # the recursion's cost by 7.1e-7; an SVD pseudo-inverse of this H, whose
     # U and V part ways in the small singular directions, misses by 8e-4
-    # (one BLAS thread).  The symmetric eigen-solve gives ~5e-11.
+    # (one BLAS thread).  The symmetric eigen-solve gives 5.1e-11 on the
+    # dense assembly and 8.9e-10 on the condensing recursion: J* = c + g^T u*
+    # cancels c ~ 4.2e6 down to 4.44, so 1e-15 relative changes in H move
+    # the miss between 5e-11 and 1.1e-9.
     problem = replace(random_problem(12, 2, 100035, "nilpotent_block", horizon=500, nilpotent_dim=2), T=84)
     qp = batch_matrices(problem)
     assert qp.size == 168
@@ -200,15 +218,17 @@ def test_long_horizon_cost_pinned():
     assert abs(J - J_ref) <= 1e-9 * abs(J_ref)
 
 
-def test_assembly_memory_is_not_dense():
-    # Gamma^T (T m x (T+1) n) is the largest array; the dense Qbar alone
-    # would be ((T+1) n)^2 doubles, 73 MB here.
+def test_assembly_memory_is_hessian_plus_lyapunov_sums():
+    # The recursion holds H and one product of the same size, (T m)^2 each,
+    # and the T + 1 Lyapunov sums, (T + 1) n^2; no (T m) x ((T+1) n) stacked
+    # input map.  The bound allows four of each: 2.65 MB here, where the
+    # dense stacked-input assembly peaked at 8.0 MB.
     problem = random_problem(20, 1, 1600, "generic", horizon=150)
-    n, T = problem.n, problem.T
+    n, m, T = problem.n, problem.m, problem.T
     tracemalloc.start()
     try:
         batch_matrices(problem)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 0.2 * ((T + 1) * n) ** 2 * 8
+    assert peak <= 4 * ((T * m) ** 2 + (T + 1) * n**2) * 8
