@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -63,7 +64,6 @@ class CgdareSolution:
     S_X: np.ndarray
     K_X: np.ndarray
     A_X: np.ndarray
-    inertia_RX: tuple
     T_orth: np.ndarray
     dim_u: int
     nu: int
@@ -71,6 +71,11 @@ class CgdareSolution:
     @property
     def U(self) -> np.ndarray:
         return self.T_orth[:, : self.dim_u]
+
+    @cached_property
+    def inertia_RX(self) -> tuple:
+        """Inertia (n_plus, n_minus, n_zero) of R_X, computed when first read."""
+        return inertia(self.R_X)
 
     def accepted(self) -> bool:
         return self.kernel_condition_ok and self.residual_norm <= _residual_band(self.triple)
@@ -106,7 +111,6 @@ def closed_loop(X, triple: PopovTriple) -> CgdareSolution:
         S_X=S_X,
         K_X=K_X,
         A_X=A_X,
-        inertia_RX=inertia(R_X),
         T_orth=T_orth,
         dim_u=dim_u,
         nu=nu,

@@ -26,7 +26,7 @@ from .model import (
     save_problem,
     validate,
 )
-from .grde import _full_trajectory, optimal_cost, save_trajectory, simulate, solve_full
+from .grde import optimal_cost, save_trajectory, simulate, solve_full
 from .oracle import batch_matrices, batch_optimal
 from .cgdare import ReferenceRejectedError, find_reference
 from .pencil import (
@@ -106,70 +106,44 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.passed else EXIT_INPUT
 
 
-def _report_tail(run: RunReport, result) -> None:
-    """Steps filled from the reduced recursion's fixed point, and why none were, if refused."""
-    run.results["tail_steps"] = result.tail_steps
-    if result.tail_reason:
-        run.results["tail_reason"] = result.tail_reason
-
-
 def cmd_solve(args) -> int:
     problem, X_ref = load_problem(args.problem)
     run = RunReport(
         command="solve",
-        inputs={
-            "problem": args.problem,
-            "method": args.method,
-            "n": problem.n,
-            "m": problem.m,
-            "T": problem.T,
-        },
+        inputs={"problem": args.problem, "method": args.method, "n": problem.n, "m": problem.m, "T": problem.T},
     )
     t0 = time.perf_counter()
-    traj = None
-    if args.method == "full":
-        traj = solve_full(problem)
-        run.results["method_used"] = "full"
-    else:
+    traj, fallback = None, ""
+    if args.method != "full":
         ref = find_reference(problem, X_ref=X_ref)
         run.results["reference_found"] = ref.found
         run.results["reference_iterations"] = ref.iterations
         if not ref.found:
-            traj = solve_full(problem)
-            run.status = "fallback"
-            run.reason = f"no reference solution: {ref.message}"
-            run.results["method_used"] = "full"
+            fallback = f"no reference solution: {ref.message}"
         else:
             run.residuals["reference_residual"] = ref.solution.residual_norm
             rd = build_reduction(problem, ref.solution)
             run.results["nu"] = rd.nu
             run.results["dim_u"] = rd.dim_u
             run.results["dim_reduced"] = rd.dim_reduced
-            if args.method == "reduced":
-                hres = solve_hybrid(problem, rd)
-                traj = hres.trajectory
-                run.residuals["checkpoint_off_norm"] = hres.checkpoint_off_norm
-                if hres.used_fallback:
-                    run.status = "fallback"
-                    run.reason = hres.fallback_reason
-                    run.results["method_used"] = "full"
-                else:
-                    run.results["method_used"] = "reduced"
-                    run.results["reduced_steps"] = hres.reduced_steps
-                    _report_tail(run, hres)
-            else:  # closed-form
-                try:
-                    cres = solve_closed_form(problem, rd)
-                    traj = cres.trajectory
-                    run.results["method_used"] = "closed-form"
-                    run.results["horizon_prime"] = cres.reduced_steps
-                    run.residuals["checkpoint_off_norm"] = cres.checkpoint_off_norm
-                    _report_tail(run, cres)
-                except NumericalRefusal as exc:  # raised after _solve_reduced validated
-                    traj = _full_trajectory(problem)
-                    run.status = "fallback"
-                    run.reason = str(exc)
-                    run.results["method_used"] = "full"
+            try:
+                res = (solve_hybrid if args.method == "reduced" else solve_closed_form)(problem, rd)
+            except NumericalRefusal as exc:  # where the hybrid solver falls back, the closed form refuses
+                fallback = str(exc)
+            else:
+                # A hybrid fallback's trajectory is the full recursion's.
+                traj, fallback = res.trajectory, res.fallback_reason
+                run.residuals["checkpoint_off_norm"] = res.checkpoint_off_norm
+                if not fallback:
+                    run.results["reduced_steps" if args.method == "reduced" else "horizon_prime"] = res.reduced_steps
+                    run.results["tail_steps"] = res.tail_steps
+                    if res.tail_reason:
+                        run.results["tail_reason"] = res.tail_reason
+    if traj is None:
+        traj = solve_full(problem)
+    if fallback:
+        run.status, run.reason = "fallback", fallback
+    run.results["method_used"] = "full" if fallback else args.method
     run.timings["solve_ms"] = (time.perf_counter() - t0) * 1e3
 
     if problem.x0 is not None:
@@ -293,16 +267,14 @@ def cmd_verify(args) -> int:
         command="verify",
         inputs={"problem": args.problem, "n": problem.n, "m": problem.m, "T": problem.T, "x0": list(map(float, x0))},
     )
-    # The batch QP validates the problem, so the recursion that follows
-    # does not validate it again.
+    t0 = time.perf_counter()
+    traj = solve_full(problem)
+    run.timings["solve_ms"] = (time.perf_counter() - t0) * 1e3
+    j_grde = float(x0 @ traj.X[0] @ x0)
     t0 = time.perf_counter()
     qp = batch_matrices(problem, x0)
     _, j_oracle = batch_optimal(qp)
     run.timings["oracle_ms"] = (time.perf_counter() - t0) * 1e3
-    t0 = time.perf_counter()
-    traj = _full_trajectory(problem)
-    run.timings["solve_ms"] = (time.perf_counter() - t0) * 1e3
-    j_grde = float(x0 @ traj.X[0] @ x0)
     _, _, j_sim = simulate(problem, traj, x0)
 
     diffs = {

@@ -100,11 +100,6 @@ def riccati_map(X, triple: PopovTriple) -> np.ndarray:
 def solve_full(problem: LQProblem) -> GrdeTrajectory:
     """Full backward recursion from the terminal weight down to time 0."""
     require_valid(problem)
-    return _full_trajectory(problem)
-
-
-def _full_trajectory(problem: LQProblem) -> GrdeTrajectory:
-    """solve_full without the validation, for callers that have validated."""
     triple = problem.triple
     X, K, R_X, R_X_pinv = _sweep(symmetrize(problem.P), triple.AB, triple.Pi, problem.T)
     return GrdeTrajectory(tuple(X[::-1]), tuple(K[::-1]), _projectors(R_X, R_X_pinv)[::-1])

@@ -30,6 +30,12 @@ def _check_dims(name, M, rows, cols):
         raise ValueError(f"field {name} has shape {M.shape}, expected ({rows}, {cols})")
 
 
+def _read_only(M: np.ndarray) -> np.ndarray:
+    """M itself, with writing switched off."""
+    M.setflags(write=False)
+    return M
+
+
 @dataclass(frozen=True)
 class PopovTriple:
     """System and cost data (A, B) with weights (Q, S, R).
@@ -38,6 +44,7 @@ class PopovTriple:
     shape and finiteness errors are raised at construction; the semantic
     invariants (symmetry, positive semidefiniteness of the stacked weight
     matrix, kernel inclusion between R and S) live in :func:`validate`.
+    Every array is a private, read-only copy of the input.
     """
 
     A: np.ndarray
@@ -47,22 +54,22 @@ class PopovTriple:
     R: np.ndarray
 
     def __post_init__(self):
-        A = as_matrix(self.A, "A")
+        A = as_matrix(self.A, "A").copy()
         if A.shape[0] != A.shape[1]:
             raise ValueError(f"field A must be square, got shape {A.shape}")
         n = A.shape[0]
-        B = as_matrix(self.B, "B")
+        B = as_matrix(self.B, "B").copy()
         if B.shape[0] != n:
             raise ValueError(f"field B has {B.shape[0]} rows, expected {n}")
         m = B.shape[1]
-        Q = as_matrix(self.Q, "Q")
-        S = as_matrix(self.S, "S")
-        R = as_matrix(self.R, "R")
+        Q = as_matrix(self.Q, "Q").copy()
+        S = as_matrix(self.S, "S").copy()
+        R = as_matrix(self.R, "R").copy()
         _check_dims("Q", Q, n, n)
         _check_dims("S", S, n, m)
         _check_dims("R", R, m, m)
         for name, val in (("A", A), ("B", B), ("Q", Q), ("S", S), ("R", R)):
-            object.__setattr__(self, name, val)
+            object.__setattr__(self, name, _read_only(val))
 
     @property
     def n(self) -> int:
@@ -77,16 +84,19 @@ class PopovTriple:
     @cached_property
     def Pi(self) -> np.ndarray:
         """The stacked weight (Popov) matrix [[Q, S], [S^T, R]]."""
-        return np.block([[self.Q, self.S], [self.S.T, self.R]])
+        return _read_only(np.block([[self.Q, self.S], [self.S.T, self.R]]))
 
     @cached_property
     def AB(self) -> np.ndarray:
-        return np.hstack([self.A, self.B])
+        return _read_only(np.hstack([self.A, self.B]))
 
 
 @dataclass(frozen=True)
 class LQProblem:
-    """Finite-horizon LQ problem: a Popov triple, terminal weight, horizon."""
+    """Finite-horizon LQ problem: a Popov triple, terminal weight, horizon.
+
+    P and x0 are private, read-only copies of the input, as in PopovTriple:
+    the problem cannot change, so it keeps its validation report."""
 
     triple: PopovTriple
     P: np.ndarray
@@ -94,21 +104,21 @@ class LQProblem:
     x0: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        P = as_matrix(self.P, "P")
+        P = as_matrix(self.P, "P").copy()
         _check_dims("P", P, self.triple.n, self.triple.n)
-        object.__setattr__(self, "P", P)
+        object.__setattr__(self, "P", _read_only(P))
         if not isinstance(self.T, (int, np.integer)) or isinstance(self.T, bool):
             raise ValueError(f"field T must be an integer, got {self.T!r}")
         if self.T < 0:
             raise ValueError(f"field T must be non-negative, got {self.T}")
         object.__setattr__(self, "T", int(self.T))
         if self.x0 is not None:
-            x0 = np.asarray(self.x0, dtype=float).reshape(-1)
+            x0 = np.array(self.x0, dtype=float).reshape(-1)
             if x0.shape[0] != self.triple.n:
                 raise ValueError(f"field x0 has length {x0.shape[0]}, expected {self.triple.n}")
             if not np.all(np.isfinite(x0)):
                 raise ValueError("field x0 contains non-finite entries")
-            object.__setattr__(self, "x0", x0)
+            object.__setattr__(self, "x0", _read_only(x0))
 
     @property
     def n(self) -> int:
@@ -117,6 +127,11 @@ class LQProblem:
     @property
     def m(self) -> int:
         return self.triple.m
+
+    @cached_property
+    def validation(self) -> "ValidationReport":
+        """The report of validate, built on first use."""
+        return _validation_report(self.triple, self.P)
 
 
 @dataclass(frozen=True)
@@ -174,17 +189,18 @@ def validate(problem) -> ValidationReport:
     Checks: symmetry of the stacked weight matrix, its positive
     semidefiniteness, the kernel inclusion ker R <= ker S (via the
     projector residual ||S (I - R^+ R)||), and for full problems symmetry
-    and positive semidefiniteness of the terminal weight.
+    and positive semidefiniteness of the terminal weight.  An LQProblem
+    keeps its report, so every later call returns the same one.
     """
     if isinstance(problem, LQProblem):
-        triple = problem.triple
-        terminal = problem.P
-    elif isinstance(problem, PopovTriple):
-        triple = problem
-        terminal = None
-    else:
-        raise TypeError(f"validate expects PopovTriple or LQProblem, got {type(problem).__name__}")
+        return problem.validation
+    if isinstance(problem, PopovTriple):
+        return _validation_report(problem, None)
+    raise TypeError(f"validate expects PopovTriple or LQProblem, got {type(problem).__name__}")
 
+
+def _validation_report(triple: PopovTriple, terminal) -> ValidationReport:
+    """The checks of validate; terminal is the weight P, or None for a triple alone."""
     Pi = triple.Pi
     checks = [
         _residual_check("popov_symmetric", float(np.linalg.norm(Pi - Pi.T)), float(np.linalg.norm(Pi))),

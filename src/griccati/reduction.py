@@ -27,16 +27,16 @@ from .linalg import (
     RESIDUAL_REL,
     InternalInconsistencyError,
     _pinv,
+    _pinv_and_singular_values,
     check_symmetric,
     is_nonsingular,
-    pinv,
     svd_cutoff,
     symmetrize,
     within_residual,
 )
 from .model import LQProblem, require_valid
 from .cgdare import CgdareSolution
-from .grde import GrdeTrajectory, _full_trajectory, _projectors, _schur_step, _sweep
+from .grde import GrdeTrajectory, _projectors, _schur_step, _sweep, solve_full
 
 _EPS = float(np.finfo(float).eps)
 
@@ -79,6 +79,13 @@ class ReductionData:
         Pi = np.zeros((d + m, d + m))
         Pi[d:, d:] = self.R_full
         return Pi
+
+    @cached_property
+    def R_full_inverse(self) -> tuple[np.ndarray, float]:
+        """R_full^+ and ||R_full^{-1}||_2, inf where linalg's cutoff calls R_full
+        singular: every test, bound and pinv of R_full reads this one SVD."""
+        R_pinv, s = _pinv_and_singular_values(self.R_full)
+        return R_pinv, (1.0 / s[-1] if s[-1] > svd_cutoff(s, self.R_full.shape) else np.inf)
 
     @property
     def dim_u(self) -> int:
@@ -247,13 +254,12 @@ def _tail_bound(rd: ReductionData) -> tuple[float, str]:
     """
     if rd.dim_reduced == 0:
         return np.inf, ""
-    s = np.linalg.svd(rd.R_full, compute_uv=False)
-    if not s[-1] > svd_cutoff(s, rd.R_full.shape):  # linalg.is_nonsingular's test
+    R_inv_norm = rd.R_full_inverse[1]
+    if R_inv_norm == np.inf:
         return -1.0, "full curvature R_full is singular"
     L_norm = _stein_norm(rd.Z)
     if L_norm is None:
         return -1.0, "Stein sum of Z did not converge: rho(Z) is 1 or more, or too close to 1"
-    R_inv_norm = 1.0 / s[-1]
     quad = L_norm * float(np.linalg.norm(rd.B2, 2)) ** 2 * R_inv_norm
     psi_max = _EPS * float(np.linalg.norm(rd.X_circ, 2)) / (2.0 * L_norm)
     return (min(psi_max, 0.5 / quad) if quad > 0.0 else psi_max), ""
@@ -262,7 +268,7 @@ def _tail_bound(rd: ReductionData) -> tuple[float, str]:
 def _fixed_point_outputs(rd: ReductionData):
     """X_t, K_t and G_t at Psi = 0: X_circ, R_full^+ S_full^T and
     I - R_full^+ R_full, read-only, as every tail step shares them."""
-    R_pinv = pinv(rd.R_full)
+    R_pinv = rd.R_full_inverse[0]
     out = (symmetrize(rd.X_circ), R_pinv @ rd.S_full.T, np.eye(rd.R_full.shape[0]) - R_pinv @ rd.R_full)
     for M in out:
         M.setflags(write=False)
@@ -402,6 +408,6 @@ def solve_hybrid(problem: LQProblem, rd: ReductionData) -> HybridSolveResult:
     stops at a certified stationary tail like any other.
     """
     result = _solve_reduced(problem, rd, _iterate_reduced)
-    if result.used_fallback:  # _solve_reduced has validated the problem
-        result = replace(result, trajectory=_full_trajectory(problem))
+    if result.used_fallback:
+        result = replace(result, trajectory=solve_full(problem))
     return result

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from griccati import model
 from griccati.linalg import pinv, svd_cutoff
 from griccati.model import LQProblem, PopovTriple
 
@@ -201,6 +202,24 @@ def delta_recursion_residuals(problem, reference, traj):
 def random_psd(rng, n, ridge=0.0):
     L = rng.normal(size=(n, n))
     return L @ L.T / n + ridge * np.eye(n)
+
+
+@pytest.fixture
+def report_builds(monkeypatch):
+    """The terminal weight of every validation report built during the test, in order.
+
+    Counts the work a validation does, not the calls that ask for it: a
+    problem keeps its report, so asking again builds nothing.
+    """
+    built = []
+    build = model._validation_report
+
+    def counting(triple, terminal):
+        built.append(terminal)
+        return build(triple, terminal)
+
+    monkeypatch.setattr(model, "_validation_report", counting)
+    return built
 
 
 @pytest.fixture(scope="session")

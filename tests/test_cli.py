@@ -6,10 +6,10 @@ import sys
 import numpy as np
 import pytest
 
-from griccati import cli, grde, oracle, reduction
+from griccati import cli, grde
 from griccati.cli import main
 from griccati.linalg import InternalInconsistencyError, NumericalRefusal
-from griccati.model import problem_to_json, random_problem, require_valid, save_problem
+from griccati.model import problem_to_json, random_problem, save_problem
 
 from conftest import PHI, scalar_two_step
 from test_reduction import live_scalar_problem
@@ -152,22 +152,14 @@ def test_solve_closed_form_refusal_falls_back(tmp_path, capsys):
     ],
     ids=["short_horizon", "singular_full_curvature"],
 )
-def test_solve_closed_form_refusal_validates_once(tmp_path, capsys, monkeypatch, problem, reason):
-    # The refusal comes after _solve_reduced has validated the problem, so
-    # the full recursion that replaces it must not validate again.
+def test_solve_closed_form_refusal_validates_once(tmp_path, capsys, report_builds, problem, reason):
+    # The refusal comes after the reduced solve has validated the loaded
+    # problem, and the full recursion that replaces it reads the same report.
     path = _write(tmp_path, problem)
-    calls = []
-
-    def counting_require_valid(p):
-        calls.append(p)
-        return require_valid(p)
-
-    for module in (reduction, grde):
-        monkeypatch.setattr(module, "require_valid", counting_require_valid)
     code, report, _ = _run(capsys, ["solve", path, "--method", "closed-form"])
     assert code == 2 and reason in report["reason"]
     assert report["results"]["method_used"] == "full"
-    assert len(calls) == 1
+    assert len(report_builds) == 1
     trace = float(np.trace(grde.solve_full(problem).X[0]))
     assert report["results"]["X0_trace"] == trace
 
@@ -273,22 +265,14 @@ def test_verify_x0_flag(tmp_path, capsys):
     assert report["results"]["cost_grde"] == x0 @ grde.solve_full(problem).X[0] @ x0
 
 
-def test_verify_validates_once(tmp_path, capsys, monkeypatch):
-    # The batch QP validates the problem; the recursion checked against it
-    # must not validate again.
+def test_verify_validates_once(tmp_path, capsys, report_builds):
+    # The recursion and the batch QP both validate the loaded problem; the
+    # report is built once.
     problem = random_problem(4, 2, 2200, "nilpotent_block", horizon=12)
     path = _write(tmp_path, problem)
-    calls = []
-
-    def counting_require_valid(p):
-        calls.append(p)
-        return require_valid(p)
-
-    for module in (grde, oracle):
-        monkeypatch.setattr(module, "require_valid", counting_require_valid)
     code, report, _ = _run(capsys, ["verify", path])
     assert code == 0 and report["status"] == "ok"
-    assert len(calls) == 1
+    assert len(report_builds) == 1
     assert report["results"]["cost_grde"] == grde.optimal_cost(grde.solve_full(problem), problem.x0)
 
 

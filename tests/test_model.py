@@ -1,8 +1,12 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from griccati.cgdare import find_reference
+from griccati.closedform import solve_closed_form
+from griccati.grde import solve_full
 from griccati.linalg import RANK_REL
 from griccati.model import (
     LQProblem,
@@ -18,6 +22,8 @@ from griccati.model import (
     save_problem,
     validate,
 )
+from griccati.oracle import batch_matrices
+from griccati.reduction import build_reduction, solve_hybrid
 
 from conftest import scalar_two_step
 
@@ -80,6 +86,57 @@ def test_require_valid_raises_with_report():
     with pytest.raises(ProblemValidationError) as ei:
         require_valid(bad)
     assert any(not c.passed for c in ei.value.report.checks)
+
+
+def test_caller_arrays_are_copied():
+    # Mutating the arrays a problem was built from changes neither the
+    # problem nor the Pi and AB it builds from them.
+    given = random_problem(3, 2, 5, "generic")
+    t = given.triple
+    arrays = [np.array(M) for M in (t.A, t.B, t.Q, t.S, t.R, given.P, given.x0)]
+    problem = LQProblem(PopovTriple(*arrays[:5]), arrays[5], given.T, arrays[6])
+    for M in arrays:
+        M += 100.0
+    mine = problem.triple
+    for got, want in zip((mine.A, mine.B, mine.Q, mine.S, mine.R, problem.P, problem.x0),
+                         (t.A, t.B, t.Q, t.S, t.R, given.P, given.x0)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(mine.Pi, t.Pi) and np.array_equal(mine.AB, t.AB)
+    assert validate(problem).passed
+
+
+def test_problem_arrays_are_read_only():
+    problem = random_problem(3, 2, 5, "nilpotent_block")
+    t = problem.triple
+    for M in (problem.P, problem.x0, t.A, t.B, t.Q, t.S, t.R, t.Pi, t.AB):
+        with pytest.raises(ValueError, match="read-only"):
+            M[0] = 0.0
+
+
+def test_validation_report_built_once_per_problem(report_builds):
+    # Every route validates; the problem keeps its report.  A problem
+    # rebuilt by dataclasses.replace is a new problem, validated afresh.
+    problem = random_problem(6, 2, 3, "nilpotent_block", horizon=20, nilpotent_dim=3)
+    solve_full(problem)
+    ref = find_reference(problem)
+    solve_hybrid(problem, build_reduction(problem, ref.solution))
+    solve_closed_form(problem, build_reduction(problem, ref.solution))
+    batch_matrices(problem)
+    assert validate(problem) is validate(problem)
+    require_valid(problem)
+    assert len(report_builds) == 1
+    shorter = dataclasses.replace(problem, T=5)
+    solve_full(shorter)
+    assert len(report_builds) == 2 and validate(shorter) is not validate(problem)
+    # A triple on its own is validated on every call.
+    validate(problem.triple)
+    assert report_builds[-1] is None and len(report_builds) == 3
+    # A kept report that failed is raised again on every call.
+    bad = dataclasses.replace(problem, P=-np.eye(problem.n))
+    for _ in range(2):
+        with pytest.raises(ProblemValidationError, match="terminal_psd"):
+            solve_full(bad)
+    assert len(report_builds) == 4
 
 
 def test_json_round_trip_bit_identical(tmp_path):

@@ -3,11 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from griccati import grde, reduction
+from griccati import reduction
 from griccati.cgdare import closed_loop, find_reference
 from griccati.grde import solve_full
 from griccati.linalg import symmetrize
-from griccati.model import LQProblem, PopovTriple, random_problem, require_valid
+from griccati.model import LQProblem, PopovTriple, random_problem
 from griccati.reduction import build_reduction, checkpoint_blocks, reduced_step, solve_hybrid
 
 from conftest import PHI, dare_scalar_roots, delta_recursion_residuals, scalar_j_problem
@@ -296,20 +296,14 @@ def test_hybrid_short_horizon_fallback():
     _assert_trajectories_match(result.trajectory, solve_full(problem))
 
 
-def test_hybrid_fallback_validates_once(monkeypatch):
+def test_hybrid_fallback_validates_once(report_builds):
+    # The fallback runs solve_full on the problem solve_hybrid has
+    # validated, and the problem keeps its report.
     problem = random_problem(4, 1, 1900, "nilpotent_block", horizon=1, nilpotent_dim=3)
     rd = build_reduction(problem, find_reference(problem).solution)
-    calls = []
-
-    def counting_require_valid(p):
-        calls.append(p)
-        return require_valid(p)
-
-    for module in (reduction, grde):
-        monkeypatch.setattr(module, "require_valid", counting_require_valid)
     result = solve_hybrid(problem, rd)
     assert result.used_fallback and "horizon" in result.fallback_reason
-    assert len(calls) == 1
+    assert len(report_builds) == 1
 
 
 def test_hybrid_horizon_equals_index():
