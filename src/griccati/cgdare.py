@@ -174,6 +174,8 @@ def find_reference(problem: LQProblem, X_ref: Optional[np.ndarray] = None) -> Re
     stop_at = None
     plateau = 0
     it = 0
+    # Not grde._sweep: the search keeps only its last iterate, where a sweep
+    # would hold all of up to _MAX_ITER of them.
     for it in range(1, _MAX_ITER + 1):
         X_next = _schur_step(X, M, Pi)[0]
         if not np.linalg.norm(X_next) <= _DIVERGENCE_NORM:  # also catches inf and nan

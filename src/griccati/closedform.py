@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import RANK_REL, NumericalRefusal, is_nonsingular, symmetrize
+from .linalg import RANK_REL, NumericalRefusal, _pinv, is_nonsingular, symmetrize
 from .model import LQProblem
 from .reduction import HybridSolveResult, ReductionData, _solve_reduced
 
@@ -58,14 +58,17 @@ def gramian_sweep(Psi_terminal, steps: int, rd: ReductionData):
         yield symmetrize(P.T @ Psi_terminal @ (M_inv @ P))
 
 
-def _gramian_rule(Psi_terminal, steps: int, rd: ReductionData):
-    """Phase-two rule (see reduction._iterate_reduced): the sweep's Psi,
-    each with the curvature R_full + B2^T Psi B2 of its step.  Their pinvs
-    are left to one stacked call over the steps taken."""
-    Psi = Psi_terminal
-    for Psi_prev in gramian_sweep(Psi_terminal, steps, rd):
-        yield Psi_prev, rd.R_full + rd.B2.T @ Psi @ rd.B2, None
-        Psi = Psi_prev
+def _gramian_rule(Psi_terminal, steps: int, rd: ReductionData, stop):
+    """Phase-two rule (see reduction._hybrid_rule) from the Gramian sweep, the
+    curvature pinvs taken in one stacked call.  stop is asked before each
+    Gramian step is pulled, so a cut raises no later step's refusal."""
+    Psi, R_X = [Psi_terminal], []
+    sweep = gramian_sweep(Psi_terminal, steps, rd)
+    while len(R_X) < steps and not stop(Psi[-1]):
+        R_X.append(rd.R_full + rd.B2.T @ Psi[-1] @ rd.B2)
+        Psi.append(next(sweep))
+    R_X = np.array(R_X)
+    return np.array(Psi), R_X, (_pinv(R_X) if len(R_X) else R_X)
 
 
 def solve_closed_form(problem: LQProblem, rd: ReductionData) -> HybridSolveResult:

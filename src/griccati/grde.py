@@ -51,15 +51,18 @@ def _schur_step(X_next, M, Pi):
     return symmetrize(W[:k, :k] - W[:k, k:] @ L), L, W, R_X_pinv
 
 
-def _sweep(X_end, M, Pi, steps: int):
-    """`steps` Schur-complement steps back from X_end, in backward order.
+def _sweep(X_end, M, Pi, steps: int, stop=None):
+    """`steps` Schur-complement steps back from X_end, in backward order, or
+    fewer: stop(X), if given, is asked before each step and ends the sweep.
 
-    Returns the lists X (X_end first, steps + 1 entries), L, R_X and R_X^+;
-    whatever else a solver reports is formed from them after the loop.
+    Returns the lists X (X_end first), L, R_X and R_X^+; whatever else a
+    solver reports is formed from them after the loop.
     """
     k = M.shape[0]
     X, L, R_X, R_X_pinv = [X_end], [], [], []
     for _ in range(steps):
+        if stop is not None and stop(X[-1]):
+            break
         X_prev, L_t, W, R_pinv_t = _schur_step(X[-1], M, Pi)
         X.append(X_prev)
         L.append(L_t)

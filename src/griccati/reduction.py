@@ -26,7 +26,6 @@ import numpy as np
 from .linalg import (
     RESIDUAL_REL,
     InternalInconsistencyError,
-    _pinv,
     _pinv_and_singular_values,
     check_symmetric,
     is_nonsingular,
@@ -196,17 +195,16 @@ def checkpoint_blocks(Delta, rd: ReductionData):
     return D[:k, :k], D[:k, k:], D[k:, k:]
 
 
-def _iterate_reduced(Psi_terminal, steps: int, rd: ReductionData):
-    """Phase-two rule of the hybrid solver: step the trailing block.
+def _hybrid_rule(Psi_terminal, steps: int, rd: ReductionData, stop):
+    """Phase-two rule of the hybrid solver: grde's sweep on [Z B2].
 
-    A phase-two rule yields, for each step s < steps, Psi_{T'-s-1} with the
-    curvature R_full + B2^T Psi_{T'-s} B2 of that step and its pinv, or
-    None for the pinv when the rule has not formed it.
+    A phase-two rule takes at most steps steps back from Psi_{T'} =
+    Psi_terminal, asking stop(Psi) before each, and returns the stacks of
+    Psi (Psi_terminal first), of each step's curvature R_full + B2^T Psi B2
+    and of its pinv.
     """
-    Psi, d = Psi_terminal, rd.dim_reduced
-    for _ in range(steps):
-        Psi, _, W, R_X_pinv = _schur_step(Psi, rd.ZB2, rd.Pi)
-        yield Psi, W[d:, d:], R_X_pinv
+    Psi, _, R_X, R_X_pinv = _sweep(Psi_terminal, rd.ZB2, rd.Pi, steps, stop)
+    return np.array(Psi), np.array(R_X), np.array(R_X_pinv)
 
 
 def _stein_norm(Z) -> float | None:
@@ -275,34 +273,25 @@ def _fixed_point_outputs(rd: ReductionData):
     return out
 
 
-def _phase_two(Psi_terminal, steps: int, rd: ReductionData, rule):
-    """Take steps from rule until the stationary tail is certified.
+class _TailCut:
+    """Stop rule of phase two: true once the stationary tail is certified.
 
-    Before each step the current ||Psi_s||_F is tested: ||L|| >= 1 makes
-    ||Psi_s||_F <= eps ||X_circ||_F necessary for a cut, and only then is
-    the certificate computed, once.  Returns the Psi, R_X and R_X^+ stacks
-    of the steps taken, the pinvs a rule left out taken in one stacked
-    call, and the certificate's refusal, if any.
+    ||L|| >= 1 makes ||Psi_s||_F <= eps ||X_circ||_F necessary for a cut,
+    and only then is _tail_bound computed, once; reason keeps its refusal.
     """
-    Psi, R_X, R_X_pinv = [Psi_terminal], [], []
-    psi_max, reason = None, ""
-    necessary = _EPS * float(np.linalg.norm(rd.X_circ))
-    sweep = rule(Psi_terminal, steps, rd)
-    while len(R_X) < steps:
-        psi = float(np.linalg.norm(Psi[-1]))
-        if psi <= necessary:
-            if psi_max is None:
-                psi_max, reason = _tail_bound(rd)
-            if psi <= psi_max:
-                break
-        Psi_prev, R, R_pinv = next(sweep)
-        Psi.append(Psi_prev)
-        R_X.append(R)
-        R_X_pinv.append(R_pinv)
-    R_X = np.array(R_X)
-    if R_X_pinv and R_X_pinv[0] is None:
-        R_X_pinv = _pinv(R_X)
-    return np.array(Psi), R_X, np.asarray(R_X_pinv), reason
+
+    def __init__(self, rd: ReductionData):
+        self.rd = rd
+        self.necessary = _EPS * float(np.linalg.norm(rd.X_circ))
+        self.psi_max, self.reason = None, ""
+
+    def __call__(self, Psi) -> bool:
+        psi = float(np.linalg.norm(Psi))
+        if psi > self.necessary:
+            return False
+        if self.psi_max is None:
+            self.psi_max, self.reason = _tail_bound(self.rd)
+        return psi <= self.psi_max
 
 
 def _phase_two_outputs(Psi, R_X, R_X_pinv, rd: ReductionData):
@@ -360,10 +349,10 @@ def _solve_reduced(problem: LQProblem, rd: ReductionData, phase_two) -> HybridSo
     Validates the problem as solve_full does, runs the nu full steps,
     keeping their gains, checks that the difference to the reference is
     confined to the trailing block, and takes the rest from the rule
-    phase_two(Psi_{T'}, T', rd) (see _iterate_reduced) until _phase_two
-    certifies a stationary tail.  X_t, K_t and G_t of the steps taken
-    follow in stacked products after the loop; every tail step shares the
-    fixed point's.  When the horizon is shorter than nu or the checkpoint fails,
+    phase_two(Psi_{T'}, T', rd, stop) (see _hybrid_rule), which _TailCut
+    stops at a certified stationary tail.  X_t, K_t and G_t of the steps
+    taken follow in stacked products after the loop; every tail step shares
+    the fixed point's.  When the horizon is shorter than nu or the checkpoint fails,
     the result has used_fallback set, its reason, and trajectory None; the
     caller decides what follows.
     """
@@ -382,7 +371,8 @@ def _solve_reduced(problem: LQProblem, rd: ReductionData, phase_two) -> HybridSo
         return _result(problem, rd, None, T, off_norm, threshold, "checkpoint block structure violated")
 
     # Phase two: only the trailing block moves.
-    Psi, R_X, R_X_pinv, tail_reason = _phase_two(D22, T - nu, rd, phase_two)
+    cut = _TailCut(rd)
+    Psi, R_X, R_X_pinv = phase_two(D22, T - nu, rd, cut)
     if len(R_X):
         X2, K2, G2 = _phase_two_outputs(Psi, R_X, R_X_pinv, rd)
         X = list(X2[::-1]) + X
@@ -393,7 +383,7 @@ def _solve_reduced(problem: LQProblem, rd: ReductionData, phase_two) -> HybridSo
         X_0, K_0, G_0 = _fixed_point_outputs(rd)
         X, K, G = [X_0] * tail + X, [K_0] * tail + K, (G_0,) * tail + G
     trajectory = GrdeTrajectory(tuple(X), tuple(K), tuple(G))
-    return _result(problem, rd, trajectory, nu, off_norm, threshold, "", tail, tail_reason)
+    return _result(problem, rd, trajectory, nu, off_norm, threshold, "", tail, cut.reason)
 
 
 def solve_hybrid(problem: LQProblem, rd: ReductionData) -> HybridSolveResult:
@@ -407,7 +397,7 @@ def solve_hybrid(problem: LQProblem, rd: ReductionData) -> HybridSolveResult:
     the whole state: it runs all T steps, reported as reduced ones, and
     stops at a certified stationary tail like any other.
     """
-    result = _solve_reduced(problem, rd, _iterate_reduced)
+    result = _solve_reduced(problem, rd, _hybrid_rule)
     if result.used_fallback:
         result = replace(result, trajectory=solve_full(problem))
     return result

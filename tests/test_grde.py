@@ -192,7 +192,7 @@ def test_one_pseudo_inverse_per_step(monkeypatch):
         slices.append(int(np.prod(A.shape[:-2])))
         return linalg._pinv(A)
 
-    for module in (grde, reduction):
+    for module in (grde, closedform):
         monkeypatch.setattr(module, "_pinv", counting_pinv)
     problem = random_problem(4, 2, 41, "singular_R", horizon=9)
     solve_full(problem)

@@ -5,6 +5,7 @@ import pytest
 
 from griccati import reduction
 from griccati.cgdare import closed_loop, find_reference
+from griccati.closedform import solve_closed_form
 from griccati.grde import solve_full
 from griccati.linalg import symmetrize
 from griccati.model import LQProblem, PopovTriple, random_problem
@@ -201,7 +202,7 @@ def test_nu_zero_assembly_equals_rotated_product():
     rd = build_reduction(problem, find_reference(problem).solution)
     assert rd.dim_u == 0 and np.array_equal(rd.T_orth, np.eye(problem.n))
     Psi_T = checkpoint_blocks(symmetrize(problem.P) - rd.X_circ, rd)[2]
-    Psi, R_X, R_X_pinv, _ = reduction._phase_two(Psi_T, problem.T, rd, reduction._iterate_reduced)
+    Psi, R_X, R_X_pinv = reduction._hybrid_rule(Psi_T, problem.T, rd, lambda Psi: False)
     assert len(R_X) == problem.T
     X = reduction._phase_two_outputs(Psi, R_X, R_X_pinv, rd)[0]
     U_c = rd.T_orth[:, rd.dim_u :]
@@ -306,23 +307,25 @@ def test_hybrid_fallback_validates_once(report_builds):
     assert len(report_builds) == 1
 
 
-def test_hybrid_horizon_equals_index():
+@pytest.mark.parametrize("solve", [solve_hybrid, solve_closed_form])
+def test_hybrid_horizon_equals_index(solve):
     problem = random_problem(3, 1, 1901, "nilpotent_block", horizon=2, nilpotent_dim=2)
     res = find_reference(problem)
     assert res.found
     rd = build_reduction(problem, res.solution)
     assert rd.nu == 2
-    result = solve_hybrid(problem, rd)
+    result = solve(problem, rd)
     assert not result.used_fallback
     assert result.full_steps == 2 and result.reduced_steps == 0 and result.tail_steps == 0
     _assert_trajectories_match(result.trajectory, solve_full(problem))
 
 
-def test_hybrid_horizon_one_past_index():
+@pytest.mark.parametrize("solve", [solve_hybrid, solve_closed_form])
+def test_hybrid_horizon_one_past_index(solve):
     problem = random_problem(3, 1, 1901, "nilpotent_block", horizon=3, nilpotent_dim=2)
     rd = build_reduction(problem, find_reference(problem).solution)
     assert rd.nu == 2 and rd.dim_reduced > 0
-    result = solve_hybrid(problem, rd)
+    result = solve(problem, rd)
     assert not result.used_fallback
     assert result.full_steps == 2 and result.reduced_steps == 1 and result.tail_steps in (0, 1)
     _assert_trajectories_match(result.trajectory, solve_full(problem), rtol=1e-12)
@@ -362,15 +365,23 @@ def test_tail_comes_late_or_never_as_rho_z_nears_one(q, tail):
     _assert_trajectories_match(result.trajectory, solve_full(problem), rtol=1e-12)
 
 
-def test_tail_refused_when_rho_z_is_one():
-    # q = 0 makes Z = 1, and P = X_circ keeps Psi = 0 exactly: the test
-    # for a cut is met at once, and the Stein sum refuses it.
-    problem, X_ref = live_scalar_problem(0.0, 40)
+@pytest.mark.parametrize("solve", [solve_hybrid, solve_closed_form])
+@pytest.mark.parametrize("q", [0.0, 1e-2])
+def test_tail_refused_when_rho_z_is_one(q, solve):
+    # P = X_circ keeps Psi = 0 exactly, so the test for a cut is met before
+    # the first phase-two step.  q = 0 makes Z = 1, and the Stein sum
+    # refuses the cut; q = 1e-2 gives Z < 1, and the whole reduced horizon
+    # is the tail.
+    problem, X_ref = live_scalar_problem(q, 40)
     problem = dataclasses.replace(problem, P=X_ref)
     rd = build_reduction(problem, find_reference(problem, X_ref=X_ref).solution)
-    assert rd.Z[0, 0] == 1.0
-    result = solve_hybrid(problem, rd)
-    assert result.tail_steps == 0 and "rho(Z)" in result.tail_reason
+    assert rd.dim_reduced == 1 and (rd.Z[0, 0] == 1.0) == (q == 0.0)
+    result = solve(problem, rd)
+    assert result.reduced_steps == problem.T - rd.nu == 39
+    if q == 0.0:
+        assert result.tail_steps == 0 and "rho(Z)" in result.tail_reason
+    else:
+        assert result.tail_steps == 39 and result.tail_reason == ""
     _assert_trajectories_match(result.trajectory, solve_full(problem), rtol=1e-14)
 
 
