@@ -29,7 +29,7 @@ from .linalg import (
     nilpotent_eigenspace,
     symmetrize,
 )
-from .model import LQProblem, PopovTriple
+from .model import LQProblem, PopovTriple, _read_only
 from .grde import _schur_step, riccati_map
 
 
@@ -48,7 +48,10 @@ class CgdareSolution:
     """A candidate solution together with everything derived from it.
 
     R_X = R + B^T X B, S_X = A^T X B + S, K_X = R_X^+ S_X^T is the feedback
-    gain, A_X = A - B K_X the closed loop.  T_orth = [U, U_c] is the
+    gain, G_X = I - R_X^+ R_X the null-space projector and A_X = A - B K_X
+    the closed loop; K_X and G_X are those of grde's backward step at X, so
+    X, K_X and G_X are read-only and shared by every step that sits at X
+    (the reduced solve's stationary tail).  T_orth = [U, U_c] is the
     orthogonal basis of `linalg.nilpotent_eigenspace`: U, its first dim_u
     columns, spans the generalised eigenspace of A_X at the eigenvalue zero,
     nu is its nilpotency index, and T_orth^T A_X T_orth = [[N0, *], [0, Z]].
@@ -63,6 +66,7 @@ class CgdareSolution:
     R_X: np.ndarray
     S_X: np.ndarray
     K_X: np.ndarray
+    G_X: np.ndarray
     A_X: np.ndarray
     T_orth: np.ndarray
     dim_u: int
@@ -103,13 +107,14 @@ def closed_loop(X, triple: PopovTriple) -> CgdareSolution:
     loop_scale = float(np.linalg.norm(A)) + float(np.linalg.norm(B @ K_X))
     T_orth, dim_u, nu = nilpotent_eigenspace(A_X, scale=loop_scale)
     return CgdareSolution(
-        X=Xs,
+        X=_read_only(Xs),
         triple=triple,
         residual_norm=resid,
         kernel_condition_ok=kercond_ok,
         R_X=symmetrize(R_X),
         S_X=S_X,
-        K_X=K_X,
+        K_X=_read_only(K_X),
+        G_X=_read_only(G),
         A_X=A_X,
         T_orth=T_orth,
         dim_u=dim_u,

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -56,16 +56,7 @@ class RunReport:
     reason: str = ""
 
     def to_json(self) -> str:
-        doc = {
-            "command": self.command,
-            "inputs": self.inputs,
-            "results": self.results,
-            "residuals": self.residuals,
-            "timings": self.timings,
-            "status": self.status,
-            "reason": self.reason,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def _emit(report: RunReport, args, summary_lines):
@@ -225,13 +216,7 @@ def cmd_analyze(args) -> int:
             "dim_u": solution.dim_u,
             "inertia_RX": list(solution.inertia_RX),
         }
-        mu = mu_bookkeeping(solution)
-        run.results["mu"] = {
-            "mu_AX": mu.mu_AX,
-            "mu_RX": mu.mu_RX,
-            "mu_block": mu.mu_block,
-            "additive": mu.additive,
-        }
+        run.results["mu"] = mu_bookkeeping(solution)._asdict()
         rng = Xorshift64Star(args.seed)
         z_samples = [rng.interval(-2.0, 2.0) for _ in range(20)]
         run.residuals["det_identity_worst"] = det_identity_check(pen, solution, z_samples)

@@ -36,7 +36,7 @@ def _nonsingular(M, M_inv, scale: float) -> bool:
 
 def gramian_sweep(Psi_terminal, steps: int, rd: ReductionData):
     """Yield Psi_{T'-1}, ..., Psi_{T'-steps} from Psi_{T'} = Psi_terminal."""
-    if rd.R_full_inverse[1] == np.inf:
+    if rd.R_full_inverse_norm == np.inf:
         raise NumericalRefusal("closed form inapplicable: full curvature R_full is singular")
     d = rd.dim_reduced
     Z = rd.Z

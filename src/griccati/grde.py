@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .linalg import _pinv, check_symmetric, symmetrize
-from .model import LQProblem, PopovTriple, _fmt_matrix, require_valid
+from .model import LQProblem, PopovTriple, _fmt_matrix, _json_object, require_valid
 
 
 @dataclass(frozen=True)
@@ -158,13 +158,7 @@ def trajectory_to_json(traj: GrdeTrajectory) -> str:
         blocks = ["    " + _fmt_matrix(M, "    ") for M in mats]
         return "[\n" + ",\n".join(blocks) + "\n  ]" if blocks else "[]"
 
-    lines = ["{"]
-    lines.append(f'  "T": {traj.horizon},')
-    lines.append(f'  "X": {fmt_matrix_list(traj.X)},')
-    lines.append(f'  "K": {fmt_matrix_list(traj.K)},')
-    lines.append(f'  "G": {fmt_matrix_list(traj.G)}')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _json_object([("T", traj.horizon)] + [(f, fmt_matrix_list(getattr(traj, f))) for f in "XKG"])
 
 
 def save_trajectory(traj: GrdeTrajectory, path) -> None:

@@ -117,16 +117,11 @@ def _pinv(A: np.ndarray) -> np.ndarray:
         U, s, Vt = np.linalg.svd(A, full_matrices=False)
         s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > svd_cutoff(s, A.shape))
         return (Vt.swapaxes(-1, -2) * s_inv[..., None, :]) @ U.swapaxes(-1, -2)
-    return _pinv_and_singular_values(A)[0]
-
-
-def _pinv_and_singular_values(A: np.ndarray):
-    """pinv of a finite, non-empty 2-D array and the singular values of its SVD."""
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     # s is descending, so the kept singular values are a prefix.
     cutoff = svd_cutoff(s, A.shape)
     r = sum(v > cutoff for v in s.tolist())
-    return (Vt[:r].T * (1.0 / s[:r])) @ U[:, :r].T, s
+    return (Vt[:r].T * (1.0 / s[:r])) @ U[:, :r].T
 
 
 def symmetric_lstsq(M, b):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -152,19 +152,7 @@ class ValidationReport:
         return all(c.passed for c in self.checks)
 
     def to_dict(self):
-        return {
-            "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "residual": c.residual,
-                    "threshold": c.threshold,
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
-        }
+        return {"passed": self.passed, "checks": [asdict(c) for c in self.checks]}
 
 
 def _residual_check(name: str, residual: float, scale: float) -> CheckResult:
@@ -246,23 +234,23 @@ def _fmt_matrix(M: np.ndarray, indent: str) -> str:
     return "[\n" + ",\n".join(rows) + "\n" + indent + "]"
 
 
+def _json_object(fields) -> str:
+    """A JSON object's text, one "key": value per line, from (key, value text) pairs."""
+    return "{\n" + ",\n".join(f'  "{key}": {value}' for key, value in fields) + "\n}\n"
+
+
 def problem_to_json(problem: LQProblem, X_ref: Optional[np.ndarray] = None) -> str:
     """Serialise to the canonical problem-file text."""
     t = problem.triple
-    lines = ["{"]
-    lines.append(f'  "n": {t.n},')
-    lines.append(f'  "m": {t.m},')
+    fields = [("n", t.n), ("m", t.m)]
     for name, M in (("A", t.A), ("B", t.B), ("Q", t.Q), ("S", t.S), ("R", t.R), ("P", problem.P)):
-        lines.append(f'  "{name}": {_fmt_matrix(M, "  ")},')
-    terminal_comma = "," if (problem.x0 is not None or X_ref is not None) else ""
-    lines.append(f'  "T": {problem.T}{terminal_comma}')
+        fields.append((name, _fmt_matrix(M, "  ")))
+    fields.append(("T", problem.T))
     if problem.x0 is not None:
-        comma = "," if X_ref is not None else ""
-        lines.append('  "x0": [' + ", ".join(_fmt(v) for v in problem.x0) + f"]{comma}")
+        fields.append(("x0", "[" + ", ".join(_fmt(v) for v in problem.x0) + "]"))
     if X_ref is not None:
-        lines.append(f'  "X_ref": {_fmt_matrix(as_matrix(X_ref, "X_ref"), "  ")}')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        fields.append(("X_ref", _fmt_matrix(as_matrix(X_ref, "X_ref"), "  ")))
+    return _json_object(fields)
 
 
 def _parse_matrix(name, raw, rows, cols):
@@ -390,9 +378,9 @@ class Xorshift64Star:
         return self.next_u64() % k
 
 
-def _scaled_dynamics(rng: Xorshift64Star, n: int) -> np.ndarray:
+def _scaled_dynamics(rng: Xorshift64Star, n: int, rho_max: float) -> np.ndarray:
     A = rng.matrix(n, n)
-    rho_target = rng.interval(0.4, 1.2)
+    rho_target = rng.interval(0.4, rho_max)
     rho = spectral_radius(A)
     if rho > 0:
         A = A * (rho_target / rho)
@@ -440,7 +428,7 @@ def random_problem(
     rng = Xorshift64Star(seed)
 
     if kind == "generic":
-        A = _scaled_dynamics(rng, n)
+        A = _scaled_dynamics(rng, n, 1.2)
         B = rng.matrix(n, m)
         L = rng.matrix(n + m, n + m)
         Pi = (L @ L.T) / (n + m)
@@ -448,7 +436,7 @@ def random_problem(
         Pi[n:, n:] += ridge * np.eye(m)
         Q, S, R = Pi[:n, :n], Pi[:n, n:], Pi[n:, n:]
     elif kind == "singular_R":
-        A = _scaled_dynamics(rng, n)
+        A = _scaled_dynamics(rng, n, 1.2)
         B = rng.matrix(n, m)
         r = rng.randint(m) if m > 1 else 0  # rank of R, strictly deficient
         k = n + max(r, 1)
@@ -469,14 +457,9 @@ def random_problem(
             raise ValueError(f"nilpotent_dim must be in [1, {n - 1}], got {j}")
         J = np.diag(np.ones(j - 1), 1) if j > 1 else np.zeros((1, 1))
         n2 = n - j
-        A2 = rng.matrix(n2, n2)
-        rho_target = rng.interval(0.4, 1.1)
-        rho = spectral_radius(A2)
-        if rho > 0:
-            A2 = A2 * (rho_target / rho)
         A = np.zeros((n, n))
         A[:j, :j] = J
-        A[j:, j:] = A2
+        A[j:, j:] = _scaled_dynamics(rng, n2, 1.1)
         B = np.vstack([np.zeros((j, m)), rng.matrix(n2, m)])
         Q = np.zeros((n, n))
         Q[:j, :j] = _psd(rng, j, ridge=0.1)

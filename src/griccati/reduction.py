@@ -12,8 +12,9 @@ closedform shares that driver and replaces only the iteration.
 
 Psi = 0 is a fixed point of the reduced recursion, and Psi decays like
 Z^s towards it.  Phase two stops at the first step where a certificate
-proves that no later Psi can move X_t beyond rounding, and fills the
-remaining steps with the fixed point's outputs (_tail_bound).
+proves that no later Psi can move X_t beyond rounding (_tail_bound), and
+fills the remaining steps with the fixed point's outputs.  At Psi = 0,
+X_t is the reference itself, so those are its own X, K_X and G_X.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import numpy as np
 from .linalg import (
     RESIDUAL_REL,
     InternalInconsistencyError,
-    _pinv_and_singular_values,
     check_symmetric,
     is_nonsingular,
     svd_cutoff,
@@ -51,6 +51,8 @@ class ReductionData:
     S_full = A^T X B + S belong to the reference X = X_circ; at
     X_circ + U_c Psi U_c^T they are R_full + B2^T Psi B2 and S_full +
     A2^T Psi B2, so phase two needs no n x n product but its X_t output.
+    K_circ and G_circ are the reference's K_X and G_X, the gain and
+    projector of the full step at X_circ: every tail step shares the three.
     """
 
     T_orth: np.ndarray
@@ -63,6 +65,8 @@ class ReductionData:
     R_full: np.ndarray
     S_full: np.ndarray
     X_circ: np.ndarray
+    K_circ: np.ndarray
+    G_circ: np.ndarray
     lower_left_norm: float
     nilpotent_defect: float
 
@@ -80,11 +84,11 @@ class ReductionData:
         return Pi
 
     @cached_property
-    def R_full_inverse(self) -> tuple[np.ndarray, float]:
-        """R_full^+ and ||R_full^{-1}||_2, inf where linalg's cutoff calls R_full
-        singular: every test, bound and pinv of R_full reads this one SVD."""
-        R_pinv, s = _pinv_and_singular_values(self.R_full)
-        return R_pinv, (1.0 / s[-1] if s[-1] > svd_cutoff(s, self.R_full.shape) else np.inf)
+    def R_full_inverse_norm(self) -> float:
+        """||R_full^{-1}||_2, inf where linalg's cutoff calls R_full singular:
+        every test and bound on R_full reads this one SVD."""
+        s = np.linalg.svd(self.R_full, compute_uv=False)
+        return 1.0 / s[-1] if s[-1] > svd_cutoff(s, self.R_full.shape) else np.inf
 
     @property
     def dim_u(self) -> int:
@@ -102,8 +106,14 @@ def build_reduction(problem: LQProblem, reference: CgdareSolution) -> ReductionD
     closed loop block upper triangular by construction; the consequences
     are still measured: the lower-left block is zero within tolerance (U is
     an invariant subspace), the trailing block Z is non-singular and N0^nu
-    vanishes.  Any of them failing raises InternalInconsistencyError.
+    vanishes.  Any of them failing raises InternalInconsistencyError.  A
+    reference solved for another Popov triple is a ValueError.
     """
+    triple = reference.triple
+    if triple is not problem.triple and not all(
+        np.array_equal(getattr(triple, f), getattr(problem.triple, f)) for f in "ABQSR"
+    ):
+        raise ValueError("reference solution belongs to a different Popov triple")
     if not reference.accepted():
         raise ValueError(
             f"reference solution not accepted (residual {reference.residual_norm:.3e}, "
@@ -128,7 +138,7 @@ def build_reduction(problem: LQProblem, reference: CgdareSolution) -> ReductionD
             f"leading block is not nilpotent of index {reference.nu}: defect {defect:.3e}"
         )
 
-    B_rot = T_orth.T @ problem.triple.B
+    B_rot = T_orth.T @ triple.B
     return ReductionData(
         T_orth=T_orth,
         nu=reference.nu,
@@ -136,10 +146,12 @@ def build_reduction(problem: LQProblem, reference: CgdareSolution) -> ReductionD
         Z=Z,
         B1=B_rot[:k, :],
         B2=B_rot[k:, :],
-        A2=T_orth[:, k:].T @ problem.triple.A,
+        A2=T_orth[:, k:].T @ triple.A,
         R_full=reference.R_X,
         S_full=reference.S_X,
         X_circ=reference.X,
+        K_circ=reference.K_X,
+        G_circ=reference.G_X,
         lower_left_norm=lower_left,
         nilpotent_defect=defect,
     )
@@ -170,8 +182,9 @@ class HybridSolveResult:
     full_steps = nu unless the solve fell back (then T), and
     reduced_steps = T - full_steps counts the whole reduced horizon; the
     last tail_steps of it (the earliest times) were not iterated but filled
-    with the fixed point's outputs.  tail_reason says why the certificate
-    for that cut was refused, when it was computed and refused.
+    with the reference's X_circ, K_circ and G_circ.  tail_reason says why
+    the certificate for that cut was refused, when it was computed and
+    refused.
     """
 
     trajectory: GrdeTrajectory
@@ -252,7 +265,7 @@ def _tail_bound(rd: ReductionData) -> tuple[float, str]:
     """
     if rd.dim_reduced == 0:
         return np.inf, ""
-    R_inv_norm = rd.R_full_inverse[1]
+    R_inv_norm = rd.R_full_inverse_norm
     if R_inv_norm == np.inf:
         return -1.0, "full curvature R_full is singular"
     L_norm = _stein_norm(rd.Z)
@@ -261,16 +274,6 @@ def _tail_bound(rd: ReductionData) -> tuple[float, str]:
     quad = L_norm * float(np.linalg.norm(rd.B2, 2)) ** 2 * R_inv_norm
     psi_max = _EPS * float(np.linalg.norm(rd.X_circ, 2)) / (2.0 * L_norm)
     return (min(psi_max, 0.5 / quad) if quad > 0.0 else psi_max), ""
-
-
-def _fixed_point_outputs(rd: ReductionData):
-    """X_t, K_t and G_t at Psi = 0: X_circ, R_full^+ S_full^T and
-    I - R_full^+ R_full, read-only, as every tail step shares them."""
-    R_pinv = rd.R_full_inverse[0]
-    out = (symmetrize(rd.X_circ), R_pinv @ rd.S_full.T, np.eye(rd.R_full.shape[0]) - R_pinv @ rd.R_full)
-    for M in out:
-        M.setflags(write=False)
-    return out
 
 
 class _TailCut:
@@ -352,9 +355,9 @@ def _solve_reduced(problem: LQProblem, rd: ReductionData, phase_two) -> HybridSo
     phase_two(Psi_{T'}, T', rd, stop) (see _hybrid_rule), which _TailCut
     stops at a certified stationary tail.  X_t, K_t and G_t of the steps
     taken follow in stacked products after the loop; every tail step shares
-    the fixed point's.  When the horizon is shorter than nu or the checkpoint fails,
-    the result has used_fallback set, its reason, and trajectory None; the
-    caller decides what follows.
+    the reference's X_circ, K_circ and G_circ.  When the horizon is shorter
+    than nu or the checkpoint fails, the result has used_fallback set, its
+    reason, and trajectory None; the caller decides what follows.
     """
     require_valid(problem)
     T, nu, triple = problem.T, rd.nu, problem.triple
@@ -380,8 +383,7 @@ def _solve_reduced(problem: LQProblem, rd: ReductionData, phase_two) -> HybridSo
         G = G2[::-1] + G
     tail = T - nu - len(R_X)
     if tail:
-        X_0, K_0, G_0 = _fixed_point_outputs(rd)
-        X, K, G = [X_0] * tail + X, [K_0] * tail + K, (G_0,) * tail + G
+        X, K, G = [rd.X_circ] * tail + X, [rd.K_circ] * tail + K, (rd.G_circ,) * tail + G
     trajectory = GrdeTrajectory(tuple(X), tuple(K), tuple(G))
     return _result(problem, rd, trajectory, nu, off_norm, threshold, "", tail, cut.reason)
 

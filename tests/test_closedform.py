@@ -6,7 +6,7 @@ import pytest
 from griccati.cgdare import find_reference
 from griccati.closedform import gramian_sweep, solve_closed_form
 from griccati.grde import solve_full
-from griccati.linalg import NumericalRefusal
+from griccati.linalg import NumericalRefusal, pinv
 from griccati.model import ProblemValidationError, random_problem
 from griccati.reduction import ReductionData, build_reduction, checkpoint_blocks, reduced_step, solve_hybrid
 
@@ -39,6 +39,8 @@ def _synthetic_rd(Z, B2, R_full, m=None):
         R_full=R_full,
         S_full=np.zeros((d, m)),
         X_circ=np.zeros((d, d)),
+        K_circ=np.zeros((m, d)),
+        G_circ=np.eye(m) - pinv(R_full) @ R_full,
         lower_left_norm=0.0,
         nilpotent_defect=0.0,
     )

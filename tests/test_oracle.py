@@ -209,13 +209,15 @@ def test_long_horizon_cost_pinned():
     # (one BLAS thread).  The symmetric eigen-solve gives 5.1e-11 on the
     # dense assembly and 8.9e-10 on the condensing recursion: J* = c + g^T u*
     # cancels c ~ 4.2e6 down to 4.44, so 1e-15 relative changes in H move
-    # the miss between 5e-11 and 1.1e-9.
+    # the miss between 5e-11 and 1.1e-9.  Rolled out through the dynamics,
+    # which cancels nothing, the same u* misses by about 6e-16.
     problem = replace(random_problem(12, 2, 100035, "nilpotent_block", horizon=500, nilpotent_dim=2), T=84)
     qp = batch_matrices(problem)
     assert qp.size == 168
-    _, J = batch_optimal(qp)
+    u, J = batch_optimal(qp)
     J_ref = optimal_cost(solve_full(problem), problem.x0)
     assert abs(J - J_ref) <= 1e-9 * abs(J_ref)
+    assert abs(simulated_cost(problem, u) - J_ref) <= 1e-12 * abs(J_ref)
 
 
 def test_assembly_memory_is_hessian_plus_lyapunov_sums():

@@ -44,4 +44,5 @@ def test_phase_two_matches_full_sweep(kind, n, m, T, seed):
             assert np.linalg.norm(Xa - Xb) <= X_REL_LIMIT * (1.0 + np.linalg.norm(Xa)), solve.__name__
         assert result.reduced_steps == T - result.full_steps
         assert 0 <= result.tail_steps <= result.reduced_steps
-        assert all(np.array_equal(Xt, rd.X_circ) for Xt in X[: result.tail_steps])
+        for field, shared in (("X", rd.X_circ), ("K", rd.K_circ), ("G", rd.G_circ)):
+            assert all(np.array_equal(M, shared) for M in getattr(result.trajectory, field)[: result.tail_steps])

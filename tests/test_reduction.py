@@ -6,9 +6,9 @@ import pytest
 from griccati import reduction
 from griccati.cgdare import closed_loop, find_reference
 from griccati.closedform import solve_closed_form
-from griccati.grde import solve_full
+from griccati.grde import _schur_step, solve_full
 from griccati.linalg import symmetrize
-from griccati.model import LQProblem, PopovTriple, random_problem
+from griccati.model import LQProblem, PopovTriple, problem_from_json, problem_to_json, random_problem
 from griccati.reduction import build_reduction, checkpoint_blocks, reduced_step, solve_hybrid
 
 from conftest import PHI, dare_scalar_roots, delta_recursion_residuals, scalar_j_problem
@@ -125,6 +125,26 @@ def test_build_reduction_rejects_unaccepted_reference():
     assert not bogus.accepted()
     with pytest.raises(ValueError, match="reference"):
         build_reduction(problem, bogus)
+
+
+def _weighted_integrator(q):
+    """x1 is dead, x2 an integrator with state weight q: X_circ = diag(1, (q + sqrt(q^2 + 4q)) / 2)."""
+    triple = PopovTriple(np.diag([0.0, 1.0]), [[0.0], [1.0]], np.diag([1.0, q]), np.zeros((2, 1)), [[1.0]])
+    return LQProblem(triple, np.zeros((2, 2)), 30)
+
+
+def test_build_reduction_rejects_another_triples_reference():
+    # Unchecked, the q = 0.5 reference made the hybrid return X_0[1, 1] = 1.0
+    # for q = 2 without falling back; the full recursion gives 1 + sqrt(3).
+    problem = _weighted_integrator(2.0)
+    with pytest.raises(ValueError, match="different Popov triple"):
+        build_reduction(problem, find_reference(_weighted_integrator(0.5)).solution)
+    # A reloaded problem has equal arrays in a distinct triple, and is accepted.
+    reloaded = problem_from_json(problem_to_json(problem))[0]
+    assert reloaded.triple is not problem.triple
+    result = solve_hybrid(reloaded, build_reduction(reloaded, find_reference(problem).solution))
+    assert not result.used_fallback and abs(result.trajectory.X[0][1, 1] - (1.0 + np.sqrt(3.0))) <= 1e-12
+    _assert_trajectories_match(result.trajectory, solve_full(problem), rtol=1e-12)
 
 
 def test_hybrid_matches_full_on_nilpotent_corpus(nilpotent50):
@@ -333,19 +353,23 @@ def test_hybrid_horizon_one_past_index(solve):
 
 def test_tail_headline_matches_full_and_is_read_only():
     problem = headline_problem()
-    rd = build_reduction(problem, find_reference(problem).solution)
+    ref = find_reference(problem).solution
+    rd = build_reduction(problem, ref)
     result = solve_hybrid(problem, rd)
     assert not result.used_fallback and result.tail_reason == ""
     assert 0 < result.tail_steps < result.reduced_steps == problem.T - rd.nu
     _assert_trajectories_match(result.trajectory, solve_full(problem), rtol=1e-10)
-    # The tail is one shared array per output, at the reference's own values.
-    traj = result.trajectory
-    assert np.array_equal(traj.X[0], rd.X_circ)
-    for field in ("X", "K", "G"):
-        first = getattr(traj, field)[0]
-        assert all(M is first for M in getattr(traj, field)[: result.tail_steps])
+    # The tail is the reference's own step: one shared array per output,
+    # equal bit for bit to the full step's gain and projector at X_circ.
+    traj, n = result.trajectory, problem.n
+    _, K, W, R_X_pinv = _schur_step(rd.X_circ, problem.triple.AB, problem.triple.Pi)
+    G = np.eye(problem.m) - R_X_pinv @ W[n:, n:]
+    for field, shared, step in (("X", rd.X_circ, ref.X), ("K", rd.K_circ, K), ("G", rd.G_circ, G)):
+        assert all(M is shared for M in getattr(traj, field)[: result.tail_steps])
+        assert np.array_equal(shared, step)
+    for M in (ref.X, ref.K_X, ref.G_X):
         with pytest.raises(ValueError, match="read-only"):
-            first[0, 0] = 1.0
+            M[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("q, tail", [(1e-6, "never"), (1e-2, "late"), (1.0, "early")])
