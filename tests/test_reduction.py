@@ -6,7 +6,7 @@ import pytest
 from griccati import reduction
 from griccati.cgdare import closed_loop, find_reference
 from griccati.closedform import solve_closed_form
-from griccati.grde import _schur_step, solve_full
+from griccati.grde import gain_and_projector, solve_full
 from griccati.linalg import symmetrize
 from griccati.model import LQProblem, PopovTriple, problem_from_json, problem_to_json, random_problem
 from griccati.reduction import build_reduction, checkpoint_blocks, reduced_step, solve_hybrid
@@ -361,13 +361,12 @@ def test_tail_headline_matches_full_and_is_read_only():
     _assert_trajectories_match(result.trajectory, solve_full(problem), rtol=1e-10)
     # The tail is the reference's own step: one shared array per output,
     # equal bit for bit to the full step's gain and projector at X_circ.
-    traj, n = result.trajectory, problem.n
-    _, K, W, R_X_pinv = _schur_step(rd.X_circ, problem.triple.AB, problem.triple.Pi)
-    G = np.eye(problem.m) - R_X_pinv @ W[n:, n:]
+    assert rd.X_circ is ref.X and rd.K_circ is ref.K_X and rd.G_circ is ref.G_X
+    K, G = gain_and_projector(rd.X_circ, problem.triple)
     for field, shared, step in (("X", rd.X_circ, ref.X), ("K", rd.K_circ, K), ("G", rd.G_circ, G)):
-        assert all(M is shared for M in getattr(traj, field)[: result.tail_steps])
+        assert all(M is shared for M in getattr(result.trajectory, field)[: result.tail_steps])
         assert np.array_equal(shared, step)
-    for M in (ref.X, ref.K_X, ref.G_X):
+    for M in (rd.X_circ, rd.K_circ, rd.G_circ, ref.X, ref.K_X, ref.G_X):
         with pytest.raises(ValueError, match="read-only"):
             M[0, 0] = 1.0
 
