@@ -40,7 +40,7 @@ def gramian_sweep(Psi_terminal, steps: int, rd: ReductionData):
         raise NumericalRefusal("closed form inapplicable: full curvature R_full is singular")
     d = rd.dim_reduced
     Z = rd.Z
-    C = symmetrize(rd.B2 @ np.linalg.solve(rd.R_full, rd.B2.T))
+    C = symmetrize(rd.B2 @ np.linalg.solve(rd.reference.R_X, rd.B2.T))
     Psi_norm = float(np.linalg.norm(Psi_terminal))
     W = np.zeros((d, d))
     P = np.eye(d)
@@ -65,7 +65,7 @@ def _gramian_rule(Psi_terminal, steps: int, rd: ReductionData, stop):
     Psi, R_X = [Psi_terminal], []
     sweep = gramian_sweep(Psi_terminal, steps, rd)
     while len(R_X) < steps and not stop(Psi[-1]):
-        R_X.append(rd.R_full + rd.B2.T @ Psi[-1] @ rd.B2)
+        R_X.append(rd.reference.R_X + rd.B2.T @ Psi[-1] @ rd.B2)
         Psi.append(next(sweep))
     R_X = np.array(R_X)
     return np.array(Psi), R_X, (_pinv(R_X) if len(R_X) else R_X)

@@ -42,33 +42,23 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class ReductionData:
-    """Rotated data for the reduced recursion.
+    """A reference solution and the rotated data of its reduced recursion.
 
-    T_orth = [U, U_c] is orthogonal; in its basis the closed loop of the
-    reference solution reads [[N0, *], [0, Z]] with N0 nilpotent of index nu
-    and Z non-singular.  B1, B2 are the row blocks of T_orth^T B, and A2 =
-    U_c^T A the trailing one of T_orth^T A.  R_full = R + B^T X B and
-    S_full = A^T X B + S belong to the reference X = X_circ; at
-    X_circ + U_c Psi U_c^T they are R_full + B2^T Psi B2 and S_full +
+    reference is the accepted CGDARE solution X = X_circ that fixes the
+    reduction, together with its Popov triple.  In its basis
+    T_orth = [U, U_c] the closed loop reads [[N0, *], [0, Z]] with N0
+    nilpotent of index nu and Z non-singular.  B2 and A2 = U_c^T A are the
+    trailing row blocks of T_orth^T B and T_orth^T A.  With R_full = R_X
+    and S_full = S_X, the reference's curvature and cross term, the full
+    step at X + U_c Psi U_c^T has R_full + B2^T Psi B2 and S_full +
     A2^T Psi B2, so phase two needs no n x n product but its X_t output.
-    K_circ and G_circ are the reference's K_X and G_X, the gain and
-    projector of the full step at X_circ: every tail step shares the three.
+    Every tail step shares the reference's X, K_X and G_X.
     """
 
-    T_orth: np.ndarray
-    nu: int
-    N0: np.ndarray
+    reference: CgdareSolution
     Z: np.ndarray
-    B1: np.ndarray
     B2: np.ndarray
     A2: np.ndarray
-    R_full: np.ndarray
-    S_full: np.ndarray
-    X_circ: np.ndarray
-    K_circ: np.ndarray
-    G_circ: np.ndarray
-    lower_left_norm: float
-    nilpotent_defect: float
 
     # The reduced step is grde's Schur-complement step on
     # [Z B2]^T Psi [Z B2] + diag(0, R_full); both are built once.
@@ -80,23 +70,41 @@ class ReductionData:
     def Pi(self) -> np.ndarray:
         d, m = self.B2.shape
         Pi = np.zeros((d + m, d + m))
-        Pi[d:, d:] = self.R_full
+        Pi[d:, d:] = self.reference.R_X
         return Pi
 
     @cached_property
     def R_full_inverse_norm(self) -> float:
         """||R_full^{-1}||_2, inf where linalg's cutoff calls R_full singular:
         every test and bound on R_full reads this one SVD."""
-        s = np.linalg.svd(self.R_full, compute_uv=False)
-        return 1.0 / s[-1] if s[-1] > svd_cutoff(s, self.R_full.shape) else np.inf
+        R_full = self.reference.R_X
+        s = np.linalg.svd(R_full, compute_uv=False)
+        return 1.0 / s[-1] if s[-1] > svd_cutoff(s, R_full.shape) else np.inf
+
+    @property
+    def nu(self) -> int:
+        return self.reference.nu
+
+    @property
+    def X_circ(self) -> np.ndarray:
+        return self.reference.X
 
     @property
     def dim_u(self) -> int:
-        return self.T_orth.shape[0] - self.Z.shape[0]
+        return self.reference.dim_u
 
     @property
     def dim_reduced(self) -> int:
         return self.Z.shape[0]
+
+
+def _require_same_triple(reference: CgdareSolution, problem: LQProblem) -> None:
+    """Refuse, with a ValueError, a reference solved for another Popov triple."""
+    triple = reference.triple
+    if triple is not problem.triple and not all(
+        np.array_equal(getattr(triple, f), getattr(problem.triple, f)) for f in "ABQSR"
+    ):
+        raise ValueError("reference solution belongs to a different Popov triple")
 
 
 def build_reduction(problem: LQProblem, reference: CgdareSolution) -> ReductionData:
@@ -109,11 +117,7 @@ def build_reduction(problem: LQProblem, reference: CgdareSolution) -> ReductionD
     vanishes.  Any of them failing raises InternalInconsistencyError.  A
     reference solved for another Popov triple is a ValueError.
     """
-    triple = reference.triple
-    if triple is not problem.triple and not all(
-        np.array_equal(getattr(triple, f), getattr(problem.triple, f)) for f in "ABQSR"
-    ):
-        raise ValueError("reference solution belongs to a different Popov triple")
+    _require_same_triple(reference, problem)
     if not reference.accepted():
         raise ValueError(
             f"reference solution not accepted (residual {reference.residual_norm:.3e}, "
@@ -137,24 +141,8 @@ def build_reduction(problem: LQProblem, reference: CgdareSolution) -> ReductionD
         raise InternalInconsistencyError(
             f"leading block is not nilpotent of index {reference.nu}: defect {defect:.3e}"
         )
-
-    B_rot = T_orth.T @ triple.B
-    return ReductionData(
-        T_orth=T_orth,
-        nu=reference.nu,
-        N0=N0,
-        Z=Z,
-        B1=B_rot[:k, :],
-        B2=B_rot[k:, :],
-        A2=T_orth[:, k:].T @ triple.A,
-        R_full=reference.R_X,
-        S_full=reference.S_X,
-        X_circ=reference.X,
-        K_circ=reference.K_X,
-        G_circ=reference.G_X,
-        lower_left_norm=lower_left,
-        nilpotent_defect=defect,
-    )
+    triple = reference.triple
+    return ReductionData(reference, Z, (T_orth.T @ triple.B)[k:], T_orth[:, k:].T @ triple.A)
 
 
 def reduced_step(Psi, rd: ReductionData) -> np.ndarray:
@@ -182,7 +170,7 @@ class HybridSolveResult:
     full_steps = nu unless the solve fell back (then T), and
     reduced_steps = T - full_steps counts the whole reduced horizon; the
     last tail_steps of it (the earliest times) were not iterated but filled
-    with the reference's X_circ, K_circ and G_circ.  tail_reason says why
+    with the reference's X, K_X and G_X.  tail_reason says why
     the certificate for that cut was refused, when it was computed and
     refused.
     """
@@ -203,8 +191,8 @@ class HybridSolveResult:
 
 def checkpoint_blocks(Delta, rd: ReductionData):
     """Rotate a difference matrix and split it at the reduction boundary."""
-    k = rd.dim_u
-    D = rd.T_orth.T @ Delta @ rd.T_orth
+    k, T_orth = rd.dim_u, rd.reference.T_orth
+    D = T_orth.T @ Delta @ T_orth
     return D[:k, :k], D[:k, k:], D[k:, k:]
 
 
@@ -272,7 +260,7 @@ def _tail_bound(rd: ReductionData) -> tuple[float, str]:
     if L_norm is None:
         return -1.0, "Stein sum of Z did not converge: rho(Z) is 1 or more, or too close to 1"
     quad = L_norm * float(np.linalg.norm(rd.B2, 2)) ** 2 * R_inv_norm
-    psi_max = _EPS * float(np.linalg.norm(rd.X_circ, 2)) / (2.0 * L_norm)
+    psi_max = _EPS * float(np.linalg.norm(rd.reference.X, 2)) / (2.0 * L_norm)
     return (min(psi_max, 0.5 / quad) if quad > 0.0 else psi_max), ""
 
 
@@ -285,7 +273,7 @@ class _TailCut:
 
     def __init__(self, rd: ReductionData):
         self.rd = rd
-        self.necessary = _EPS * float(np.linalg.norm(rd.X_circ))
+        self.necessary = _EPS * float(np.linalg.norm(rd.reference.X))
         self.psi_max, self.reason = None, ""
 
     def __call__(self, Psi) -> bool:
@@ -306,16 +294,17 @@ def _phase_two_outputs(Psi, R_X, R_X_pinv, rd: ReductionData):
     matmul of small slices does not reach BLAS.  With dim U = 0, U_c = T_orth
     is exactly I (linalg.nilpotent_eigenspace), and X = X_circ + Psi.
     """
+    ref = rd.reference
     N, d = R_X.shape[0], rd.dim_reduced
-    n, m = rd.T_orth.shape[0], rd.B2.shape[1]
+    n, m = ref.T_orth.shape[0], rd.B2.shape[1]
     BtPsi = (rd.B2.T @ Psi[:-1]).reshape(N * m, d)
-    K = R_X_pinv @ (rd.S_full.T + (BtPsi @ rd.A2).reshape(N, m, n))
+    K = R_X_pinv @ (ref.S_X.T + (BtPsi @ rd.A2).reshape(N, m, n))
     if rd.dim_u:
-        U_c = rd.T_orth[:, rd.dim_u:]
+        U_c = ref.T_orth[:, rd.dim_u:]
         PsiU = (Psi[1:].reshape(N * d, d) @ U_c.T).reshape(N, d, n)
-        X = rd.X_circ + (PsiU.transpose(0, 2, 1).reshape(N * n, d) @ U_c.T).reshape(N, n, n)
+        X = ref.X + (PsiU.transpose(0, 2, 1).reshape(N * n, d) @ U_c.T).reshape(N, n, n)
     else:
-        X = rd.X_circ + Psi[1:]
+        X = ref.X + Psi[1:]
     return symmetrize(X), K, _projectors(R_X, R_X_pinv)
 
 
@@ -355,21 +344,24 @@ def _solve_reduced(problem: LQProblem, rd: ReductionData, phase_two) -> HybridSo
     phase_two(Psi_{T'}, T', rd, stop) (see _hybrid_rule), which _TailCut
     stops at a certified stationary tail.  X_t, K_t and G_t of the steps
     taken follow in stacked products after the loop; every tail step shares
-    the reference's X_circ, K_circ and G_circ.  When the horizon is shorter
-    than nu or the checkpoint fails, the result has used_fallback set, its
-    reason, and trajectory None; the caller decides what follows.
+    the reference's X, K_X and G_X.  When the horizon is shorter than nu or
+    the checkpoint fails, the result has used_fallback set, its reason, and
+    trajectory None; the caller decides what follows.  A reduction built
+    for another Popov triple is a ValueError.
     """
+    ref = rd.reference
+    _require_same_triple(ref, problem)
     require_valid(problem)
-    T, nu, triple = problem.T, rd.nu, problem.triple
+    T, nu, triple = problem.T, ref.nu, problem.triple
     if T < nu:
         return _result(problem, rd, None, T, reason=f"horizon {T} shorter than nilpotency index {nu}")
 
     X, K, R_X, R_X_pinv = _sweep(symmetrize(problem.P), triple.AB, triple.Pi, nu)
     X, K, G = X[::-1], K[::-1], _projectors(R_X, R_X_pinv)[::-1]
-    Delta = X[0] - rd.X_circ
+    Delta = X[0] - ref.X
     D11, D12, D22 = checkpoint_blocks(Delta, rd)
     off_norm = float(max(np.linalg.norm(D11), np.linalg.norm(D12)))
-    threshold = RESIDUAL_REL * (float(np.linalg.norm(rd.X_circ)) + float(np.linalg.norm(Delta)))
+    threshold = RESIDUAL_REL * (float(np.linalg.norm(ref.X)) + float(np.linalg.norm(Delta)))
     if off_norm > threshold:
         return _result(problem, rd, None, T, off_norm, threshold, "checkpoint block structure violated")
 
@@ -383,7 +375,7 @@ def _solve_reduced(problem: LQProblem, rd: ReductionData, phase_two) -> HybridSo
         G = G2[::-1] + G
     tail = T - nu - len(R_X)
     if tail:
-        X, K, G = [rd.X_circ] * tail + X, [rd.K_circ] * tail + K, (rd.G_circ,) * tail + G
+        X, K, G = [ref.X] * tail + X, [ref.K_X] * tail + K, (ref.G_X,) * tail + G
     trajectory = GrdeTrajectory(tuple(X), tuple(K), tuple(G))
     return _result(problem, rd, trajectory, nu, off_norm, threshold, "", tail, cut.reason)
 

@@ -201,6 +201,11 @@ def test_solve_uses_x_ref_from_file(tmp_path, capsys):
     assert code == 0
     assert report["results"]["reference_found"]
     assert report["results"]["reference_iterations"] == 0
+    # An X_ref that is not a solution is an input error, not a silent search.
+    path = _write(tmp_path, problem, name="bad_ref.json", X_ref=np.array([[2.0 * phi]]))
+    code, report, _ = _run(capsys, ["solve", path, "--method", "reduced"])
+    assert code == 1 and report["status"] == "error"
+    assert report["reason"].startswith("supplied reference rejected"), report["reason"]
 
 
 def test_analyze_full_level(tmp_path, capsys):

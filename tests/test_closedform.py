@@ -3,12 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from griccati.cgdare import find_reference
+from griccati.cgdare import closed_loop, find_reference
 from griccati.closedform import gramian_sweep, solve_closed_form
 from griccati.grde import solve_full
-from griccati.linalg import NumericalRefusal, pinv
-from griccati.model import ProblemValidationError, random_problem
-from griccati.reduction import ReductionData, build_reduction, checkpoint_blocks, reduced_step, solve_hybrid
+from griccati.linalg import NumericalRefusal
+from griccati.model import LQProblem, PopovTriple, ProblemValidationError, random_problem
+from griccati.reduction import build_reduction, checkpoint_blocks, reduced_step, solve_hybrid
 
 from conftest import PHI, scalar_j_problem, scaled_problem
 from test_reduction import (
@@ -20,30 +20,16 @@ from test_reduction import (
 )
 
 
-def _synthetic_rd(Z, B2, R_full, m=None):
-    """Minimal reduction record for driving the reduced recursion directly
-    (no nilpotent part, identity rotation, S_full = 0 and A2 = 0)."""
+def _synthetic_rd(Z, B2, R_full):
+    """Reduction of the triple (Z, B2, 0, 0, R_full) at the reference X = 0,
+    for driving the reduced recursion directly.  At X = 0 the reference's
+    R_X is R_full, S_X = 0 and its closed loop is Z; as Z is non-singular,
+    there is no nilpotent part and T_orth = I."""
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     B2 = np.atleast_2d(np.asarray(B2, dtype=float))
-    R_full = np.atleast_2d(np.asarray(R_full, dtype=float))
-    d = Z.shape[0]
-    m = B2.shape[1] if m is None else m
-    return ReductionData(
-        T_orth=np.eye(d),
-        nu=0,
-        N0=np.zeros((0, 0)),
-        Z=Z,
-        B1=np.zeros((0, m)),
-        B2=B2,
-        A2=np.zeros((d, d)),
-        R_full=R_full,
-        S_full=np.zeros((d, m)),
-        X_circ=np.zeros((d, d)),
-        K_circ=np.zeros((m, d)),
-        G_circ=np.eye(m) - pinv(R_full) @ R_full,
-        lower_left_norm=0.0,
-        nilpotent_defect=0.0,
-    )
+    d, m = B2.shape
+    triple = PopovTriple(Z, B2, np.zeros((d, d)), np.zeros((d, m)), np.atleast_2d(R_full))
+    return build_reduction(LQProblem(triple, np.zeros((d, d)), 0), closed_loop(np.zeros((d, d)), triple))
 
 
 def _iterated(Psi_terminal, steps, rd):
@@ -230,7 +216,8 @@ def test_solve_closed_form_refuses_violated_checkpoint():
         problem = scaled_problem(base, weight_scale)
         res = find_reference(problem)
         assert res.found
-        rotated = dataclasses.replace(build_reduction(problem, res.solution), T_orth=Qm)
+        rd = build_reduction(problem, res.solution)
+        rotated = dataclasses.replace(rd, reference=dataclasses.replace(rd.reference, T_orth=Qm))
         hyb = solve_hybrid(problem, rotated)
         assert hyb.used_fallback and hyb.fallback_reason == "checkpoint block structure violated", weight_scale
         assert hyb.checkpoint_off_norm > hyb.checkpoint_threshold
@@ -251,7 +238,7 @@ def test_solve_closed_form_non_autonomous_matches_full():
         rd = build_reduction(problem, res.solution)
         if rd.dim_u == 0:
             continue
-        assert np.linalg.norm(rd.B1) > 1e-3
+        assert np.linalg.norm(rd.reference.U.T @ problem.triple.B) > 1e-3
         out = solve_closed_form(problem, rd)
         _assert_trajectories_match(out.trajectory, solve_full(problem), rtol=1e-12)
         checked += 1

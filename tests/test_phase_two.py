@@ -44,5 +44,6 @@ def test_phase_two_matches_full_sweep(kind, n, m, T, seed):
             assert np.linalg.norm(Xa - Xb) <= X_REL_LIMIT * (1.0 + np.linalg.norm(Xa)), solve.__name__
         assert result.reduced_steps == T - result.full_steps
         assert 0 <= result.tail_steps <= result.reduced_steps
-        for field, shared in (("X", rd.X_circ), ("K", rd.K_circ), ("G", rd.G_circ)):
+        sol = rd.reference
+        for field, shared in (("X", sol.X), ("K", sol.K_X), ("G", sol.G_X)):
             assert all(np.array_equal(M, shared) for M in getattr(result.trajectory, field)[: result.tail_steps])

@@ -69,6 +69,13 @@ def headline_problem():
     return random_problem(20, 2, 42, "nilpotent_block", horizon=500, nilpotent_dim=15)
 
 
+def _rotated_closed_loop_blocks(rd):
+    """N0 and the lower-left block of T_orth^T A_X T_orth, from the reference."""
+    ref, k = rd.reference, rd.dim_u
+    A_rot = ref.T_orth.T @ ref.A_X @ ref.T_orth
+    return A_rot[:k, :k], A_rot[k:, :k]
+
+
 def test_scalar_decoupled_goldens():
     # A = diag(0, 1), B = [0; 1]: the dead coordinate carries weight 1 and
     # the live one the golden-ratio fixed point.
@@ -82,10 +89,11 @@ def test_scalar_decoupled_goldens():
     assert rd.dim_reduced == 1
     assert abs(rd.Z[0, 0] - (2.0 - PHI)) <= 1e-9          # 0.381966...
     assert abs(abs(rd.B2[0, 0]) - 1.0) <= 1e-9
-    assert abs(rd.R_full[0, 0] - (1.0 + PHI)) <= 1e-9     # 2.618034..., B1 = 0
-    assert np.linalg.norm(rd.B1) <= 1e-9
-    assert rd.lower_left_norm <= 1e-9
-    assert rd.nilpotent_defect <= 1e-12
+    assert abs(rd.reference.R_X[0, 0] - (1.0 + PHI)) <= 1e-9     # 2.618034..., B1 = 0
+    assert np.linalg.norm(rd.reference.U.T @ problem.triple.B) <= 1e-9
+    N0, lower_left = _rotated_closed_loop_blocks(rd)
+    assert np.linalg.norm(lower_left) <= 1e-9
+    assert np.linalg.norm(np.linalg.matrix_power(N0, rd.nu)) <= 1e-12
 
 
 def test_reduced_step_frozen_value():
@@ -108,15 +116,17 @@ def test_build_reduction_invariants():
         assert res.found
         rd = build_reduction(problem, res.solution)
         n = problem.n
-        assert rd.T_orth.shape == (n, n)
-        assert np.linalg.norm(rd.T_orth.T @ rd.T_orth - np.eye(n)) <= 1e-12
+        T_orth = rd.reference.T_orth
+        assert T_orth.shape == (n, n)
+        assert np.linalg.norm(T_orth.T @ T_orth - np.eye(n)) <= 1e-12
         assert rd.dim_u >= 1
         assert rd.nu >= 1
         # Rotated closed loop is block upper triangular with nilpotent
         # leading block.
-        assert np.linalg.norm(np.linalg.matrix_power(rd.N0, rd.nu)) <= 1e-8
-        assert rd.lower_left_norm <= 1e-8
-        assert np.all(np.linalg.eigvalsh(rd.R_full) > 0)
+        N0, lower_left = _rotated_closed_loop_blocks(rd)
+        assert np.linalg.norm(np.linalg.matrix_power(N0, rd.nu)) <= 1e-8
+        assert np.linalg.norm(lower_left) <= 1e-8
+        assert np.all(np.linalg.eigvalsh(rd.reference.R_X) > 0)
 
 
 def test_build_reduction_rejects_unaccepted_reference():
@@ -136,15 +146,24 @@ def _weighted_integrator(q):
 def test_build_reduction_rejects_another_triples_reference():
     # Unchecked, the q = 0.5 reference made the hybrid return X_0[1, 1] = 1.0
     # for q = 2 without falling back; the full recursion gives 1 + sqrt(3).
-    problem = _weighted_integrator(2.0)
+    # Both reduced solves refuse a reduction built for q = 0.5 in the same way.
+    problem, half = _weighted_integrator(2.0), _weighted_integrator(0.5)
     with pytest.raises(ValueError, match="different Popov triple"):
-        build_reduction(problem, find_reference(_weighted_integrator(0.5)).solution)
+        build_reduction(problem, find_reference(half).solution)
+    rd_half = build_reduction(half, find_reference(half).solution)
+    for solve in (solve_hybrid, solve_closed_form):
+        with pytest.raises(ValueError, match="different Popov triple"):
+            solve(problem, rd_half)
     # A reloaded problem has equal arrays in a distinct triple, and is accepted.
     reloaded = problem_from_json(problem_to_json(problem))[0]
     assert reloaded.triple is not problem.triple
     result = solve_hybrid(reloaded, build_reduction(reloaded, find_reference(problem).solution))
     assert not result.used_fallback and abs(result.trajectory.X[0][1, 1] - (1.0 + np.sqrt(3.0))) <= 1e-12
     _assert_trajectories_match(result.trajectory, solve_full(problem), rtol=1e-12)
+    # So is a reduction built for the original, and it gives the same X bit for bit.
+    reloaded_half = problem_from_json(problem_to_json(half))[0]
+    X, X_reloaded = (solve_hybrid(p, rd_half).trajectory.X for p in (half, reloaded_half))
+    assert len(X) == len(X_reloaded) and all(np.array_equal(a, b) for a, b in zip(X, X_reloaded))
 
 
 def test_hybrid_matches_full_on_nilpotent_corpus(nilpotent50):
@@ -179,7 +198,7 @@ def test_hybrid_drift_singular_unaligned_input():
         rd = build_reduction(problem, res.solution)
         if rd.dim_u == 0:
             continue
-        assert np.linalg.norm(rd.B1) > 1e-3, "construction should give B1 != 0"
+        assert np.linalg.norm(rd.reference.U.T @ problem.triple.B) > 1e-3, "construction should give B1 != 0"
         full = solve_full(problem)
         Psi, Psi_prev = (
             checkpoint_blocks(full.X[t] - rd.X_circ, rd)[2] for t in (problem.T - rd.nu, problem.T - rd.nu - 1)
@@ -220,12 +239,13 @@ def test_nu_zero_assembly_equals_rotated_product():
     # X_circ + Psi assembly is the rotated X_circ + U_c Psi U_c^T bit for bit.
     problem = random_problem(5, 2, 1801, "generic", horizon=20)
     rd = build_reduction(problem, find_reference(problem).solution)
-    assert rd.dim_u == 0 and np.array_equal(rd.T_orth, np.eye(problem.n))
+    T_orth = rd.reference.T_orth
+    assert rd.dim_u == 0 and np.array_equal(T_orth, np.eye(problem.n))
     Psi_T = checkpoint_blocks(symmetrize(problem.P) - rd.X_circ, rd)[2]
     Psi, R_X, R_X_pinv = reduction._hybrid_rule(Psi_T, problem.T, rd, lambda Psi: False)
     assert len(R_X) == problem.T
     X = reduction._phase_two_outputs(Psi, R_X, R_X_pinv, rd)[0]
-    U_c = rd.T_orth[:, rd.dim_u :]
+    U_c = T_orth[:, rd.dim_u :]
     assert np.array_equal(X, symmetrize(rd.X_circ + U_c @ Psi[1:] @ U_c.T))
     hybrid = solve_hybrid(problem, rd).trajectory.X
     assert all(np.array_equal(a, b) for a, b in zip(X, hybrid[::-1][1:]))
@@ -243,7 +263,7 @@ def test_nu_zero_singular_full_curvature_iterates_whole_horizon():
     triple = PopovTriple(t.A, np.hstack([t.B, zero]), t.Q, np.hstack([t.S, zero]), R)
     problem = LQProblem(triple, base.P, base.T, base.x0)
     rd = build_reduction(problem, find_reference(problem).solution)
-    assert rd.dim_u == 0 and np.linalg.matrix_rank(rd.R_full) == 2
+    assert rd.dim_u == 0 and np.linalg.matrix_rank(rd.reference.R_X) == 2
     result = solve_hybrid(problem, rd)
     assert not result.used_fallback
     assert result.full_steps == 0 and result.reduced_steps == problem.T
@@ -361,14 +381,13 @@ def test_tail_headline_matches_full_and_is_read_only():
     _assert_trajectories_match(result.trajectory, solve_full(problem), rtol=1e-10)
     # The tail is the reference's own step: one shared array per output,
     # equal bit for bit to the full step's gain and projector at X_circ.
-    assert rd.X_circ is ref.X and rd.K_circ is ref.K_X and rd.G_circ is ref.G_X
-    K, G = gain_and_projector(rd.X_circ, problem.triple)
-    for field, shared, step in (("X", rd.X_circ, ref.X), ("K", rd.K_circ, K), ("G", rd.G_circ, G)):
+    assert rd.reference is ref and rd.X_circ is ref.X
+    K, G = gain_and_projector(ref.X, problem.triple)
+    for field, shared, step in (("X", ref.X, ref.X), ("K", ref.K_X, K), ("G", ref.G_X, G)):
         assert all(M is shared for M in getattr(result.trajectory, field)[: result.tail_steps])
         assert np.array_equal(shared, step)
-    for M in (rd.X_circ, rd.K_circ, rd.G_circ, ref.X, ref.K_X, ref.G_X):
         with pytest.raises(ValueError, match="read-only"):
-            M[0, 0] = 1.0
+            shared[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("q, tail", [(1e-6, "never"), (1e-2, "late"), (1.0, "early")])
@@ -413,7 +432,7 @@ def test_tail_refused_for_singular_full_curvature():
     res = find_reference(problem)
     assert res.found
     rd = build_reduction(problem, res.solution)
-    assert np.linalg.matrix_rank(rd.R_full) == 1
+    assert np.linalg.matrix_rank(rd.reference.R_X) == 1
     result = solve_hybrid(problem, rd)
     assert not result.used_fallback
     assert result.tail_steps == 0 and "R_full" in result.tail_reason
@@ -438,7 +457,7 @@ def test_hybrid_detects_wrong_reduction():
     rd = build_reduction(problem, res.solution)
     rng = np.random.default_rng(3)
     Qm, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-    doctored = dataclasses.replace(rd, T_orth=Qm)
+    doctored = dataclasses.replace(rd, reference=dataclasses.replace(rd.reference, T_orth=Qm))
     result = solve_hybrid(problem, doctored)
     assert result.used_fallback
     assert "checkpoint" in result.fallback_reason
@@ -449,7 +468,8 @@ def test_checkpoint_blocks_layout():
     problem = scalar_j_problem()
     res = find_reference(problem)
     rd = build_reduction(problem, res.solution)
-    Delta = rd.T_orth @ np.diag([3.0, 7.0]) @ rd.T_orth.T
+    T_orth = rd.reference.T_orth
+    Delta = T_orth @ np.diag([3.0, 7.0]) @ T_orth.T
     D11, D12, D22 = checkpoint_blocks(Delta, rd)
     assert D11.shape == (1, 1) and D12.shape == (1, 1) and D22.shape == (1, 1)
     assert abs(D11[0, 0] - 3.0) <= 1e-12
