@@ -6,10 +6,12 @@ A symmetric X solves the generalised DARE when
 
 and the constrained equation additionally demands ker(R + B^T X B) be
 contained in ker(A^T X B + S).  This module evaluates residuals, packages
-the derived closed-loop quantities and searches for a reference solution by
-fixed-point iteration.  Scaling the weights by c scales every solution by
-c, so the residual tests here are read against the Popov matrix's ||Pi||_F
-and the kernel condition against ||S_X||.
+the derived closed-loop quantities and searches for a reference solution
+among the iterates of X <- riccati_map(X) from zero: by doubling, which
+reaches the 2^k-th iterate in k steps, and one step at a time where the
+curvature stays singular.  Scaling the weights by c scales every solution
+by c, so the residual tests here are read against the Popov matrix's
+||Pi||_F and the kernel condition against ||S_X||.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .linalg import (
     RESIDUAL_REL,
     check_symmetric,
     inertia,
+    is_nonsingular,
     nilpotent_eigenspace,
     symmetrize,
 )
@@ -148,30 +151,48 @@ class ReferenceSearchResult:
         return self.solution is not None
 
 
-def find_reference(problem: LQProblem, X_ref: Optional[np.ndarray] = None) -> ReferenceSearchResult:
-    """Find (or verify) a reference CGDARE solution for a problem.
+def _doubling(triple: PopovTriple, band: float):
+    """(X_{b + 2^k}, k) of X <- riccati_map(X) by structure-preserving doubling.
 
-    When X_ref is given it is verified and either returned or rejected with
-    the measured residuals (ReferenceRejectedError).  Otherwise X <-
-    riccati_map(X) runs from zero until the step norm enters the acceptance
-    band, then for as many steps as the rate of that step needs to reach
-    the polish floor, stopping early if the step stops shrinking.  Divergence
-    or stagnation gives a no-solution-found result rather than an
-    exception; convergence of the iterates is not guaranteed for every
-    problem.
+    On Y = X - X_b the step is Y -> H_0 + A_0^T Y (I + G_0 Y)^{-1} A_0, and
+    the k-th doubling (Chu, Fan, Lin and Wang 2004) gives H_k = X_{b + 2^k} - X_b.
+    X is None once ||H_k|| passes the overflow guard; None where doubling
+    cannot run (find_reference).
     """
-    triple = problem.triple
-    band = _residual_band(triple)
-    if X_ref is not None:
-        sol = closed_loop(X_ref, triple)
-        if not sol.accepted():
-            raise ReferenceRejectedError(
-                "supplied reference rejected: residual "
-                f"{sol.residual_norm:.3e} (limit {band:.1e}), "
-                f"kernel condition {'ok' if sol.kernel_condition_ok else 'violated'}"
-            )
-        return ReferenceSearchResult(sol, 0, "supplied reference verified")
+    n, A, B, M, Pi = triple.n, triple.A, triple.B, triple.AB, triple.Pi
+    X_b, W = np.zeros((n, n)), Pi  # W = [[Q_b + X_b, S_b], [S_b^T, R_b]]
+    if not is_nonsingular(W[n:, n:]):
+        X_b = _schur_step(X_b, M, Pi)[0]
+        W = M.T @ (X_b @ M) + Pi
+        if not is_nonsingular(W[n:, n:]):
+            return None
+    KG = np.linalg.solve(W[n:, n:], np.hstack([W[n:, :n], B.T]))  # R_b^{-1} [S_b^T, B^T]
+    A_k = A - B @ KG[:, :n]
+    G = symmetrize(B @ KG[:, n:])
+    H = symmetrize(W[:n, :n] - X_b - W[:n, n:] @ KG[:, :n])  # X_{b+1} - X_b
+    floor = band * _POLISH_RATIO
+    prev_step = np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, math.ceil(math.log2(_MAX_ITER)) + 1):
+            try:
+                V = np.linalg.solve(np.eye(n) + G @ H, np.hstack([A_k, G]))
+            except np.linalg.LinAlgError:
+                return None
+            H_next = symmetrize(H + A_k.T @ (H @ V[:, :n]))
+            if not np.linalg.norm(H_next) <= _DIVERGENCE_NORM:  # also catches inf and nan
+                return None, k
+            G = symmetrize(G + A_k @ V[:, n:] @ A_k.T)
+            A_k = A_k @ V[:, :n]
+            step = float(np.linalg.norm(H_next - H))
+            H = H_next
+            if step <= floor or band >= step >= prev_step:
+                return X_b + H, k
+            prev_step = step
+    return None
 
+
+def _fixed_point(triple: PopovTriple, band: float) -> ReferenceSearchResult:
+    """X <- riccati_map(X) from zero, one step at a time, and its verdict."""
     M, Pi = triple.AB, triple.Pi
     X = np.zeros((triple.n, triple.n))
     floor = band * _POLISH_RATIO
@@ -211,4 +232,44 @@ def find_reference(problem: LQProblem, X_ref: Optional[np.ndarray] = None) -> Re
             it,
             f"iteration settled but candidate rejected (residual {sol.residual_norm:.3e})",
         )
-    return ReferenceSearchResult(sol, it, "fixed point accepted")
+    return ReferenceSearchResult(sol, it, "fixed point accepted after single steps")
+
+
+def find_reference(problem: LQProblem, X_ref: Optional[np.ndarray] = None) -> ReferenceSearchResult:
+    """Find (or verify) a reference CGDARE solution for a problem.
+
+    When X_ref is given it is verified and either returned or rejected with
+    the measured residuals (ReferenceRejectedError).  Otherwise X <-
+    riccati_map(X) runs from zero by doubling from the first of X_0 = 0 and
+    X_1 whose curvature R + B^T X B is non-singular, until the change over
+    a doubling reaches the polish floor or stops shrinking inside the
+    acceptance band.  Where doubling cannot run (that curvature singular at
+    both, a singular I + G_k H_k, no stop within the doublings that cover
+    _MAX_ITER steps) or its candidate is rejected, it runs one step at a
+    time until the step norm enters the band, then for as many steps as the
+    rate of that step needs to reach the polish floor, stopping early if the
+    step stops shrinking.  iterations counts the doublings or the steps of
+    the path taken, which message names.  Divergence or stagnation gives a
+    no-solution-found result rather than an exception.
+    """
+    triple = problem.triple
+    band = _residual_band(triple)
+    if X_ref is not None:
+        sol = closed_loop(X_ref, triple)
+        if not sol.accepted():
+            raise ReferenceRejectedError(
+                "supplied reference rejected: residual "
+                f"{sol.residual_norm:.3e} (limit {band:.1e}), "
+                f"kernel condition {'ok' if sol.kernel_condition_ok else 'violated'}"
+            )
+        return ReferenceSearchResult(sol, 0, "supplied reference verified")
+
+    doubled = _doubling(triple, band)
+    if doubled is not None:
+        X, k = doubled
+        if X is None:
+            return ReferenceSearchResult(None, k, "iterates diverged")
+        sol = closed_loop(X, triple)
+        if sol.accepted():
+            return ReferenceSearchResult(sol, k, "fixed point accepted after doubling")
+    return _fixed_point(triple, band)

@@ -292,7 +292,8 @@ def _phase_two_outputs(Psi, R_X, R_X_pinv, rd: ReductionData):
     R_X[s] with pinv R_X_pinv[s].  K = R_X^+ (S_full^T + B2^T Psi A2) and
     X = X_circ + U_c Psi U_c^T are reshaped into 2-D products: a stacked
     matmul of small slices does not reach BLAS.  With dim U = 0, U_c = T_orth
-    is exactly I (linalg.nilpotent_eigenspace), and X = X_circ + Psi.
+    is exactly I (linalg.nilpotent_eigenspace), and X = X_circ + Psi is
+    exactly symmetric as it stands: both rules return symmetrised Psi_t.
     """
     ref = rd.reference
     N, d = R_X.shape[0], rd.dim_reduced
@@ -302,10 +303,10 @@ def _phase_two_outputs(Psi, R_X, R_X_pinv, rd: ReductionData):
     if rd.dim_u:
         U_c = ref.T_orth[:, rd.dim_u:]
         PsiU = (Psi[1:].reshape(N * d, d) @ U_c.T).reshape(N, d, n)
-        X = ref.X + (PsiU.transpose(0, 2, 1).reshape(N * n, d) @ U_c.T).reshape(N, n, n)
+        X = symmetrize(ref.X + (PsiU.transpose(0, 2, 1).reshape(N * n, d) @ U_c.T).reshape(N, n, n))
     else:
         X = ref.X + Psi[1:]
-    return symmetrize(X), K, _projectors(R_X, R_X_pinv)
+    return X, K, _projectors(R_X, R_X_pinv)
 
 
 def _result(

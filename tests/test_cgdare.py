@@ -1,8 +1,21 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from griccati.cgdare import ReferenceRejectedError, closed_loop, find_reference, gdare_residual
+from griccati.cgdare import (
+    ReferenceRejectedError,
+    _fixed_point,
+    _residual_band,
+    closed_loop,
+    find_reference,
+    gdare_residual,
+)
+from griccati.closedform import solve_closed_form
+from griccati.grde import riccati_map
+from griccati.linalg import NumericalRefusal
 from griccati.model import LQProblem, PopovTriple, random_problem
+from griccati.reduction import build_reduction, solve_hybrid
 
 from conftest import (
     PHI,
@@ -98,10 +111,11 @@ def test_find_reference_divergent_reports_failure():
 
 
 def test_find_reference_divergence_refusal_pinned():
-    # The search steps its iterates with the unchecked kernel, so divergence
-    # must be caught by its own norm test, never surface as an exception from
-    # a pinv of non-finite entries.  A = 2I with B = 0, and a mode at 2 that
-    # a live input cannot reach, both pass the norm limit at the same step.
+    # Divergence must be caught by the search's own norm test, never surface
+    # as an exception or a numpy warning from overflowing entries.  A = 2I
+    # with B = 0 (R = I, base X_0), and a mode at 2 that a live input cannot
+    # reach (R = 0, base X_1), both take the doubling path, and ||H_k|| =
+    # ||X_{b + 2^k} - X_b|| passes the norm limit at the same doubling.
     cases = (
         (2.0 * np.eye(3), np.zeros((3, 2)), np.eye(2)),
         (np.diag([2.0, 0.5, 1.5]), np.array([[0.0], [1.0], [0.0]]), [[0.0]]),
@@ -109,8 +123,59 @@ def test_find_reference_divergence_refusal_pinned():
     for A, B, R in cases:
         m = B.shape[1]
         problem = LQProblem(PopovTriple(A, B, np.eye(3), np.zeros((3, m)), R), np.zeros((3, 3)), 5)
-        res = find_reference(problem)
-        assert (res.found, res.iterations, res.message) == (False, 167, "iterates diverged")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = find_reference(problem)
+        assert not caught, [str(w.message) for w in caught]
+        assert (res.found, res.iterations, res.message) == (False, 8, "iterates diverged")
+
+
+def test_find_reference_singular_curvature_takes_single_steps():
+    # R = diag(1, 0) and B's second column zero: R + B^T X B is singular at
+    # every iterate, so doubling cannot start and the single-step loop runs
+    # as before.  Its answer is the 83rd iterate from zero, bit for bit.
+    A = np.array([[0.9, 0.3, 0.0], [0.0, 0.5, 0.2], [0.1, 0.0, 1.1]])
+    B = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.0]])
+    triple = PopovTriple(A, B, np.eye(3), np.zeros((3, 2)), np.diag([1.0, 0.0]))
+    res = find_reference(LQProblem(triple, np.zeros((3, 3)), 10))
+    assert (res.found, res.iterations) == (True, 83)
+    assert "single steps" in res.message
+    X = np.zeros((3, 3))
+    for _ in range(res.iterations):
+        X = riccati_map(X, triple)
+    assert np.array_equal(res.solution.X, X)
+
+
+@pytest.mark.parametrize("kind", ["generic", "singular_R", "nilpotent_block"])
+def test_doubling_agrees_with_single_steps(kind):
+    # The single-step loop is kept as an independent check of the doubling
+    # path: the same verdict and the same reduction, and X to 1e-10.
+    shapes = ((5, 2, None), (6, 1, None), (3, 4, None), (12, 2, 2 if kind == "nilpotent_block" else None))
+    doubled = 0
+    for n, m, nilpotent_dim in shapes:
+        for seed in range(1, 11):
+            problem = random_problem(n, m, seed, kind, horizon=30, nilpotent_dim=nilpotent_dim)
+            got = find_reference(problem)
+            want = _fixed_point(problem.triple, _residual_band(problem.triple))
+            doubled += "doubling" in got.message
+            assert got.found == want.found, (n, m, seed)
+            if not got.found:
+                continue
+            assert _reduction_outcome(problem, got) == _reduction_outcome(problem, want), (n, m, seed)
+            X, Y = got.solution.X, want.solution.X
+            assert np.linalg.norm(X - Y) <= 1e-10 * np.linalg.norm(Y), (n, m, seed)
+    assert doubled >= 30
+
+
+def _reduction_outcome(problem, res):
+    """nu, dim U, the hybrid's fallback and whether the closed form refuses."""
+    rd = build_reduction(problem, res.solution)
+    try:
+        solve_closed_form(problem, rd)
+        refused = False
+    except NumericalRefusal:
+        refused = True
+    return rd.nu, rd.dim_u, solve_hybrid(problem, rd).used_fallback, refused
 
 
 def test_find_reference_accepts_supplied_solution():

@@ -109,3 +109,13 @@ def test_reference_search_scale_sweep(n, m, seed, kind, horizon, nilpotent_dim):
         for Xa, Xb in zip(hyb.trajectory.X, full.X):
             assert np.linalg.norm(Xa - Xb) <= 1e-10 * np.linalg.norm(Xb), k
     assert len(seen) == 1, seen
+
+
+def test_reference_search_count_is_scale_free():
+    # The single-step loop's plateau stop was settled by rounding on this
+    # problem: 205, 205, 182, 70 and 151 steps at these weights.  Doubling
+    # reaches the polish floor in one count at every scale.
+    problem = random_problem(12, 2, 29, "nilpotent_block", horizon=30, nilpotent_dim=2)
+    results = [find_reference(scaled_problem(problem, c)) for c in (1.0, 1e-9, 1e-3, 1e3, 1e9)]
+    assert all(res.found for res in results)
+    assert len({res.iterations for res in results}) == 1, [res.iterations for res in results]

@@ -5,7 +5,7 @@ import pytest
 
 from griccati import reduction
 from griccati.cgdare import closed_loop, find_reference
-from griccati.closedform import solve_closed_form
+from griccati.closedform import _gramian_rule, solve_closed_form
 from griccati.grde import gain_and_projector, solve_full
 from griccati.linalg import symmetrize
 from griccati.model import LQProblem, PopovTriple, problem_from_json, problem_to_json, random_problem
@@ -249,6 +249,39 @@ def test_nu_zero_assembly_equals_rotated_product():
     assert np.array_equal(X, symmetrize(rd.X_circ + U_c @ Psi[1:] @ U_c.T))
     hybrid = solve_hybrid(problem, rd).trajectory.X
     assert all(np.array_equal(a, b) for a, b in zip(X, hybrid[::-1][1:]))
+
+
+def test_nu_zero_outputs_are_symmetric_without_symmetrize():
+    # With dim U = 0 the phase-two X_t = X_circ + Psi_t is not symmetrised:
+    # both rules return symmetrised Psi_t, so the sum already equals its
+    # symmetric part bit for bit, on the iterated and the Gramian rule alike.
+    for n, m, seed, horizon in ((5, 2, 1801, 20), (12, 3, 4, 40)):
+        problem = random_problem(n, m, seed, "generic", horizon=horizon)
+        rd = build_reduction(problem, find_reference(problem).solution)
+        assert rd.dim_u == 0
+        Psi_T = checkpoint_blocks(symmetrize(problem.P) - rd.X_circ, rd)[2]
+        for rule in (reduction._hybrid_rule, _gramian_rule):
+            Psi, R_X, R_X_pinv = rule(Psi_T, problem.T, rd, lambda Psi: False)
+            X = reduction._phase_two_outputs(Psi, R_X, R_X_pinv, rd)[0]
+            assert len(X) == problem.T
+            assert np.array_equal(X, symmetrize(X)), rule.__name__
+
+
+def test_hybrid_headline_matches_full_sweep_to_rounding():
+    # n = 20, nu = 15, T = 500: the nilpotent block settles one step after
+    # nu, and the single-step search, whose polish count was read from the
+    # rate on entering the band, stopped short of its floor and left the
+    # hybrid's X 2e-12 to 4e-12 off the full sweep on these seeds.  The
+    # doubled reference is polished to rounding.
+    for seed in (8, 9, 11):
+        problem = random_problem(20, 2, seed, "nilpotent_block", horizon=500, nilpotent_dim=15)
+        result = solve_hybrid(problem, build_reduction(problem, find_reference(problem).solution))
+        assert not result.used_fallback and result.tail_steps > 0
+        worst = max(
+            np.linalg.norm(Xa - Xb) / np.linalg.norm(Xb)
+            for Xa, Xb in zip(result.trajectory.X, solve_full(problem).X)
+        )
+        assert worst <= 1e-13, (seed, worst)
 
 
 def test_nu_zero_singular_full_curvature_iterates_whole_horizon():
