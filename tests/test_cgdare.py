@@ -132,8 +132,8 @@ def test_find_reference_divergence_refusal_pinned():
 
 def test_find_reference_singular_curvature_takes_single_steps():
     # R = diag(1, 0) and B's second column zero: R + B^T X B is singular at
-    # every iterate, so doubling cannot start and the single-step loop runs
-    # as before.  Its answer is the 83rd iterate from zero, bit for bit.
+    # every iterate, so doubling cannot start and the single-step loop runs.
+    # Its answer is the 83rd iterate from zero, bit for bit.
     A = np.array([[0.9, 0.3, 0.0], [0.0, 0.5, 0.2], [0.1, 0.0, 1.1]])
     B = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.0]])
     triple = PopovTriple(A, B, np.eye(3), np.zeros((3, 2)), np.diag([1.0, 0.0]))
@@ -144,6 +144,17 @@ def test_find_reference_singular_curvature_takes_single_steps():
     for _ in range(res.iterations):
         X = riccati_map(X, triple)
     assert np.array_equal(res.solution.X, X)
+
+
+def _reduction_outcome(problem, res):
+    """nu, dim U, the hybrid's fallback and whether the closed form refuses."""
+    rd = build_reduction(problem, res.solution)
+    try:
+        solve_closed_form(problem, rd)
+        refused = False
+    except NumericalRefusal:
+        refused = True
+    return rd.nu, rd.dim_u, solve_hybrid(problem, rd).used_fallback, refused
 
 
 @pytest.mark.parametrize("kind", ["generic", "singular_R", "nilpotent_block"])
@@ -165,17 +176,6 @@ def test_doubling_agrees_with_single_steps(kind):
             X, Y = got.solution.X, want.solution.X
             assert np.linalg.norm(X - Y) <= 1e-10 * np.linalg.norm(Y), (n, m, seed)
     assert doubled >= 30
-
-
-def _reduction_outcome(problem, res):
-    """nu, dim U, the hybrid's fallback and whether the closed form refuses."""
-    rd = build_reduction(problem, res.solution)
-    try:
-        solve_closed_form(problem, rd)
-        refused = False
-    except NumericalRefusal:
-        refused = True
-    return rd.nu, rd.dim_u, solve_hybrid(problem, rd).used_fallback, refused
 
 
 def test_find_reference_accepts_supplied_solution():
