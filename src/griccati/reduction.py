@@ -35,7 +35,7 @@ from .linalg import (
 )
 from .model import LQProblem, require_valid
 from .cgdare import CgdareSolution
-from .grde import GrdeTrajectory, _projectors, _schur_step, _sweep, solve_full
+from .grde import GrdeTrajectory, _inverse_limit, _projectors, _schur_step, _sweep, solve_full
 
 _EPS = float(np.finfo(float).eps)
 
@@ -196,15 +196,16 @@ def checkpoint_blocks(Delta, rd: ReductionData):
     return D[:k, :k], D[:k, k:], D[k:, k:]
 
 
-def _hybrid_rule(Psi_terminal, steps: int, rd: ReductionData, stop):
+def _hybrid_rule(Psi_terminal, steps: int, rd: ReductionData, stop, x_max: float = 0.0):
     """Phase-two rule of the hybrid solver: grde's sweep on [Z B2].
 
     A phase-two rule takes at most steps steps back from Psi_{T'} =
     Psi_terminal, asking stop(Psi) before each, and returns the stacks of
     Psi (Psi_terminal first), of each step's curvature R_full + B2^T Psi B2
-    and of its pinv.
+    and of its pinv.  x_max is the sweep's bound on ||Psi||_F below which
+    that curvature is inverted without an SVD (see _solve_reduced).
     """
-    Psi, _, R_X, R_X_pinv = _sweep(Psi_terminal, rd.ZB2, rd.Pi, steps, stop)
+    Psi, _, R_X, R_X_pinv = _sweep(Psi_terminal, rd.ZB2, rd.Pi, steps, stop, x_max)
     return np.array(Psi), np.array(R_X), np.array(R_X_pinv)
 
 
@@ -342,13 +343,19 @@ def _solve_reduced(problem: LQProblem, rd: ReductionData, phase_two) -> HybridSo
     Validates the problem as solve_full does, runs the nu full steps,
     keeping their gains, checks that the difference to the reference is
     confined to the trailing block, and takes the rest from the rule
-    phase_two(Psi_{T'}, T', rd, stop) (see _hybrid_rule), which _TailCut
-    stops at a certified stationary tail.  X_t, K_t and G_t of the steps
-    taken follow in stacked products after the loop; every tail step shares
-    the reference's X, K_X and G_X.  When the horizon is shorter than nu or
-    the checkpoint fails, the result has used_fallback set, its reason, and
-    trajectory None; the caller decides what follows.  A reduction built
-    for another Popov triple is a ValueError.
+    phase_two(Psi_{T'}, T', rd, stop, x_max) (see _hybrid_rule), which
+    _TailCut stops at a certified stationary tail.  Both phases invert a
+    curvature without an SVD where grde._inverse_limit certifies it: phase
+    two's curvature R_full + B2^T Psi B2 is R + B^T X_t B at X_t = X_circ +
+    U_c Psi U_c^T, the iterate the checkpoint matched to the full sweep's,
+    so ||Psi||_F < x_max - ||X_circ||_F bounds ||X_t||_F below x_max.  The
+    bound comes from R, not R_full: Psi, like X_circ, may be indefinite.
+    X_t, K_t and G_t of the steps taken follow in stacked products after
+    the loop; every tail step shares the reference's X, K_X and G_X.  When
+    the horizon is shorter than nu or the checkpoint fails, the result has
+    used_fallback set, its reason, and trajectory None; the caller decides
+    what follows.  A reduction built for another Popov triple is a
+    ValueError.
     """
     ref = rd.reference
     _require_same_triple(ref, problem)
@@ -357,7 +364,8 @@ def _solve_reduced(problem: LQProblem, rd: ReductionData, phase_two) -> HybridSo
     if T < nu:
         return _result(problem, rd, None, T, reason=f"horizon {T} shorter than nilpotency index {nu}")
 
-    X, K, R_X, R_X_pinv = _sweep(symmetrize(problem.P), triple.AB, triple.Pi, nu)
+    x_max = _inverse_limit(triple)
+    X, K, R_X, R_X_pinv = _sweep(symmetrize(problem.P), triple.AB, triple.Pi, nu, x_max=x_max)
     X, K, G = X[::-1], K[::-1], _projectors(R_X, R_X_pinv)[::-1]
     Delta = X[0] - ref.X
     D11, D12, D22 = checkpoint_blocks(Delta, rd)
@@ -368,7 +376,7 @@ def _solve_reduced(problem: LQProblem, rd: ReductionData, phase_two) -> HybridSo
 
     # Phase two: only the trailing block moves.
     cut = _TailCut(rd)
-    Psi, R_X, R_X_pinv = phase_two(D22, T - nu, rd, cut)
+    Psi, R_X, R_X_pinv = phase_two(D22, T - nu, rd, cut, x_max - float(np.linalg.norm(ref.X)))
     if len(R_X):
         X2, K2, G2 = _phase_two_outputs(Psi, R_X, R_X_pinv, rd)
         X = list(X2[::-1]) + X

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from griccati.model import (
     random_problem,
 )
 
-from conftest import scalar_two_step
+from conftest import scalar_two_step, scaled_problem
 
 
 def test_scalar_two_step_golden():
@@ -181,35 +183,153 @@ def test_simulate_horizon_mismatch():
         simulate(p2, solve_full(p1))
 
 
-def test_one_pseudo_inverse_per_step(monkeypatch):
-    # Every solver takes one curvature pseudo-inverse per step, counted per
-    # slice of a stacked call: the Schur-complement step takes one, and the
-    # closed form takes those of its whole sweep in one stacked call.
-    # closed_loop takes its residual, gain and kernel condition from one.
-    slices = []
+def _count_factorisations(monkeypatch):
+    """Patch the curvature's two factorisations, _pinv and the certified
+    np.linalg.inv taken in grde, to record one entry per call: the number
+    of slices pinv'd, or 1 for an inverse, and the matrix inverted.  The
+    closed form's own inverses of I + W Psi are not counted."""
+    calls = []
 
     def counting_pinv(A):
-        slices.append(int(np.prod(A.shape[:-2])))
+        calls.append((int(np.prod(A.shape[:-2])), None))
         return linalg._pinv(A)
+
+    inv = np.linalg.inv
+
+    def counting_inv(A):
+        if sys._getframe(1).f_globals["__name__"] == grde.__name__:
+            calls.append((1, A))
+        return inv(A)
 
     for module in (grde, closedform):
         monkeypatch.setattr(module, "_pinv", counting_pinv)
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    return calls
+
+
+def test_one_curvature_factorisation_per_step(monkeypatch):
+    # Every solver factorises the curvature once per step, counted per
+    # slice of a stacked call: the Schur-complement step takes one pinv or,
+    # where R > 0 certifies full rank, one inverse, and the closed form
+    # takes the pinvs of its whole phase two in one stacked call.
+    # closed_loop takes its residual, gain and kernel condition from one.
+    calls = _count_factorisations(monkeypatch)
     problem = random_problem(4, 2, 41, "singular_R", horizon=9)
     solve_full(problem)
-    assert sum(slices) == problem.T
-    slices.clear()
+    assert sum(c for c, _ in calls) == problem.T
+    calls.clear()
     cgdare.closed_loop(np.eye(problem.n), problem.triple)
-    assert sum(slices) == 1
+    assert sum(c for c, _ in calls) == 1
 
     problem = random_problem(6, 2, 42, "nilpotent_block", horizon=12, nilpotent_dim=3)
     rd = reduction.build_reduction(problem, cgdare.find_reference(problem).solution)
     assert 1 <= rd.nu < problem.T
     for solve in (reduction.solve_hybrid, closedform.solve_closed_form):
-        slices.clear()
+        calls.clear()
         assert not solve(problem, rd).used_fallback
-        assert sum(slices) == problem.T, solve.__name__
+        assert sum(c for c, _ in calls) == problem.T, solve.__name__
+        assert any(A is not None for _, A in calls), solve.__name__
     # nu full steps, then the closed form's one stacked call.
-    assert len(slices) == rd.nu + 1
+    assert len(calls) == rd.nu + 1
+
+
+# The benchmark's workload shapes: headline_dead_psi, live_psi, wide_generic
+# and corpus_5x2's three kinds, as (n, m, kind, T, nilpotent_dim).
+BENCH_SHAPES = (
+    (20, 2, "nilpotent_block", 500, 15),
+    (12, 2, "nilpotent_block", 500, 2),
+    (50, 5, "generic", 200, None),
+    (5, 2, "generic", 20, None),
+    (5, 2, "singular_R", 20, None),
+    (5, 2, "nilpotent_block", 20, None),
+)
+
+
+@pytest.mark.parametrize("n, m, kind, T, nilpotent_dim", BENCH_SHAPES)
+def test_certified_steps_keep_every_singular_value(monkeypatch, n, m, kind, T, nilpotent_dim):
+    # A step inverts its curvature without an SVD only where the SVD would
+    # keep all m singular values, at every weight scale, on the full sweep
+    # and on both phases of the hybrid; a singular R certifies no step.
+    calls = _count_factorisations(monkeypatch)
+    base = random_problem(n, m, 1, kind, horizon=T, nilpotent_dim=nilpotent_dim)
+    for c in (1.0, 1e6, 1e-6):
+        problem = scaled_problem(base, c)
+        calls.clear()
+        solve_full(problem)
+        search = cgdare.find_reference(problem)
+        assert search.found, c
+        reduction.solve_hybrid(problem, reduction.build_reduction(problem, search.solution))
+        certified = [A for _, A in calls if A is not None]
+        if kind == "singular_R":
+            assert not certified, c
+        else:
+            assert len(certified) >= T, c
+            assert all(linalg.numerical_rank(A) == m for A in certified), c
+
+
+def test_certificate_boundary_is_sharp(monkeypatch):
+    # With R = diag(1, delta) and P = 0 the terminal step's curvature is R
+    # itself, at X_T = 0, and the bound certifies it exactly where
+    # delta > 2 RANK_REL m ||R||_F = 4e-10.  Just below, no step is
+    # certified and solve_full is the SVD-only sweep bit for bit; just
+    # above, the terminal step is, and the SVD keeps both singular values.
+    base = random_problem(4, 2, 5, "generic", horizon=10)
+    t = base.triple
+    threshold = 2.0 * linalg.RANK_REL * 2
+    calls = _count_factorisations(monkeypatch)
+    for delta, certified in ((threshold * (1.0 - 1e-6), 0), (threshold * (1.0 + 1e-6), 1)):
+        triple = PopovTriple(t.A, t.B, t.Q, np.zeros((4, 2)), np.diag([1.0, delta]))
+        problem = LQProblem(triple, np.zeros((4, 4)), base.T)
+        calls.clear()
+        traj = solve_full(problem)
+        inverted = [A for _, A in calls if A is not None]
+        assert len(inverted) == certified, delta
+        assert all(linalg.numerical_rank(A) == 2 for A in inverted), delta
+        if not certified:
+            X, K, R_X, R_X_pinv = grde._sweep(np.zeros((4, 4)), triple.AB, triple.Pi, problem.T)
+            svd_only = (X[::-1], K[::-1], grde._projectors(R_X, R_X_pinv)[::-1])
+            for field, want in zip("XKG", svd_only):
+                assert all(np.array_equal(a, b) for a, b in zip(getattr(traj, field), want)), field
+
+
+def test_phase_two_certifies_only_where_the_full_sweep_does(monkeypatch):
+    # Phase two bounds ||X_t||_F by ||X_circ||_F + ||Psi||_F, never by
+    # ||Psi||_F alone: Psi -> 0 while X_t -> X_circ.  R = diag(1, delta)
+    # puts the bound x_max = 1.9 below ||X_circ||_F, so the full sweep
+    # certifies its first steps from the small P but none near X_circ, and
+    # the hybrid, step for step, may certify none that the full sweep does not.
+    base = random_problem(6, 2, 42, "nilpotent_block", horizon=40, nilpotent_dim=3)
+    t = base.triple
+    delta = 2.0 * linalg.RANK_REL * (3 * np.linalg.norm(t.B) ** 2 * 1.9 + 2)
+    triple = PopovTriple(t.A, t.B, t.Q, t.S, np.diag([1.0, delta]))
+    problem = LQProblem(triple, base.P, base.T)
+    rd = reduction.build_reduction(problem, cgdare.find_reference(problem).solution)
+    assert abs(grde._inverse_limit(triple) - 1.9) <= 1e-9 < np.linalg.norm(rd.X_circ) - 1.9
+    calls = _count_factorisations(monkeypatch)
+    solve_full(problem)
+    full = [A is not None for _, A in calls]
+    calls.clear()
+    assert reduction.solve_hybrid(problem, rd).tail_steps == 0
+    hybrid = [A is not None for _, A in calls]
+    assert len(full) == len(hybrid) == problem.T
+    assert any(hybrid) and not all(full)
+    assert all(f or not h for f, h in zip(full, hybrid))
+
+
+def test_indefinite_iterate_keeps_the_pseudo_inverse():
+    # riccati_map, gain_and_projector and closed_loop take any symmetric X,
+    # so they never certify: at X = -1 the curvature R + B^T X B = 1 - 1 is
+    # exactly zero although R = 1 > 0, and pinv(0) = 0 gives
+    # X_prev = A^T X A + Q, K = 0 and G = 1 without an error or an inf.
+    triple = PopovTriple([[0.5]], [[1.0]], [[1.0]], [[0.0]], [[1.0]])
+    X = -np.eye(1)
+    with np.errstate(all="raise"):
+        X_prev = riccati_map(X, triple)
+        K, G = gain_and_projector(X, triple)
+        sol = cgdare.closed_loop(X, triple)
+    assert X_prev[0, 0] == 0.75
+    assert K[0, 0] == 0.0 and G[0, 0] == 1.0
+    assert sol.K_X[0, 0] == 0.0 and sol.G_X[0, 0] == 1.0 and sol.R_X[0, 0] == 0.0
 
 
 def _with_cross_weight(problem, rng):
