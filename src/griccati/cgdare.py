@@ -204,11 +204,13 @@ def _fixed_point(triple: PopovTriple, band: float, x_max: float = 0.0) -> Refere
     stop_at = None
     plateau = 0
     it = 0
+    x_norm = 0.0  # ||X||_F, for the divergence guard and the next step's certificate
     # Not grde._sweep: the search keeps only its last iterate, where a sweep
     # would hold all of up to _MAX_ITER of them.
     for it in range(1, _MAX_ITER + 1):
-        X_next = _schur_step(X, M, Pi, x_max)[0]
-        if not np.linalg.norm(X_next) <= _DIVERGENCE_NORM:  # also catches inf and nan
+        X_next = _schur_step(X, M, Pi, x_norm < x_max)[0]
+        x_norm = float(np.linalg.norm(X_next))
+        if not x_norm <= _DIVERGENCE_NORM:  # also catches inf and nan
             return ReferenceSearchResult(None, it, "iterates diverged")
         step = float(np.linalg.norm(X_next - X))
         X = X_next

@@ -11,27 +11,17 @@ horizon T',
 
 Only positive powers of Z appear.  The rule refuses, raising
 NumericalRefusal, when R_full is singular or when some I + W_s Psi_{T'} is
-(which needs an indefinite Psi_{T'}); both are relative rank decisions.
+(which needs an indefinite Psi_{T'}); both are relative rank decisions, and
+the inverse the formula takes certifies the latter's full rank where it can.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import RANK_REL, NumericalRefusal, _pinv, is_nonsingular, symmetrize
+from .linalg import NumericalRefusal, _certified_nonsingular, _pinv, numerical_rank, symmetrize
 from .model import LQProblem
 from .reduction import HybridSolveResult, ReductionData, _solve_reduced
-
-
-def _nonsingular(M, M_inv, scale: float) -> bool:
-    """is_nonsingular(M, scale), with the SVD skipped where a bound settles it.
-
-    sigma_min >= 1 / ||M^{-1}||_F and sigma_max <= ||M||_F, so clearing the
-    cutoff these bounds give, with a margin of two for the rounding in
-    M_inv, passes only matrices the SVD test passes too.
-    """
-    cutoff = RANK_REL * max(float(np.linalg.norm(M)), scale) * M.shape[0]
-    return 2.0 * cutoff * float(np.linalg.norm(M_inv)) < 1.0 or is_nonsingular(M, scale)
 
 
 def gramian_sweep(Psi_terminal, steps: int, rd: ReductionData):
@@ -53,7 +43,8 @@ def gramian_sweep(Psi_terminal, steps: int, rd: ReductionData):
         except np.linalg.LinAlgError:
             M_inv = None
         # I + W_s Psi is a sum that may cancel, so it is judged against its parts.
-        if M_inv is None or not _nonsingular(M, M_inv, 1.0 + float(np.linalg.norm(W)) * Psi_norm):
+        scale = 1.0 + float(np.linalg.norm(W)) * Psi_norm
+        if M_inv is None or not (_certified_nonsingular(M, scale, M_inv) or numerical_rank(M, scale) == d):
             raise NumericalRefusal(f"closed form inapplicable: I + W_{s} Psi is singular")
         yield symmetrize(P.T @ Psi_terminal @ (M_inv @ P))
 
@@ -65,7 +56,7 @@ def _gramian_rule(Psi_terminal, steps: int, rd: ReductionData, stop, x_max: floa
     step's refusal."""
     Psi, R_X = [Psi_terminal], []
     sweep = gramian_sweep(Psi_terminal, steps, rd)
-    while len(R_X) < steps and not stop(Psi[-1]):
+    while len(R_X) < steps and not stop(float(np.linalg.norm(Psi[-1]))):
         R_X.append(rd.reference.R_X + rd.B2.T @ Psi[-1] @ rd.B2)
         Psi.append(next(sweep))
     R_X = np.array(R_X)

@@ -74,33 +74,32 @@ def _inverse_limit(triple: PopovTriple) -> float:
     return c / ((m + 1) * b) if b else np.inf
 
 
-def _schur_step(X_next, M, Pi, x_max: float = 0.0):
+def _schur_step(X_next, M, Pi, invert: bool = False):
     """Generalised Schur complement of the Popov block W = M^T X_next M + Pi.
 
     With k = rows of M, W = [[W11, W12], [W21, R_X]] is split after k, and
     from one factorisation of R_X this returns (symmetrize(W11 - W12 L), L,
     W, R_X^+) with L = R_X^+ W21.  The factorisation is linalg's SVD pinv,
-    or np.linalg.inv where ||X_next||_F < x_max: a bound from _inverse_limit
-    certifies that the SVD would keep every singular value, so both give
-    R_X^{-1}.  M = [A B] with the Popov matrix as Pi is the full backward
-    step, L its gain K; the reduction applies the same map to the trailing
-    block.  X_next must be symmetric and is not checked.
+    or np.linalg.inv where invert is the caller's certificate that the SVD
+    would keep every singular value (||X_next||_F < x_max, x_max from
+    _inverse_limit), so both give R_X^{-1}.  M = [A B] with the Popov
+    matrix as Pi is the full backward step, L its gain K; the reduction
+    applies the same map to the trailing block.  X_next must be symmetric
+    and is not checked.
     """
     k = M.shape[0]
     W = M.T @ (X_next @ M) + Pi
     R_X = W[k:, k:]
-    if x_max > 0.0 and np.linalg.norm(X_next) < x_max:
-        R_X_pinv = np.linalg.inv(R_X)
-    else:
-        R_X_pinv = _pinv(R_X)
+    R_X_pinv = np.linalg.inv(R_X) if invert else _pinv(R_X)
     L = R_X_pinv @ W[k:, :k]
     return symmetrize(W[:k, :k] - W[:k, k:] @ L), L, W, R_X_pinv
 
 
 def _sweep(X_end, M, Pi, steps: int, stop=None, x_max: float = 0.0):
     """`steps` Schur-complement steps back from X_end, in backward order, or
-    fewer: stop(X), if given, is asked before each step and ends the sweep.
-    x_max is _schur_step's, for every step.
+    fewer: stop(||X||_F), if given, is asked before each step and ends the
+    sweep.  A step from X inverts its curvature where ||X||_F < x_max (see
+    _schur_step); the one norm serves both tests.
 
     Returns the lists X (X_end first), L, R_X and R_X^+ (or R_X^{-1}, where
     certified); whatever else a solver reports is formed from them after
@@ -109,9 +108,10 @@ def _sweep(X_end, M, Pi, steps: int, stop=None, x_max: float = 0.0):
     k = M.shape[0]
     X, L, R_X, R_X_pinv = [X_end], [], [], []
     for _ in range(steps):
-        if stop is not None and stop(X[-1]):
+        x_norm = float(np.linalg.norm(X[-1])) if stop is not None or x_max > 0.0 else np.inf
+        if stop is not None and stop(x_norm):
             break
-        X_prev, L_t, W, R_pinv_t = _schur_step(X[-1], M, Pi, x_max)
+        X_prev, L_t, W, R_pinv_t = _schur_step(X[-1], M, Pi, x_norm < x_max)
         X.append(X_prev)
         L.append(L_t)
         R_X.append(W[k:, k:])

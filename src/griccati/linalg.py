@@ -2,8 +2,9 @@
 
 Every rank, kernel, and inertia decision in this package flows through the
 helpers and the three constants below, so that all modules share one notion
-of "numerically zero"; the nilpotent eigenspace, its orthogonal complement
-and its index come from one staircase deflation (``nilpotent_eigenspace``).
+of "numerically zero" (``_certified_nonsingular`` settles some full-rank
+ones without an SVD, never differently); the nilpotent eigenspace, its
+complement and its index come from one staircase (``nilpotent_eigenspace``).
 Matrices are plain 2-D float64 ``numpy`` arrays throughout; the helpers a
 solver applies to a whole horizon at once (``_pinv``, ``svd_cutoff``,
 ``symmetrize``) also take stacks (..., r, c), slice by slice.
@@ -159,7 +160,28 @@ def numerical_rank(M, scale: float = 0.0) -> int:
     return int(np.count_nonzero(s > cutoff))
 
 
+def _certified_nonsingular(A: np.ndarray, scale: float = 0.0, A_inv=None) -> bool:
+    """True only where the square A passes numerical_rank(A, scale) == n: as
+    sigma_min >= 1 / ||A^{-1}||_F and sigma_max <= ||A||_F, every singular
+    value is above twice the cutoff RANK_REL max(sigma_max, scale) n where
+    2 RANK_REL max(||A||_F, scale) n ||A^{-1}||_F < 1.  The 2 pays for
+    rounding: cond_F(A) < 1 / (2 RANK_REL n) there, so the computed inverse's
+    norm errs by about n u cond(A) <= 1e-6 (u the unit round-off), the SVD's
+    values by n u sigma_max, 1e-6 of the cutoff.  False means "ask the SVD".
+    A_inv is A's inverse, else taken here; a LinAlgError is not certified.
+    """
+    if A_inv is None:
+        try:
+            A_inv = np.linalg.inv(A)
+        except np.linalg.LinAlgError:
+            return False
+    cutoff = RANK_REL * max(float(np.linalg.norm(A)), scale) * A.shape[0]
+    return 2.0 * cutoff * float(np.linalg.norm(A_inv)) < 1.0
+
+
 def is_nonsingular(M, scale: float = 0.0) -> bool:
+    """numerical_rank(M, scale) == n by the SVD: on the small blocks most calls
+    pass, _certified_nonsingular's inverse would cost as much."""
     A = as_matrix(M)
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"singularity test needs a square matrix, got {A.shape}")
@@ -172,19 +194,22 @@ def nilpotent_eigenspace(A, scale: float = 0.0):
     Returns (Q, k, nu): Q is orthogonal and Q^T A Q = [[N0, *], [0, Z]] with
     N0 the leading k x k block, nilpotent of index nu, and Z non-singular,
     so the first k columns of Q span ker(A^n) (k = 0, nu = 0 and Q = I when
-    A is non-singular).  Each step takes the SVD of the current trailing
-    block only, moves its kernel to the front of that block's columns of Q
-    and carries V_r^T Z V_r forward, V_r the rest of its right singular
-    vectors (Van Dooren's staircase); the kernels found stack into a
-    strictly block upper triangular N0, so the form holds by construction.
-    Every step judges rank against one cutoff, taken from A's own singular
-    values and scale: a trailing block is never judged against itself.
+    A is non-singular, without an SVD where _certified_nonsingular says so).
+    Each step takes the SVD of the current trailing block only, moves its
+    kernel to the front of that block's columns of Q and carries V_r^T Z V_r
+    forward, V_r the rest of its right singular vectors (Van Dooren's
+    staircase); the kernels found stack into a strictly block upper
+    triangular N0, so the form holds by construction.  Every step judges
+    rank against one cutoff, taken from A's own singular values and scale:
+    a trailing block is never judged against itself.
     """
     M = as_matrix(A)
     n = M.shape[0]
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"nilpotent eigenspace needs a square matrix, got {M.shape}")
     Q = np.eye(n)
+    if _certified_nonsingular(M, scale):
+        return Q, 0, 0
     Z, k, nu, cutoff = M, 0, 0, None
     while k < n:
         W, s, Vt = np.linalg.svd(Z)

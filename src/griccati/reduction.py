@@ -200,10 +200,10 @@ def _hybrid_rule(Psi_terminal, steps: int, rd: ReductionData, stop, x_max: float
     """Phase-two rule of the hybrid solver: grde's sweep on [Z B2].
 
     A phase-two rule takes at most steps steps back from Psi_{T'} =
-    Psi_terminal, asking stop(Psi) before each, and returns the stacks of
-    Psi (Psi_terminal first), of each step's curvature R_full + B2^T Psi B2
-    and of its pinv.  x_max is the sweep's bound on ||Psi||_F below which
-    that curvature is inverted without an SVD (see _solve_reduced).
+    Psi_terminal, asking stop(||Psi||_F) before each, and returns the
+    stacks of Psi (Psi_terminal first), of each step's curvature R_full +
+    B2^T Psi B2 and of its pinv.  x_max is the sweep's bound on ||Psi||_F
+    below which that curvature is inverted without an SVD (see _solve_reduced).
     """
     Psi, _, R_X, R_X_pinv = _sweep(Psi_terminal, rd.ZB2, rd.Pi, steps, stop, x_max)
     return np.array(Psi), np.array(R_X), np.array(R_X_pinv)
@@ -270,15 +270,14 @@ class _TailCut:
 
     ||L|| >= 1 makes ||Psi_s||_F <= eps ||X_circ||_F necessary for a cut,
     and only then is _tail_bound computed, once; reason keeps its refusal.
-    """
+    Its argument is ||Psi||_F, as the sweep's certificate reads it too."""
 
     def __init__(self, rd: ReductionData):
         self.rd = rd
         self.necessary = _EPS * float(np.linalg.norm(rd.reference.X))
         self.psi_max, self.reason = None, ""
 
-    def __call__(self, Psi) -> bool:
-        psi = float(np.linalg.norm(Psi))
+    def __call__(self, psi: float) -> bool:
         if psi > self.necessary:
             return False
         if self.psi_max is None:

@@ -25,6 +25,23 @@ def scalar_j_problem(T=5):
     )
 
 
+def benchmark_pools(seeds):
+    """(workload, problem) for every problem of the benchmark's four pools at
+    the given run seeds, generated as bench/pipeline.py does."""
+    corpus_kinds = ("generic", "singular_R", "nilpotent_block")
+    make = model.random_problem
+    pools = (
+        ("headline_dead_psi", 48, lambda s, i: make(20, 2, s, "nilpotent_block", horizon=500, nilpotent_dim=15)),
+        ("live_psi", 48, lambda s, i: make(12, 2, s, "nilpotent_block", horizon=500, nilpotent_dim=2)),
+        ("wide_generic", 24, lambda s, i: make(50, 5, s, "generic", horizon=200)),
+        ("corpus_5x2", 200, lambda s, i: make(5, 2, s, corpus_kinds[i % 3], horizon=1 + (i // 3) % 20)),
+    )
+    for seed in seeds:
+        for name, size, problem in pools:
+            for i in range(size):
+                yield name, problem(seed * 100_003 + i, i)
+
+
 def scaled_problem(problem, c):
     """The same problem with Q, S, R and P multiplied by c."""
     t = problem.triple

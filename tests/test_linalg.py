@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from griccati import linalg
+from griccati.cgdare import find_reference
 from griccati.grde import solve_full
 from griccati.linalg import (
     RANK_REL,
@@ -21,7 +23,7 @@ from griccati.linalg import (
 from griccati.model import LQProblem, PopovTriple, random_problem
 from griccati.oracle import batch_matrices
 
-from conftest import null_space, projector_distance
+from conftest import benchmark_pools, null_space, projector_distance
 
 
 def test_tolerance_defaults_frozen():
@@ -162,6 +164,70 @@ def test_numerical_rank_and_nonsingular():
     assert not is_nonsingular(np.diag([1.0, 0.0]))
     # Empty matrix is nonsingular by convention (no singular value below cutoff).
     assert is_nonsingular(np.eye(0))
+
+
+def _svd_only(monkeypatch):
+    """Switch the full-rank certificate off: every rank decision takes its SVD."""
+    monkeypatch.setattr(linalg, "_certified_nonsingular", lambda *args, **kwargs: False)
+
+
+def _decisions(A, scale):
+    """The staircase's Q and (k, nu), and is_nonsingular's verdict."""
+    Q, k, nu = nilpotent_eigenspace(A, scale)
+    return Q, (k, nu, is_nonsingular(A, scale))
+
+
+def _same_decisions(got, want):
+    return np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+
+def test_certificate_keeps_every_rank_decision_on_the_benchmark_pools(monkeypatch):
+    # On the closed loop A_X of every reference the benchmark's seed-1 and
+    # seed-2 pools accept, the staircase and the singularity test give
+    # exactly the SVD's answers, against A_X alone and against the scale
+    # closed_loop judges it by; the non-singular loops of wide_generic are
+    # certified, the singular ones of the headline pools are not.
+    cases = []
+    for name, problem in benchmark_pools((1, 2)):
+        search = find_reference(problem)
+        if search.found:
+            sol, t = search.solution, problem.triple
+            loop_scale = float(np.linalg.norm(t.A)) + float(np.linalg.norm(t.B @ sol.K_X))
+            cases += [(name, sol.A_X, 0.0), (name, sol.A_X, loop_scale)]
+    certified = {name: [] for name, _, _ in cases}
+    for name, A, scale in cases:
+        certified[name].append(linalg._certified_nonsingular(A, scale))
+    assert all(certified["wide_generic"]) and not any(certified["headline_dead_psi"])
+    with_certificate = [_decisions(A, scale) for _, A, scale in cases]
+    _svd_only(monkeypatch)
+    for (name, A, scale), got in zip(cases, with_certificate):
+        assert _same_decisions(got, _decisions(A, scale)), (name, scale)
+
+
+@pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
+def test_certificate_boundary_never_certifies_a_singular_matrix(monkeypatch, c):
+    # diag(1, delta) has full rank by the SVD where delta > 2 RANK_REL and
+    # is certified where 4 RANK_REL sqrt(1 + delta^2) sqrt(1 + delta^-2) < 1,
+    # about delta > 4 RANK_REL: between the two the certificate says
+    # "unknown", never "non-singular" where the SVD says singular.  The same
+    # holds at every scale c, in rotated coordinates, against a scale above
+    # ||A|| and at delta = 0, where np.linalg.inv raises.
+    rng = np.random.default_rng(7)
+    V, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+    W, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+    deltas = [0.0] + list(RANK_REL * np.geomspace(1.0, 10.0, 41))
+    cases = []
+    for delta in deltas:
+        for D in (c * np.diag([1.0, delta]), c * V @ np.diag([1.0, delta]) @ W.T):
+            cases += [(D, 0.0), (D, 3.0 * c)]
+    verdicts = [linalg._certified_nonsingular(A, scale) for A, scale in cases]
+    ranks = [numerical_rank(A, scale) for A, scale in cases]
+    assert all(rank == 2 for rank, v in zip(ranks, verdicts) if v)
+    assert any(verdicts) and any(rank == 2 and not v for rank, v in zip(ranks, verdicts))
+    with_certificate = [_decisions(A, scale) for A, scale in cases]
+    _svd_only(monkeypatch)
+    for (A, scale), got in zip(cases, with_certificate):
+        assert _same_decisions(got, _decisions(A, scale)), (A, scale)
 
 
 def test_null_space_simple():

@@ -11,7 +11,7 @@ from griccati.pencil import (
     n_singular_criterion,
 )
 
-from conftest import PHI, scalar_two_step
+from conftest import PHI, rotated_problem, scalar_two_step
 
 
 def test_pencil_layout_frozen():
@@ -63,6 +63,61 @@ def test_det_identity_random_problems():
         ).tolist()
         worst = max(worst, det_identity_check(pencil, res.solution, zs))
     assert worst <= 1e-8
+
+
+def _stacked_lu_defect(pencil, solution, z_samples):
+    """The defect with the right side's closed-loop factors by stacked LU too."""
+    z = np.asarray(z_samples).reshape(-1, 1, 1)
+    A_X, eye_n = solution.A_X, np.eye(pencil.n)
+    lhs = np.linalg.det(pencil.N - z * pencil.M)
+    closed_loop_factors = np.linalg.det(A_X - z * eye_n) * np.linalg.det(eye_n - z * A_X.T)
+    rhs = (-1.0) ** pencil.n * closed_loop_factors * np.linalg.det(solution.R_X)
+    return float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs)), initial=0.0))
+
+
+def _samples(rng):
+    real = rng.uniform(-2, 2, size=20)
+    return real, rng.uniform(-2, 2, size=10) + 1j * rng.uniform(-2, 2, size=10)
+
+
+def test_det_identity_on_a_long_jordan_chain():
+    # The headline shape: A_X carries a nu = 15 Jordan chain at zero.  In
+    # the generator's coordinates its computed eigenvalues are exact zeros
+    # and the identity holds to 1e-12.  In rotated coordinates the computed
+    # eigenvalues of the chain spread to about eps^(1/15) ~ 0.09; their
+    # product is still the determinant of a matrix within rounding of A_X,
+    # and the defect stays at the stacked-LU form's 1e-12 to 1e-11.
+    rng = np.random.default_rng(21)
+    problem = random_problem(20, 2, 100_003, "nilpotent_block", horizon=500, nilpotent_dim=15)
+    V, _ = np.linalg.qr(rng.normal(size=(20, 20)))
+    for case, limit in ((problem, 1e-12), (rotated_problem(problem, V), 1e-10)):
+        sol = find_reference(case).solution
+        assert sol.nu == 15
+        spread = np.sort(np.abs(np.linalg.eigvals(sol.A_X)))[14]
+        assert (spread == 0.0) if limit == 1e-12 else (spread > 1e-2), spread
+        for zs in _samples(rng):
+            assert det_identity_check(build(case.triple), sol, zs) <= limit
+
+
+def test_det_identity_matches_the_stacked_lu_form():
+    # With real and with complex samples the eigenvalue product gives the
+    # defect of the stacked LU form it replaced, to rounding, as a float,
+    # also where A_X has complex conjugate eigenvalues.
+    rng = np.random.default_rng(22)
+    complex_loops = 0
+    for i in range(12):
+        kind = ("generic", "singular_R", "nilpotent_block")[i % 3]
+        problem = random_problem(5, 2, 2200 + i, kind)
+        res = find_reference(problem)
+        if not res.found:
+            continue
+        pencil, sol = build(problem.triple), res.solution
+        complex_loops += bool(np.iscomplex(np.linalg.eigvals(sol.A_X)).any())
+        for zs in _samples(rng):
+            got = det_identity_check(pencil, sol, zs)
+            assert isinstance(got, float)
+            assert got <= 1e-12 and abs(got - _stacked_lu_defect(pencil, sol, zs)) <= 1e-12
+    assert complex_loops >= 3
 
 
 def test_n_singular_criterion_cases():
@@ -177,3 +232,4 @@ def test_det_identity_empty_samples():
     triple = scalar_two_step().triple
     sol = closed_loop([[PHI]], triple)
     assert det_identity_check(build(triple), sol, []) == 0.0
+    assert det_identity_check(build(triple), sol, np.zeros(0, dtype=complex)) == 0.0
