@@ -33,7 +33,7 @@ from .linalg import (
     symmetrize,
 )
 from .model import LQProblem, PopovTriple, _read_only
-from .grde import _inverse_limit, _schur_step, riccati_map
+from .grde import _schur_step, riccati_map
 
 
 class ReferenceRejectedError(ValueError):
@@ -191,11 +191,11 @@ def _doubling(triple: PopovTriple, band: float):
     return None
 
 
-def _fixed_point(triple: PopovTriple, band: float, x_max: float = 0.0) -> ReferenceSearchResult:
+def _fixed_point(triple: PopovTriple, band: float) -> ReferenceSearchResult:
     """X <- riccati_map(X) from zero, one step at a time, and its verdict.
 
-    The iterates are value functions of the problem with P = 0, so a
-    validated problem's x_max (grde._inverse_limit) applies to every step.
+    It runs where doubling cannot (find_reference), so every step takes
+    the SVD pseudo-inverse of its curvature, which may be singular.
     """
     M, Pi = triple.AB, triple.Pi
     X = np.zeros((triple.n, triple.n))
@@ -204,13 +204,11 @@ def _fixed_point(triple: PopovTriple, band: float, x_max: float = 0.0) -> Refere
     stop_at = None
     plateau = 0
     it = 0
-    x_norm = 0.0  # ||X||_F, for the divergence guard and the next step's certificate
     # Not grde._sweep: the search keeps only its last iterate, where a sweep
     # would hold all of up to _MAX_ITER of them.
     for it in range(1, _MAX_ITER + 1):
-        X_next = _schur_step(X, M, Pi, x_norm < x_max)[0]
-        x_norm = float(np.linalg.norm(X_next))
-        if not x_norm <= _DIVERGENCE_NORM:  # also catches inf and nan
+        X_next = _schur_step(X, M, Pi)[0]
+        if not np.linalg.norm(X_next) <= _DIVERGENCE_NORM:  # also catches inf and nan
             return ReferenceSearchResult(None, it, "iterates diverged")
         step = float(np.linalg.norm(X_next - X))
         X = X_next
@@ -278,4 +276,4 @@ def find_reference(problem: LQProblem, X_ref: Optional[np.ndarray] = None) -> Re
         sol = closed_loop(X, triple)
         if sol.accepted():
             return ReferenceSearchResult(sol, k, "fixed point accepted after doubling")
-    return _fixed_point(triple, band, _inverse_limit(triple) if problem.validation.passed else 0.0)
+    return _fixed_point(triple, band)

@@ -20,7 +20,6 @@ from .linalg import InternalInconsistencyError, NumericalRefusal
 from .model import (
     ProblemFormatError,
     Xorshift64Star,
-    _parse_matrix,
     load_problem,
     random_problem,
     save_problem,
@@ -113,13 +112,13 @@ def cmd_solve(args) -> int:
             fallback = f"no reference solution: {ref.message}"
         else:
             run.residuals["reference_residual"] = ref.solution.residual_norm
-            rd = build_reduction(problem, ref.solution)
-            run.results["nu"] = rd.nu
-            run.results["dim_u"] = rd.dim_u
-            run.results["dim_reduced"] = rd.dim_reduced
             try:
+                rd = build_reduction(problem, ref.solution)
+                run.results.update(nu=rd.nu, dim_u=rd.dim_u, dim_reduced=rd.dim_reduced)
                 res = (solve_hybrid if args.method == "reduced" else solve_closed_form)(problem, rd)
-            except NumericalRefusal as exc:  # where the hybrid solver falls back, the closed form refuses
+            # Where the hybrid solver falls back the closed form refuses, and a
+            # reduction that fails its structural checks leaves the full recursion.
+            except (NumericalRefusal, InternalInconsistencyError) as exc:
                 fallback = str(exc)
             else:
                 # A hybrid fallback's trajectory is the full recursion's.
@@ -157,18 +156,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    problem, X_ref_file = load_problem(args.problem)
-    X_ref = X_ref_file
-    if args.x_ref:
-        with open(args.x_ref) as fh:
-            raw = json.load(fh)
-        if isinstance(raw, dict) and "X_ref" in raw:
-            raw = raw["X_ref"]
-        X_ref = _parse_matrix("X_ref", raw, problem.n, problem.n)
-
+    problem, X_ref = load_problem(args.problem)
     run = RunReport(
         command="analyze",
-        inputs={"problem": args.problem, "n": problem.n, "m": problem.m, "T": problem.T, "seed": args.seed},
+        inputs={"problem": args.problem, "n": problem.n, "m": problem.m, "T": problem.T},
     )
     vrep = validate(problem)
     run.results["validation_passed"] = vrep.passed
@@ -184,20 +175,14 @@ def cmd_analyze(args) -> int:
     }
 
     solution = None
-    if vrep.passed:
-        try:
-            ref = find_reference(problem, X_ref=X_ref)
-        except ReferenceRejectedError as exc:
-            run.results["reference_found"] = False
-            run.reason = str(exc)
-            ref = None
-        if ref is not None:
-            run.results["reference_found"] = ref.found
-            if ref.found:
-                solution = ref.solution
-    else:
-        run.results["reference_found"] = False
+    if not vrep.passed:
         run.reason = "validation failed; pencil-only analysis"
+    else:
+        try:
+            solution = find_reference(problem, X_ref=X_ref).solution
+        except ReferenceRejectedError as exc:
+            run.reason = str(exc)
+    run.results["reference_found"] = solution is not None
 
     if solution is None:
         run.results["analysis_level"] = "pencil-only"
@@ -217,7 +202,7 @@ def cmd_analyze(args) -> int:
             "inertia_RX": list(solution.inertia_RX),
         }
         run.results["mu"] = mu_bookkeeping(solution)._asdict()
-        rng = Xorshift64Star(args.seed)
+        rng = Xorshift64Star(0)
         z_samples = [rng.interval(-2.0, 2.0) for _ in range(20)]
         run.residuals["det_identity_worst"] = det_identity_check(pen, solution, z_samples)
 
@@ -339,8 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="pencil criteria, multiplicity bookkeeping, determinant identity")
     p.add_argument("problem")
-    p.add_argument("--x-ref", default=None, help="JSON file with a candidate algebraic solution")
-    p.add_argument("--seed", type=int, default=0, help="seed for the determinant sample points")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("verify", help="cross-check recursion cost, batch QP cost, simulated cost")

@@ -60,8 +60,10 @@ def _inverse_limit(triple: PopovTriple) -> float:
     u the unit round-off, 1e-6 of RANK_REL.  Scaling the weights by c
     scales r, s and ||X|| by c, and an orthogonal change of state
     coordinates keeps every norm, so neither moves a decision.  The premise
-    X >= 0 is the caller's: riccati_map, gain_and_projector, closed_loop and
-    reduced_step take any symmetric X and never pass a bound.
+    X >= 0 is the caller's, so only the sweeps from a validated P pass a
+    bound: solve_full and both phases of the reduced solve.  riccati_map,
+    gain_and_projector, closed_loop, reduced_step and the reference
+    search's single steps take any symmetric X and never pass one.
     """
     R, B, m = triple.R, triple.B, triple.m
     if not m:

@@ -227,14 +227,15 @@ def nilpotent_eigenspace(A, scale: float = 0.0):
 def inertia(M):
     """Inertia (n_plus, n_minus, n_zero) of a symmetric matrix.
 
-    Eigenvalues with |lambda| <= RANK_REL * max|lambda| count as zero.
+    Eigenvalues with |lambda| at or below the shared cutoff count as zero:
+    the |lambda| are the singular values, so n_zero = n - numerical_rank.
     Asymmetric input beyond tolerance is rejected.
     """
     A = check_symmetric(M, "inertia input")
     if A.shape[0] == 0:
         return (0, 0, 0)
     w = np.linalg.eigvalsh(A)
-    cutoff = RANK_REL * float(np.max(np.abs(w))) if w.size else 0.0
+    cutoff = svd_cutoff(np.sort(np.abs(w))[::-1], A.shape)
     n_plus = int(np.count_nonzero(w > cutoff))
     n_minus = int(np.count_nonzero(w < -cutoff))
     return (n_plus, n_minus, A.shape[0] - n_plus - n_minus)

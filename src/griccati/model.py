@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import RANK_REL, as_matrix, pinv, residual_limit, spectral_radius, symmetrize
+from .linalg import RANK_REL, as_matrix, is_nonsingular, pinv, residual_limit, spectral_radius, symmetrize
 
 
 class ProblemFormatError(ValueError):
@@ -89,6 +89,14 @@ class PopovTriple:
     @cached_property
     def AB(self) -> np.ndarray:
         return _read_only(np.hstack([self.A, self.B]))
+
+    @cached_property
+    def drift_singular(self) -> bool:
+        """Singularity of the drift A - B R^+ S^T, judged against the terms
+        forming it: both of pencil's criteria read this one decision."""
+        feed = self.B @ pinv(self.R) @ self.S.T
+        scale = float(np.linalg.norm(self.A)) + float(np.linalg.norm(feed))
+        return not is_nonsingular(self.A - feed, scale=scale)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .linalg import is_nonsingular, nilpotent_eigenspace, numerical_rank, pinv
+from .linalg import is_nonsingular, nilpotent_eigenspace, numerical_rank
 from .model import PopovTriple
 from .cgdare import CgdareSolution
 
@@ -64,18 +64,11 @@ class NSingularCriterion(NamedTuple):
         return self.n_singular == (self.r_singular or self.drift_singular)
 
 
-def _drift_singular(triple: PopovTriple) -> bool:
-    """Singularity of A - B R^+ S^T, judged against the terms forming it."""
-    feed = triple.B @ pinv(triple.R) @ triple.S.T
-    scale = float(np.linalg.norm(triple.A)) + float(np.linalg.norm(feed))
-    return not is_nonsingular(triple.A - feed, scale=scale)
-
-
 def n_singular_criterion(pencil: SymplecticPencil, triple: PopovTriple) -> NSingularCriterion:
     """Evaluate both sides of the N-singularity equivalence numerically."""
     n_sing = not is_nonsingular(pencil.N)
     r_sing = not is_nonsingular(triple.R)
-    return NSingularCriterion(n_sing, r_sing, _drift_singular(triple))
+    return NSingularCriterion(n_sing, r_sing, triple.drift_singular)
 
 
 class ClosedLoopSingularCriterion(NamedTuple):
@@ -97,8 +90,7 @@ def closed_loop_singular_criterion(solution: CgdareSolution) -> ClosedLoopSingul
     a_x_sing = solution.dim_u > 0
     rank_R = numerical_rank(triple.R)
     rank_RX = numerical_rank(solution.R_X)
-    drift_sing = _drift_singular(triple)
-    return ClosedLoopSingularCriterion(a_x_sing, rank_R < rank_RX, drift_sing, rank_R, rank_RX)
+    return ClosedLoopSingularCriterion(a_x_sing, rank_R < rank_RX, triple.drift_singular, rank_R, rank_RX)
 
 
 def det_identity_check(

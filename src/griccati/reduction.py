@@ -161,32 +161,51 @@ def reduced_step(Psi, rd: ReductionData) -> np.ndarray:
 class HybridSolveResult:
     """Trajectory plus the diagnostics of a reduced solve.
 
-    used_fallback is set when the horizon was shorter than nu or the
-    structural checkpoint failed, and fallback_reason says which; the
-    hybrid solver then recomputes the trajectory with the plain full
+    The fields hold what the solve measured; the properties derive the
+    rest, so they cannot disagree with it: nu, dim_u and dim_reduced are
+    the reduction's, reduced_steps = horizon - full_steps and used_fallback
+    = bool(fallback_reason).  fallback_reason is set when the horizon was
+    shorter than nu or the structural checkpoint failed, and says which;
+    the hybrid solver then recomputes the trajectory with the plain full
     recursion.  The measured block norms are kept either way.  With nu = 0
     the checkpoint blocks are empty, so no fallback occurs.
 
-    full_steps = nu unless the solve fell back (then T), and
-    reduced_steps = T - full_steps counts the whole reduced horizon; the
-    last tail_steps of it (the earliest times) were not iterated but filled
-    with the reference's X, K_X and G_X.  tail_reason says why
-    the certificate for that cut was refused, when it was computed and
-    refused.
+    full_steps = nu unless the solve fell back (then the horizon T), and
+    reduced_steps counts the whole reduced horizon; the last tail_steps of
+    it (the earliest times) were not iterated but filled with the
+    reference's X, K_X and G_X.  tail_reason says why the certificate for
+    that cut was refused, when it was computed and refused.
     """
 
     trajectory: GrdeTrajectory
-    nu: int
-    dim_u: int
-    dim_reduced: int
+    reduction: ReductionData
+    horizon: int
     full_steps: int
-    reduced_steps: int
-    tail_steps: int
-    checkpoint_off_norm: float
-    checkpoint_threshold: float
-    used_fallback: bool
+    tail_steps: int = 0
+    checkpoint_off_norm: float = 0.0
+    checkpoint_threshold: float = 0.0
     fallback_reason: str = ""
     tail_reason: str = ""
+
+    @property
+    def nu(self) -> int:
+        return self.reduction.nu
+
+    @property
+    def dim_u(self) -> int:
+        return self.reduction.dim_u
+
+    @property
+    def dim_reduced(self) -> int:
+        return self.reduction.dim_reduced
+
+    @property
+    def reduced_steps(self) -> int:
+        return self.horizon - self.full_steps
+
+    @property
+    def used_fallback(self) -> bool:
+        return bool(self.fallback_reason)
 
 
 def checkpoint_blocks(Delta, rd: ReductionData):
@@ -309,33 +328,6 @@ def _phase_two_outputs(Psi, R_X, R_X_pinv, rd: ReductionData):
     return X, K, _projectors(R_X, R_X_pinv)
 
 
-def _result(
-    problem: LQProblem,
-    rd: ReductionData,
-    trajectory,
-    full_steps: int,
-    off_norm=0.0,
-    threshold=0.0,
-    reason="",
-    tail_steps=0,
-    tail_reason="",
-):
-    return HybridSolveResult(
-        trajectory=trajectory,
-        nu=rd.nu,
-        dim_u=rd.dim_u,
-        dim_reduced=rd.dim_reduced,
-        full_steps=full_steps,
-        reduced_steps=problem.T - full_steps,
-        tail_steps=tail_steps,
-        checkpoint_off_norm=off_norm,
-        checkpoint_threshold=threshold,
-        used_fallback=bool(reason),
-        fallback_reason=reason,
-        tail_reason=tail_reason,
-    )
-
-
 def _solve_reduced(problem: LQProblem, rd: ReductionData, phase_two) -> HybridSolveResult:
     """The reduced solve shared by the hybrid and the closed-form routes.
 
@@ -361,7 +353,7 @@ def _solve_reduced(problem: LQProblem, rd: ReductionData, phase_two) -> HybridSo
     require_valid(problem)
     T, nu, triple = problem.T, ref.nu, problem.triple
     if T < nu:
-        return _result(problem, rd, None, T, reason=f"horizon {T} shorter than nilpotency index {nu}")
+        return HybridSolveResult(None, rd, T, T, fallback_reason=f"horizon {T} shorter than nilpotency index {nu}")
 
     x_max = _inverse_limit(triple)
     X, K, R_X, R_X_pinv = _sweep(symmetrize(problem.P), triple.AB, triple.Pi, nu, x_max=x_max)
@@ -371,7 +363,7 @@ def _solve_reduced(problem: LQProblem, rd: ReductionData, phase_two) -> HybridSo
     off_norm = float(max(np.linalg.norm(D11), np.linalg.norm(D12)))
     threshold = RESIDUAL_REL * (float(np.linalg.norm(ref.X)) + float(np.linalg.norm(Delta)))
     if off_norm > threshold:
-        return _result(problem, rd, None, T, off_norm, threshold, "checkpoint block structure violated")
+        return HybridSolveResult(None, rd, T, T, 0, off_norm, threshold, "checkpoint block structure violated")
 
     # Phase two: only the trailing block moves.
     cut = _TailCut(rd)
@@ -385,7 +377,7 @@ def _solve_reduced(problem: LQProblem, rd: ReductionData, phase_two) -> HybridSo
     if tail:
         X, K, G = [ref.X] * tail + X, [ref.K_X] * tail + K, (ref.G_X,) * tail + G
     trajectory = GrdeTrajectory(tuple(X), tuple(K), tuple(G))
-    return _result(problem, rd, trajectory, nu, off_norm, threshold, "", tail, cut.reason)
+    return HybridSolveResult(trajectory, rd, T, nu, tail, off_norm, threshold, tail_reason=cut.reason)
 
 
 def solve_hybrid(problem: LQProblem, rd: ReductionData) -> HybridSolveResult:

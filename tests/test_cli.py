@@ -6,10 +6,12 @@ import sys
 import numpy as np
 import pytest
 
-from griccati import cli, grde
+from griccati import cli, grde, model
+from griccati.cgdare import find_reference
 from griccati.cli import main
 from griccati.linalg import InternalInconsistencyError, NumericalRefusal
 from griccati.model import problem_to_json, random_problem, save_problem
+from griccati.reduction import build_reduction
 
 from conftest import PHI, scalar_two_step
 from test_reduction import live_scalar_problem
@@ -218,6 +220,7 @@ def test_analyze_full_level(tmp_path, capsys):
     assert report["results"]["closed_loop"]["criterion_consistent"]
     assert report["results"]["mu"]["additive"]
     assert report["residuals"]["det_identity_worst"] <= 1e-8
+    assert "seed" not in report["inputs"]
     assert "mu:" in err
 
 
@@ -291,26 +294,70 @@ def test_verify_x0_rejects_non_finite(tmp_path, capsys):
 
 
 def test_analyze_x_ref_file(tmp_path, capsys):
-    path = _write(tmp_path, scalar_two_step())
-    # The file holds the matrix itself or an object with an X_ref field.
-    for doc in ([[PHI]], {"X_ref": [[PHI]]}):
-        ref = tmp_path / "ref.json"
-        ref.write_text(json.dumps(doc))
-        code, report, _ = _run(capsys, ["analyze", path, "--x-ref", str(ref)])
-        assert code == 0
-        assert report["results"]["reference_found"]
-        assert report["results"]["analysis_level"] == "full"
-        assert report["residuals"]["reference_residual"] <= 1e-12
+    # analyze reads a reference from the problem file, as solve does.
+    path = _write(tmp_path, scalar_two_step(), X_ref=np.array([[PHI]]))
+    code, report, _ = _run(capsys, ["analyze", path])
+    assert code == 0
+    assert report["results"]["reference_found"]
+    assert report["results"]["analysis_level"] == "full"
+    assert report["residuals"]["reference_residual"] <= 1e-12
 
 
 def test_analyze_x_ref_malformed(tmp_path, capsys):
-    path = _write(tmp_path, scalar_two_step())
-    ref = tmp_path / "ref.json"
-    ref.write_text(json.dumps({"foo": 1}))
-    code, report, _ = _run(capsys, ["analyze", path, "--x-ref", str(ref)])
+    doc = json.loads(problem_to_json(scalar_two_step(), np.array([[PHI]])))
+    doc["X_ref"] = [[PHI, 0.0]]
+    path = tmp_path / "bad_ref.json"
+    path.write_text(json.dumps(doc))
+    code, report, _ = _run(capsys, ["analyze", str(path)])
     assert code == 1
     assert report["status"] == "error"
     assert "X_ref" in report["reason"]
+
+
+def test_analyze_takes_only_the_problem(tmp_path):
+    # No second reference file and no seed: the determinant samples are fixed.
+    path = _write(tmp_path, scalar_two_step())
+    ref = tmp_path / "ref.json"
+    ref.write_text(json.dumps([[PHI]]))
+    for extra in (["--x-ref", str(ref)], ["--seed", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", path, *extra])
+        assert exc.value.code == 1, extra
+
+
+def test_analyze_decides_the_drift_once(tmp_path, capsys, monkeypatch):
+    # Both pencil criteria read one decision on A - B R^+ S^T per triple,
+    # and model takes it from one n x n rank test.
+    shapes = []
+    is_nonsingular = model.is_nonsingular
+
+    def counted(M, scale=0.0):
+        shapes.append(M.shape)
+        return is_nonsingular(M, scale)
+
+    monkeypatch.setattr(model, "is_nonsingular", counted)
+    path = _write(tmp_path, random_problem(4, 2, 11, "nilpotent_block", horizon=12))
+    code, report, _ = _run(capsys, ["analyze", path])
+    assert code == 0 and report["results"]["analysis_level"] == "full"
+    assert "drift_singular" in report["results"]["pencil"] and "drift_singular" in report["results"]["closed_loop"]
+    assert shapes == [(4, 4)]
+
+
+def test_solve_falls_back_when_the_reduction_fails_its_checks(tmp_path, capsys):
+    # At n = 200 the rotated closed loop's lower-left block is 1.6e-7, beyond
+    # the invariance tolerance: build_reduction raises, and the command falls
+    # back to the full recursion instead of exiting 3.
+    problem = random_problem(200, 5, 1, "nilpotent_block", nilpotent_dim=20)
+    with pytest.raises(InternalInconsistencyError, match="not invariant"):
+        build_reduction(problem, find_reference(problem).solution)
+    path = _write(tmp_path, problem)
+    _, full, _ = _run(capsys, ["--json", "solve", path, "--method", "full"])
+    for method in ("reduced", "closed-form"):
+        code, report, _ = _run(capsys, ["--json", "solve", path, "--method", method])
+        assert code == 2 and report["status"] == "fallback", method
+        assert "not invariant" in report["reason"]
+        assert report["results"]["method_used"] == "full"
+        assert report["results"]["X0_trace"] == full["results"]["X0_trace"]
 
 
 def test_json_flag_suppresses_summary(tmp_path, capsys):

@@ -341,6 +341,19 @@ def test_inertia_frozen_and_errors():
         inertia(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_inertia_zero_count_matches_numerical_rank():
+    # A small eigenvalue is zero for inertia exactly when numerical_rank
+    # drops it: both read the cutoff RANK_REL sigma_max max(rows, cols).
+    for n in (2, 3, 5):
+        cutoff = RANK_REL * n
+        for ratio in (0.5, 0.75, 0.99, 1.01, 1.5, 2.0):
+            for sign in (1.0, -1.0):
+                M = np.diag([1.0] * (n - 1) + [sign * ratio * cutoff])
+                n_plus, n_minus, n_zero = inertia(M)
+                assert n_zero == n - numerical_rank(M) == (ratio < 1.0), (n, ratio, sign)
+                assert n_plus + n_minus + n_zero == n
+
+
 def test_inertia_congruence_invariance():
     # Sylvester: inertia survives X -> G^T X G for nonsingular G.
     rng = np.random.default_rng(13)

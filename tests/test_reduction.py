@@ -382,6 +382,18 @@ def test_hybrid_fallback_validates_once(report_builds):
     assert len(report_builds) == 1
 
 
+def test_result_counts_derive_from_the_solve():
+    # Horizon 1 is shorter than nu = 3 and falls back; horizon 12 does not.
+    for T in (1, 12):
+        problem = random_problem(4, 1, 1900, "nilpotent_block", horizon=T, nilpotent_dim=3)
+        rd = build_reduction(problem, find_reference(problem).solution)
+        result = solve_hybrid(problem, rd)
+        assert result.used_fallback == (T < rd.nu), result.fallback_reason
+        assert (result.nu, result.dim_u, result.dim_reduced) == (rd.nu, rd.dim_u, rd.dim_reduced)
+        assert result.reduced_steps == T - result.full_steps
+        assert result.used_fallback is bool(result.fallback_reason)
+
+
 @pytest.mark.parametrize("solve", [solve_hybrid, solve_closed_form])
 def test_hybrid_horizon_equals_index(solve):
     problem = random_problem(3, 1, 1901, "nilpotent_block", horizon=2, nilpotent_dim=2)
