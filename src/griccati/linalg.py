@@ -2,9 +2,11 @@
 
 Every rank, kernel, and inertia decision in this package flows through the
 helpers and the three constants below, so that all modules share one notion
-of "numerically zero" (``_certified_nonsingular`` settles some full-rank
-ones without an SVD, never differently); the nilpotent eigenspace, its
-complement and its index come from one staircase (``nilpotent_eigenspace``).
+of "numerically zero".  Two certificates settle some full-rank ones without
+the decomposition, never differently: ``_certified_nonsingular`` a square
+matrix's without an SVD, ``_certified_positive_definite`` a symmetric one's
+without an eigen-solve.  The nilpotent eigenspace, its complement and its
+index come from one staircase (``nilpotent_eigenspace``).
 Matrices are plain 2-D float64 ``numpy`` arrays throughout; the helpers a
 solver applies to a whole horizon at once (``_pinv``, ``svd_cutoff``,
 ``symmetrize``) also take stacks (..., r, c), slice by slice.
@@ -128,7 +130,10 @@ def _pinv(A: np.ndarray) -> np.ndarray:
 def symmetric_lstsq(M, b):
     """Minimum-norm least-squares solution of M x = b for symmetric M, and M's rank.
 
-    One symmetric eigen-solve M = V diag(lam) V^T; eigenvalues with |lam|
+    Where _certified_positive_definite proves every eigenvalue above the
+    shared cutoff, x = M^{-1} b by LU and the rank is n, as the eigen path
+    would give.  Elsewhere (a singular, indefinite or barely definite M)
+    one symmetric eigen-solve M = V diag(lam) V^T; eigenvalues with |lam|
     at or below the shared cutoff are dropped (the singular values of a
     symmetric matrix are the |lam|, so the rank is that of `numerical_rank`)
     and x = V_k ((V_k^T b) / lam_k) is orthogonal to the numerical kernel.
@@ -143,6 +148,8 @@ def symmetric_lstsq(M, b):
         raise ValueError(f"right-hand side has length {b.shape[0]}, expected {A.shape[0]}")
     if A.size == 0:
         return np.zeros(0), 0
+    if _certified_positive_definite(A):
+        return np.linalg.solve(A, b), A.shape[0]
     lam, V = np.linalg.eigh(A)
     mag = np.abs(lam)
     keep = mag > svd_cutoff(np.sort(mag)[::-1], A.shape)
@@ -177,6 +184,29 @@ def _certified_nonsingular(A: np.ndarray, scale: float = 0.0, A_inv=None) -> boo
             return False
     cutoff = RANK_REL * max(float(np.linalg.norm(A)), scale) * A.shape[0]
     return 2.0 * cutoff * float(np.linalg.norm(A_inv)) < 1.0
+
+
+def _certified_positive_definite(A: np.ndarray) -> bool:
+    """True only where every eigenvalue of the symmetric n x n A is above the
+    cutoff RANK_REL max|lam| n <= RANK_REL ||A||_F n below which
+    numerical_rank and symmetric_lstsq's eigen path drop one: a Cholesky
+    factorisation of A - s I, s = 2 RANK_REL n ||A||_F, that completes gives
+    L L^T = A - s I + E with ||E||_2 <~ n^2 u ||A||_2 (Higham, Accuracy and
+    Stability of Numerical Algorithms, Thm 10.3; u the unit round-off), so
+    lam_min(A) >= s - ||E|| > RANK_REL n ||A||_F.  The 2 pays for rounding:
+    the margin RANK_REL n ||A||_F is at least 1e6 n u ||A||_2, which covers
+    ||E|| and eigh's own n u ||A||_2 wherever n << RANK_REL / (2u) ~ 4.5e5.
+    Scaling A by c scales s, so the verdict does not depend on scale, and
+    cholesky reads A's lower triangle, as eigh does.  False means "ask
+    eigh": a singular, indefinite or barely definite A, the zero matrix too.
+    """
+    n = A.shape[0]
+    shift = 2.0 * RANK_REL * n * float(np.linalg.norm(A))
+    try:
+        np.linalg.cholesky(A - shift * np.eye(n))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def is_nonsingular(M, scale: float = 0.0) -> bool:

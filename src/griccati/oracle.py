@@ -7,8 +7,9 @@ code with the recursion beyond the shared linear algebra helpers.
 
 H is assembled by a condensing recursion (Frison and Jorgensen, CDC 2013)
 in O(T n^3 + T^2 n m^2) flops and O(T^2 m^2 + T n^2) memory, without forming
-the stacked state-by-input map; the minimiser comes from one symmetric
-eigen-solve of H.
+the stacked state-by-input map.  The minimiser comes from one LU solve
+where a Cholesky certificate proves H positive definite beyond the rank
+cutoff, and from one symmetric eigen-solve of H where it does not.
 """
 
 from __future__ import annotations
@@ -114,13 +115,17 @@ def batch_optimal(qp: BatchQP):
     u* = -H^+ g and J* = c + g^T u* = c - g^T H^+ g.  The pseudo-inverse
     matters: H is singular whenever some input direction has zero curvature,
     and the minimum-norm representative is then the canonical choice.  H^+ g
-    comes from one symmetric eigen-solve (`linalg.symmetric_lstsq`), which
-    drops the same directions as an SVD pseudo-inverse but stays accurate
-    where H is ill-conditioned.  At long horizons the SVD's U and V part
-    ways in the small singular directions: on an n = 12, T = 84 problem with
+    comes from `linalg.symmetric_lstsq`: where a Cholesky factorisation of
+    H shifted by twice the rank cutoff completes, H has full rank,
+    H^+ g = H^{-1} g and one LU solve gives it; elsewhere (such a direction,
+    or one too close to it) one symmetric eigen-solve drops the same
+    directions as an SVD pseudo-inverse but stays accurate where H is
+    ill-conditioned.  At long horizons the SVD's U and V part ways in the
+    small singular directions: on an n = 12, T = 84 problem with
     cond(H) ~ 2e7 its J* misses the recursion's cost by 8e-4 relative, the
-    eigen-solve's by 5e-11.  Tiny negative values of J* (round-off on
-    problems whose true optimum is 0) are clamped.
+    eigen-solve's by 5e-11 and the LU solve's by 5e-10.  Tiny negative
+    values of J* (round-off on problems whose true optimum is 0) are
+    clamped.
     """
     H_pinv_g, _ = symmetric_lstsq(qp.H, qp.g)
     u_star = -H_pinv_g

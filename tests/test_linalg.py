@@ -133,6 +133,111 @@ def test_symmetric_lstsq_rank_and_min_norm():
         symmetric_lstsq(np.eye(2), np.zeros(3))
 
 
+def _eigen_only(monkeypatch):
+    """Switch the positive-definite certificate off: every symmetric solve
+    takes its eigen-decomposition."""
+    monkeypatch.setattr(linalg, "_certified_positive_definite", lambda A: False)
+
+
+def _count_eigh(monkeypatch):
+    """Count the calls of np.linalg.eigh from here on."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return calls
+
+
+def test_certified_solve_matches_eigen_solve_on_batch_qps():
+    # On the positive-definite H of generic and nilpotent_block batch QPs
+    # the certified LU solve and an eigen solve are both backward stable, so
+    # they differ by at most about n cond(H) eps relative.
+    eps = np.finfo(float).eps
+    for kind in ("generic", "nilpotent_block"):
+        for seed in range(6):
+            for n, m, T in ((4, 2, 12), (6, 1, 30), (3, 3, 20)):
+                qp = batch_matrices(random_problem(n, m, 1700 + seed, kind, horizon=T))
+                H, N = qp.H, qp.size
+                assert linalg._certified_positive_definite(H), (kind, seed, n, m)
+                x, rank = symmetric_lstsq(H, qp.g)
+                lam, V = np.linalg.eigh(H)
+                x_eig = V @ ((V.T @ qp.g) / lam)
+                cond = lam[-1] / lam[0]
+                assert rank == N
+                assert np.linalg.norm(x - x_eig) <= N * cond * eps * np.linalg.norm(x_eig), (kind, seed, n, m)
+
+
+@pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
+def test_positive_definite_certificate_flips_at_its_shift(monkeypatch, c):
+    # c V diag(1, ..., 1, delta) V^T with delta stepped across the shift
+    # s = 2 RANK_REL n ||diag||_F: certified for every delta >= 2 s, never
+    # for delta <= s / 2, at every scale c.  At every step the solve's rank
+    # is numerical_rank's, and its answer the eigen path's where not
+    # certified.  numerical_rank's own cutoff is s / (2 sqrt(n - 1)), i.e.
+    # 2^-1, 2^-1.5 and 2^-2 of s at n = 2, 3 and 5; the ratios
+    # 2^(-2.05 + 0.205 k) miss those, where the SVD and eigh may round apart.
+    rng = np.random.default_rng(23)
+    for n in (2, 3, 5):
+        V, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        shift = 2.0 * RANK_REL * n * np.sqrt(n - 1.0)
+        b = rng.normal(size=n)
+        for ratio in [0.0, 0.01] + list(2.0 ** np.linspace(-2.05, 2.05, 21)):
+            diag = np.diag([1.0] * (n - 1) + [ratio * shift])
+            for D in (diag, V @ diag @ V.T):
+                M = c * D
+                certified = linalg._certified_positive_definite(M)
+                if ratio >= 2.0:
+                    assert certified, (n, ratio)
+                if ratio <= 0.5:
+                    assert not certified, (n, ratio)
+                x, rank = symmetric_lstsq(M, b)
+                assert rank == numerical_rank(M), (n, ratio)
+                with monkeypatch.context() as patch:
+                    _eigen_only(patch)
+                    x_eig, rank_eig = symmetric_lstsq(M, b)
+                assert rank_eig == rank, (n, ratio)
+                if not certified:
+                    assert np.array_equal(x, x_eig)
+
+
+def test_certified_solve_skips_the_eigen_decomposition(monkeypatch):
+    # A certified H never reaches eigh; the rank-20 H of a 2 x 4 singular_R
+    # QP (40 inputs, R = 0) takes exactly one.
+    certified = batch_matrices(random_problem(2, 4, 1, "singular_R", horizon=10)).H
+    singular = batch_matrices(random_problem(2, 4, 3, "singular_R", horizon=10)).H
+    calls = _count_eigh(monkeypatch)
+    assert symmetric_lstsq(certified, np.ones(40))[1] == 40
+    assert not calls
+    assert symmetric_lstsq(singular, np.ones(40))[1] == 20
+    assert len(calls) == 1
+
+
+def test_positive_definite_certificate_fuzz(monkeypatch):
+    # Random SPD matrices, n = 2..100, eigenvalues in [0.1, 1] but one at
+    # 1e-13..1e-5, around the shift: where certified, numerical_rank and the
+    # eigen path both give full rank.  Both verdicts occur often.
+    rng = np.random.default_rng(29)
+    cases = []
+    for _ in range(1200):
+        n = int(rng.integers(2, 101))
+        V, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        lam = np.append(rng.uniform(0.1, 1.0, size=n - 1), 10.0 ** rng.uniform(-13.0, -5.0))
+        M = symmetrize((V * lam) @ V.T)
+        cases.append((M, linalg._certified_positive_definite(M)))
+    _eigen_only(monkeypatch)
+    for M, certified in cases:
+        if certified:
+            n = M.shape[0]
+            assert numerical_rank(M) == n
+            assert symmetric_lstsq(M, np.ones(n))[1] == n
+    passed = sum(certified for _, certified in cases)
+    assert 200 <= passed <= 1000, passed
+
+
 def test_pinv_penrose_conditions():
     # Sweep includes deliberately rank-deficient rectangles.
     rng = np.random.default_rng(7)

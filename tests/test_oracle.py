@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from griccati import linalg
 from griccati.grde import optimal_cost, solve_full
 from griccati.model import LQProblem, PopovTriple, random_problem
 from griccati.oracle import BatchQP, batch_matrices, batch_optimal
@@ -115,17 +116,49 @@ def test_agrees_with_backward_recursion():
         assert abs(J_grde - J_oracle) <= 1e-8 * (1.0 + abs(J_oracle)), (kind, i)
 
 
+def _assert_minimum(qp, u_star, J_star, rng):
+    """No random perturbation of u_star beats J_star."""
+    for _ in range(10):
+        delta = rng.normal(size=u_star.shape[0])
+        assert qp.cost(u_star + delta) >= J_star - 1e-9 * (1.0 + abs(J_star))
+
+
 def test_minimiser_is_a_minimum():
     # No random perturbation may beat the computed minimiser, including on
     # problems with singular H (free directions must be flat, not descent).
     rng = np.random.default_rng(6)
     for i in range(10):
-        problem = random_problem(3, 2, 1200 + i, "singular_R")
+        qp = batch_matrices(random_problem(3, 2, 1200 + i, "singular_R"))
+        _assert_minimum(qp, *batch_optimal(qp), rng)
+
+
+def test_edge_cases_on_both_paths():
+    # The empty horizon, more inputs than states and a single input with
+    # R = 0, each where H is certified positive definite (LU) and where it
+    # is not (the eigen path): the recursion, batch-QP and simulated costs
+    # agree, and the minimiser is a minimum.  singular_R draws R = 0 for
+    # the 2 x 4 seed 3 and every m = 1; P = 0 leaves that m = 1 problem's
+    # last input free.
+    rng = np.random.default_rng(16)
+    single = random_problem(4, 1, 1, "singular_R", horizon=10)
+    cases = [
+        (random_problem(4, 2, 1800, "generic", horizon=0), None),
+        (random_problem(2, 4, 1, "singular_R", horizon=10), True),
+        (random_problem(2, 4, 2, "singular_R", horizon=10), True),
+        (random_problem(2, 4, 3, "singular_R", horizon=10), False),
+        (single, True),
+        (replace(single, P=np.zeros((4, 4))), False),
+    ]
+    assert not single.triple.R.any()
+    for problem, certified in cases:
         qp = batch_matrices(problem)
+        assert qp.size == problem.T * problem.m
+        if certified is not None:
+            assert linalg._certified_positive_definite(qp.H) == certified, (problem.m, certified)
         u_star, J_star = batch_optimal(qp)
-        for _ in range(10):
-            delta = rng.normal(size=u_star.shape[0])
-            assert qp.cost(u_star + delta) >= J_star - 1e-9 * (1.0 + abs(J_star))
+        costs = (optimal_cost(solve_full(problem), problem.x0), J_star, simulated_cost(problem, u_star))
+        assert max(costs) - min(costs) <= 1e-8 * (1.0 + max(map(abs, costs))), (problem.m, certified, costs)
+        _assert_minimum(qp, u_star, J_star, rng)
 
 
 def test_singular_curvature_free_direction_flat():
@@ -206,11 +239,13 @@ def test_long_horizon_cost_pinned():
     # cond(H) ~ 2e7.  The dense assembly with an SVD pseudo-inverse missed
     # the recursion's cost by 7.1e-7; an SVD pseudo-inverse of this H, whose
     # U and V part ways in the small singular directions, misses by 8e-4
-    # (one BLAS thread).  The symmetric eigen-solve gives 5.1e-11 on the
-    # dense assembly and 8.9e-10 on the condensing recursion: J* = c + g^T u*
-    # cancels c ~ 4.2e6 down to 4.44, so 1e-15 relative changes in H move
-    # the miss between 5e-11 and 1.1e-9.  Rolled out through the dynamics,
-    # which cancels nothing, the same u* misses by about 6e-16.
+    # (one BLAS thread).  H is certified positive definite, so u* comes from
+    # an LU solve: it misses by 4.7e-10 on the condensing recursion and
+    # 5.2e-11 on the dense assembly, where the symmetric eigen-solve misses
+    # by 5.3e-11 and 7.9e-10.  J* = c + g^T u* cancels c ~ 4.2e6 down to
+    # 4.44, so 1e-15 relative changes in H or in the solve move the miss
+    # between 5e-11 and 1.1e-9.  Rolled out through the dynamics, which
+    # cancels nothing, the same u* misses by about 2e-16.
     problem = replace(random_problem(12, 2, 100035, "nilpotent_block", horizon=500, nilpotent_dim=2), T=84)
     qp = batch_matrices(problem)
     assert qp.size == 168
