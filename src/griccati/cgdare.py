@@ -33,7 +33,7 @@ from .linalg import (
     symmetrize,
 )
 from .model import LQProblem, PopovTriple, _read_only
-from .grde import _schur_step, riccati_map
+from .grde import _schur_step
 
 
 class ReferenceRejectedError(ValueError):
@@ -42,8 +42,8 @@ class ReferenceRejectedError(ValueError):
 
 def gdare_residual(X, triple: PopovTriple) -> np.ndarray:
     """The defect D(X); its norm is zero exactly at generalised DARE solutions."""
-    Xs = check_symmetric(X, "candidate solution")
-    return Xs - riccati_map(Xs, triple)
+    Xs = check_symmetric(X, "candidate solution", triple.n)
+    return Xs - _schur_step(Xs, triple.AB, triple.Pi)[0]
 
 
 @dataclass(frozen=True)
@@ -94,9 +94,7 @@ def _residual_band(triple: PopovTriple) -> float:
 
 def closed_loop(X, triple: PopovTriple) -> CgdareSolution:
     """Evaluate a candidate X: residual, constraint, gain, closed loop, eigenspace."""
-    Xs = check_symmetric(X, "candidate solution")
-    if Xs.shape[0] != triple.n:
-        raise ValueError(f"candidate has size {Xs.shape[0]}, expected {triple.n}")
+    Xs = check_symmetric(X, "candidate solution", triple.n)
     A, B, n = triple.A, triple.B, triple.n
     X_prev, K_X, W, R_X_pinv = _schur_step(Xs, triple.AB, triple.Pi)
     R_X, S_X = W[n:, n:], W[:n, n:]

@@ -67,12 +67,9 @@ def _emit(report: RunReport, args, summary_lines):
 
 def _parse_x0(text: str) -> np.ndarray:
     try:
-        x0 = np.array([float(v) for v in text.split(",") if v.strip() != ""])
+        return np.array([float(v) for v in text.split(",") if v.strip() != ""])
     except ValueError as exc:
         raise ProblemFormatError(f"could not parse --x0: {exc}") from exc
-    if not np.all(np.isfinite(x0)):
-        raise ProblemFormatError("--x0 contains non-finite entries")
-    return x0
 
 
 def _rel_diff(a: float, b: float) -> float:
@@ -227,11 +224,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_verify(args) -> int:
     problem, _ = load_problem(args.problem)
-    x0 = _parse_x0(args.x0) if args.x0 else problem.x0
-    if x0 is None:
-        raise ProblemFormatError("verify needs an initial state: supply --x0 or include x0 in the file")
-    if x0.shape[0] != problem.n:
-        raise ProblemFormatError(f"--x0 has length {x0.shape[0]}, expected {problem.n}")
+    x0 = problem.initial_state(_parse_x0(args.x0) if args.x0 else None)
 
     run = RunReport(
         command="verify",

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import RANK_REL, _pinv, check_symmetric, symmetrize
+from .linalg import RANK_REL, _pinv, as_vector, check_symmetric, symmetrize
 from .model import LQProblem, PopovTriple, _fmt_matrix, _json_object, require_valid
 
 
@@ -144,9 +144,7 @@ def riccati_map(X, triple: PopovTriple) -> np.ndarray:
     X_prev = A^T X A - (A^T X B + S)(R + B^T X B)^+ (B^T X A + S^T) + Q,
     re-symmetrised against round-off drift.
     """
-    Xs = check_symmetric(X, "riccati_map input")
-    if Xs.shape[0] != triple.n:
-        raise ValueError(f"riccati_map input has size {Xs.shape[0]}, expected {triple.n}")
+    Xs = check_symmetric(X, "riccati_map input", triple.n)
     return _schur_step(Xs, triple.AB, triple.Pi)[0]
 
 
@@ -161,30 +159,27 @@ def solve_full(problem: LQProblem) -> GrdeTrajectory:
 
 
 def optimal_cost(traj: GrdeTrajectory, x0) -> float:
-    """Value of the optimal cost x0^T X_0 x0."""
-    x = np.asarray(x0, dtype=float).reshape(-1)
+    """Value of the optimal cost x0^T X_0 x0; x0 must be finite, of X_0's size."""
+    x = as_vector(x0, traj.X[0].shape[0], "field x0")
     return float(x @ traj.X[0] @ x)
 
 
 def simulate(problem: LQProblem, traj: GrdeTrajectory, x0=None, v: Optional[list] = None):
     """Roll the closed loop forward with u_t = -K_t x_t + G_t v_t.
 
-    v is an optional list of T free vectors (length m) steering the
-    zero-curvature input directions; they change the trajectory but never
-    the cost.  Returns (states, inputs, cost) where states is (T+1) x n and
-    inputs is T x m.
+    x0 goes through problem.initial_state: the given one, else the
+    problem's own.  v is an optional list of T free vectors (finite, length
+    m) steering the zero-curvature input directions; they change the
+    trajectory but never the cost.  Returns (states, inputs, cost) where
+    states is (T+1) x n and inputs is T x m.
     """
     if traj.horizon != problem.T:
         raise ValueError(f"trajectory horizon {traj.horizon} does not match problem horizon {problem.T}")
-    if x0 is None:
-        x0 = problem.x0
-    if x0 is None:
-        raise ValueError("no initial state: problem has no x0 and none was supplied")
-    x = np.asarray(x0, dtype=float).reshape(-1)
-    if x.shape[0] != problem.n:
-        raise ValueError(f"x0 has length {x.shape[0]}, expected {problem.n}")
-    if v is not None and len(v) != problem.T:
-        raise ValueError(f"v must supply {problem.T} vectors, got {len(v)}")
+    x = problem.initial_state(x0)
+    if v is not None:
+        if len(v) != problem.T:
+            raise ValueError(f"v must supply {problem.T} vectors, got {len(v)}")
+        v = [as_vector(v_t, problem.m, f"v[{t}]") for t, v_t in enumerate(v)]
 
     t3 = problem.triple
     A, B, Q, S, R = t3.A, t3.B, t3.Q, t3.S, t3.R
@@ -194,7 +189,7 @@ def simulate(problem: LQProblem, traj: GrdeTrajectory, x0=None, v: Optional[list
     for t in range(problem.T):
         u = -traj.K[t] @ states[t]
         if v is not None:
-            u = u + traj.G[t] @ np.asarray(v[t], dtype=float).reshape(-1)
+            u = u + traj.G[t] @ v[t]
         inputs[t] = u
         states[t + 1] = A @ states[t] + B @ u
     # Stage costs x^T Q x + 2 x^T S u + u^T R u of all t < T at once.

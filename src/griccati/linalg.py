@@ -7,6 +7,8 @@ the decomposition, never differently: ``_certified_nonsingular`` a square
 matrix's without an SVD, ``_certified_positive_definite`` a symmetric one's
 without an eigen-solve.  The nilpotent eigenspace, its complement and its
 index come from one staircase (``nilpotent_eigenspace``).
+Each kind of input has one check: ``as_matrix``, ``as_square``,
+``as_vector`` and ``check_symmetric`` (symmetric, of a given size).
 Matrices are plain 2-D float64 ``numpy`` arrays throughout; the helpers a
 solver applies to a whole horizon at once (``_pinv``, ``svd_cutoff``,
 ``symmetrize``) also take stacks (..., r, c), slice by slice.
@@ -60,16 +62,34 @@ def as_matrix(M, name: str = "matrix") -> np.ndarray:
     return A
 
 
+def as_square(M, name: str = "matrix") -> np.ndarray:
+    """as_matrix, rejecting a matrix that is not square."""
+    A = as_matrix(M, name)
+    if A.shape[0] != A.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {A.shape}")
+    return A
+
+
+def as_vector(x, length: int, name: str) -> np.ndarray:
+    """Coerce input to a flat float64 array of the given length, rejecting non-finite entries."""
+    v = np.asarray(x, dtype=float).reshape(-1)
+    if v.shape[0] != length:
+        raise ValueError(f"{name} has length {v.shape[0]}, expected {length}")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return v
+
+
 def symmetrize(M: np.ndarray) -> np.ndarray:
     """Return the symmetric part 0.5 * (M + M^T); a stack slice by slice."""
     return 0.5 * (M + M.swapaxes(-1, -2))
 
 
-def check_symmetric(M: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Validate symmetry within tolerance and return the symmetrised matrix."""
-    A = as_matrix(M, name)
-    if A.shape[0] != A.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {A.shape}")
+def check_symmetric(M, name: str = "matrix", size=None) -> np.ndarray:
+    """Validate symmetry within tolerance (and the size, where given); return the symmetrised matrix."""
+    A = as_square(M, name)
+    if size is not None and A.shape[0] != size:
+        raise ValueError(f"{name} has size {A.shape[0]}, expected {size}")
     skew = np.linalg.norm(A - A.T)
     scale = np.linalg.norm(A)
     if not within_residual(skew, scale):
@@ -139,13 +159,14 @@ def symmetric_lstsq(M, b):
     and x = V_k ((V_k^T b) / lam_k) is orthogonal to the numerical kernel.
     Unlike V Sigma^+ U^T from an SVD, whose U and V columns disagree where
     sigma is small, this keeps the inverse symmetric on ill-conditioned M.
+    Both paths read one symmetric matrix: M itself where exactly symmetric
+    (every batch QP's H; an equality test, cheaper than the check's norms
+    and copy), else check_symmetric's copy.  b must be finite, of M's size.
     """
-    A = as_matrix(M)
-    if A.shape[0] != A.shape[1]:
-        raise ValueError(f"symmetric solve needs a square matrix, got {A.shape}")
-    b = np.asarray(b, dtype=float).reshape(-1)
-    if b.shape[0] != A.shape[0]:
-        raise ValueError(f"right-hand side has length {b.shape[0]}, expected {A.shape[0]}")
+    A = as_square(M, "symmetric solve input")
+    if not (A == A.T).all():
+        A = check_symmetric(A, "symmetric solve input")
+    b = as_vector(b, A.shape[0], "right-hand side")
     if A.size == 0:
         return np.zeros(0), 0
     if _certified_positive_definite(A):
@@ -212,9 +233,7 @@ def _certified_positive_definite(A: np.ndarray) -> bool:
 def is_nonsingular(M, scale: float = 0.0) -> bool:
     """numerical_rank(M, scale) == n by the SVD: on the small blocks most calls
     pass, _certified_nonsingular's inverse would cost as much."""
-    A = as_matrix(M)
-    if A.shape[0] != A.shape[1]:
-        raise ValueError(f"singularity test needs a square matrix, got {A.shape}")
+    A = as_square(M, "singularity test input")
     return numerical_rank(A, scale) == A.shape[0]
 
 
@@ -233,10 +252,8 @@ def nilpotent_eigenspace(A, scale: float = 0.0):
     rank against one cutoff, taken from A's own singular values and scale:
     a trailing block is never judged against itself.
     """
-    M = as_matrix(A)
+    M = as_square(A, "nilpotent eigenspace input")
     n = M.shape[0]
-    if M.shape[0] != M.shape[1]:
-        raise ValueError(f"nilpotent eigenspace needs a square matrix, got {M.shape}")
     Q = np.eye(n)
     if _certified_nonsingular(M, scale):
         return Q, 0, 0
@@ -272,9 +289,7 @@ def inertia(M):
 
 
 def spectral_radius(A) -> float:
-    M = as_matrix(A)
-    if M.shape[0] != M.shape[1]:
-        raise ValueError(f"spectral radius needs a square matrix, got {M.shape}")
+    M = as_square(A, "spectral radius input")
     if M.shape[0] == 0:
         return 0.0
     return float(np.max(np.abs(np.linalg.eigvals(M))))

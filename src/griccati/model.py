@@ -9,7 +9,8 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import RANK_REL, as_matrix, is_nonsingular, pinv, residual_limit, spectral_radius, symmetrize
+from .linalg import RANK_REL, as_matrix, as_square, as_vector, is_nonsingular, pinv, residual_limit
+from .linalg import spectral_radius, symmetrize
 
 
 class ProblemFormatError(ValueError):
@@ -54,17 +55,15 @@ class PopovTriple:
     R: np.ndarray
 
     def __post_init__(self):
-        A = as_matrix(self.A, "A").copy()
-        if A.shape[0] != A.shape[1]:
-            raise ValueError(f"field A must be square, got shape {A.shape}")
+        A = as_square(self.A, "field A").copy()
         n = A.shape[0]
-        B = as_matrix(self.B, "B").copy()
+        B = as_matrix(self.B, "field B").copy()
         if B.shape[0] != n:
             raise ValueError(f"field B has {B.shape[0]} rows, expected {n}")
         m = B.shape[1]
-        Q = as_matrix(self.Q, "Q").copy()
-        S = as_matrix(self.S, "S").copy()
-        R = as_matrix(self.R, "R").copy()
+        Q = as_matrix(self.Q, "field Q").copy()
+        S = as_matrix(self.S, "field S").copy()
+        R = as_matrix(self.R, "field R").copy()
         _check_dims("Q", Q, n, n)
         _check_dims("S", S, n, m)
         _check_dims("R", R, m, m)
@@ -112,7 +111,7 @@ class LQProblem:
     x0: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        P = as_matrix(self.P, "P").copy()
+        P = as_matrix(self.P, "field P").copy()
         _check_dims("P", P, self.triple.n, self.triple.n)
         object.__setattr__(self, "P", _read_only(P))
         if not isinstance(self.T, (int, np.integer)) or isinstance(self.T, bool):
@@ -121,12 +120,17 @@ class LQProblem:
             raise ValueError(f"field T must be non-negative, got {self.T}")
         object.__setattr__(self, "T", int(self.T))
         if self.x0 is not None:
-            x0 = np.array(self.x0, dtype=float).reshape(-1)
-            if x0.shape[0] != self.triple.n:
-                raise ValueError(f"field x0 has length {x0.shape[0]}, expected {self.triple.n}")
-            if not np.all(np.isfinite(x0)):
-                raise ValueError("field x0 contains non-finite entries")
-            object.__setattr__(self, "x0", _read_only(x0))
+            object.__setattr__(self, "x0", _read_only(self.initial_state(self.x0).copy()))
+
+    def initial_state(self, x0=None) -> np.ndarray:
+        """x0, or else the problem's own, as a finite vector of length n: the
+        one check of an initial state, wherever it comes from.  The problem's
+        own passed it when the problem was built."""
+        if x0 is not None:
+            return as_vector(x0, self.n, "field x0")
+        if self.x0 is None:
+            raise ValueError("no initial state: problem has no x0 and none was supplied")
+        return self.x0
 
     @property
     def n(self) -> int:
@@ -299,8 +303,6 @@ def problem_from_json(text: str):
     for label, v in (("n", n), ("m", m)):
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
             raise ProblemFormatError(f"field {label} must be a non-negative integer")
-    if not isinstance(doc["T"], int) or isinstance(doc["T"], bool) or doc["T"] < 0:
-        raise ProblemFormatError("field T must be a non-negative integer")
     A = _parse_matrix("A", doc["A"], n, n)
     B = _parse_matrix("B", doc["B"], n, m)
     Q = _parse_matrix("Q", doc["Q"], n, n)
@@ -312,8 +314,8 @@ def problem_from_json(text: str):
         if not isinstance(doc["x0"], list):
             raise ProblemFormatError("field x0 must be an array")
         x0 = np.array(doc["x0"], dtype=float)
-        if x0.ndim != 1 or x0.shape[0] != n:
-            raise ProblemFormatError(f"field x0 must have length {n}")
+        if x0.ndim != 1:
+            raise ProblemFormatError("field x0 must be a flat array")
     X_ref = _parse_matrix("X_ref", doc["X_ref"], n, n) if "X_ref" in doc else None
     try:
         problem = LQProblem(PopovTriple(A, B, Q, S, R), P, doc["T"], x0)

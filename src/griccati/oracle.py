@@ -40,7 +40,8 @@ class BatchQP:
 
 
 def batch_matrices(problem: LQProblem, x0=None) -> BatchQP:
-    """Assemble H, g, c for the stacked input u = (u_0, ..., u_{T-1}).
+    """Assemble H, g, c for the stacked input u = (u_0, ..., u_{T-1}) from
+    problem.initial_state(x0): the given x0, else the problem's own.
 
     By definition, with X = (x_0, ..., x_T) = Phi x0 + Gamma u (Phi stacks
     powers of A, Gamma is block lower triangular with blocks A^{i-1-j} B),
@@ -64,14 +65,8 @@ def batch_matrices(problem: LQProblem, x0=None) -> BatchQP:
     memory.
     """
     require_valid(problem)
-    if x0 is None:
-        x0 = problem.x0
-    if x0 is None:
-        raise ValueError("no initial state: problem has no x0 and none was supplied")
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    x0 = problem.initial_state(x0)
     n, m, T = problem.n, problem.m, problem.T
-    if x0.shape[0] != n:
-        raise ValueError(f"x0 has length {x0.shape[0]}, expected {n}")
     t3 = problem.triple
     A, B, Q, S, R, P = t3.A, t3.B, t3.Q, t3.S, t3.R, problem.P
 

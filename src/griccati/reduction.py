@@ -151,9 +151,7 @@ def reduced_step(Psi, rd: ReductionData) -> np.ndarray:
     Psi_prev = Z^T Psi Z - Z^T Psi B2 (R_full + B2^T Psi B2)^+ B2^T Psi Z.
     Psi = 0 is a fixed point, whose closed loop is Z itself.
     """
-    Psi_s = check_symmetric(Psi, "reduced-state Psi")
-    if Psi_s.shape[0] != rd.dim_reduced:
-        raise ValueError(f"Psi has size {Psi_s.shape[0]}, expected {rd.dim_reduced}")
+    Psi_s = check_symmetric(Psi, "reduced-state Psi", rd.dim_reduced)
     return _schur_step(Psi_s, rd.ZB2, rd.Pi)[0]
 
 

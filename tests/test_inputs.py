@@ -1,0 +1,143 @@
+"""Each kind of input has one check, and every entry point that takes one
+refuses a bad one with that check's message: initial states (and the other
+vectors), symmetric matrices of a given size, and square matrices."""
+
+import json
+
+import numpy as np
+import pytest
+
+from griccati import linalg
+from griccati.cgdare import closed_loop, find_reference, gdare_residual
+from griccati.cli import main
+from griccati.grde import optimal_cost, riccati_map, simulate, solve_full
+from griccati.model import LQProblem, PopovTriple, ProblemFormatError, problem_from_json, problem_to_json
+from griccati.model import random_problem, save_problem
+from griccati.oracle import batch_matrices
+from griccati.reduction import build_reduction, reduced_step
+
+PROBLEM = random_problem(4, 2, 11, "nilpotent_block", horizon=6)
+BARE = LQProblem(PROBLEM.triple, PROBLEM.P, PROBLEM.T)  # no x0
+TRAJ = solve_full(PROBLEM)
+RD = build_reduction(PROBLEM, find_reference(PROBLEM).solution)
+
+X0_FAULTS = {
+    "missing": (None, "no initial state: problem has no x0 and none was supplied"),
+    "short": ([1.0, 2.0], "field x0 has length 2, expected 4"),
+    "nan": ([np.nan, 0.0, 0.0, 0.0], "field x0 contains non-finite entries"),
+    "inf": ([0.0, np.inf, 0.0, 0.0], "field x0 contains non-finite entries"),
+}
+
+
+def _problem_file(x0):
+    doc = json.loads(problem_to_json(PROBLEM))
+    doc["x0"] = x0
+    return problem_from_json(json.dumps(doc))
+
+
+def _verify(x0, tmp_path, capsys):
+    """griccati verify with --x0, or on the file without x0; raises ValueError
+    with the report's reason on exit 1."""
+    path = str(tmp_path / "p.json")
+    save_problem(BARE if x0 is None else PROBLEM, path)
+    argv = ["--json", "verify", path] + ([] if x0 is None else ["--x0=" + ",".join(map(str, x0))])
+    code = main(argv)
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1 and report["status"] == "error", (code, report)
+    raise ValueError(report["reason"])
+
+
+# Where the x0 is missing, LQProblem, optimal_cost and the problem file have
+# nothing to refuse: x0 is optional in the first and last, required by
+# signature in optimal_cost.
+X0_ENTRIES = {
+    "LQProblem": lambda x0, tmp_path, capsys: LQProblem(PROBLEM.triple, PROBLEM.P, PROBLEM.T, x0),
+    "simulate": lambda x0, tmp_path, capsys: simulate(BARE, TRAJ, x0),
+    "batch_matrices": lambda x0, tmp_path, capsys: batch_matrices(BARE, x0),
+    "optimal_cost": lambda x0, tmp_path, capsys: optimal_cost(TRAJ, x0),
+    "problem file": lambda x0, tmp_path, capsys: _problem_file(x0),
+    "verify --x0": _verify,
+}
+X0_CASES = [
+    (entry, fault)
+    for entry in X0_ENTRIES
+    for fault in X0_FAULTS
+    if fault != "missing" or entry in ("simulate", "batch_matrices", "verify --x0")
+]
+
+
+@pytest.mark.parametrize("entry, fault", X0_CASES)
+def test_initial_state_refused_with_one_message(entry, fault, tmp_path, capsys):
+    x0, message = X0_FAULTS[fault]
+    with pytest.raises(ValueError) as exc:
+        X0_ENTRIES[entry](x0, tmp_path, capsys)
+    assert str(exc.value) == message
+    if entry == "problem file":
+        assert isinstance(exc.value, ProblemFormatError)
+
+
+def test_initial_state_is_the_given_or_the_problems_own():
+    assert np.array_equal(PROBLEM.initial_state(), PROBLEM.x0)
+    assert np.array_equal(BARE.initial_state([1, 2, 3, 4]), [1.0, 2.0, 3.0, 4.0])
+    # A column vector is flattened, as before.
+    assert np.array_equal(PROBLEM.initial_state(np.ones((4, 1))), np.ones(4))
+
+
+def test_problem_file_rejects_nested_x0():
+    for nested in ([[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0, 3.0, 4.0]]):
+        with pytest.raises(ProblemFormatError, match="field x0 must be a flat array"):
+            _problem_file(nested)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: simulate(PROBLEM, TRAJ, v=[[np.nan, 0.0]] * PROBLEM.T), "v[0] contains non-finite entries"),
+        (lambda: simulate(PROBLEM, TRAJ, v=[[0.0, 0.0]] * 3 + [[1.0]] * 3), "v[3] has length 1, expected 2"),
+        (lambda: linalg.symmetric_lstsq(np.eye(2), [np.nan, 1.0]), "right-hand side contains non-finite entries"),
+    ],
+    ids=["simulate v nan", "simulate v short", "symmetric_lstsq b nan"],
+)
+def test_free_vectors_are_checked(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: riccati_map(np.eye(3), PROBLEM.triple), "riccati_map input has size 3, expected 4"),
+        (lambda: closed_loop(np.eye(5), PROBLEM.triple), "candidate solution has size 5, expected 4"),
+        (lambda: gdare_residual(np.eye(3), PROBLEM.triple), "candidate solution has size 3, expected 4"),
+        (
+            lambda: reduced_step(np.eye(RD.dim_reduced + 2), RD),
+            f"reduced-state Psi has size {RD.dim_reduced + 2}, expected {RD.dim_reduced}",
+        ),
+    ],
+    ids=["riccati_map", "closed_loop", "gdare_residual", "reduced_step"],
+)
+def test_symmetric_size_mismatch_refused(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda M: linalg.check_symmetric(M), "matrix"),
+        (lambda M: linalg.is_nonsingular(M), "singularity test input"),
+        (lambda M: linalg.nilpotent_eigenspace(M), "nilpotent eigenspace input"),
+        (lambda M: linalg.spectral_radius(M), "spectral radius input"),
+        (lambda M: linalg.symmetric_lstsq(M, [1.0, 1.0]), "symmetric solve input"),
+        (lambda M: PopovTriple(M, np.ones((2, 1)), np.eye(2), np.zeros((2, 1)), [[1.0]]), "field A"),
+    ],
+    ids=[
+        "check_symmetric", "is_nonsingular", "nilpotent_eigenspace", "spectral_radius", "symmetric_lstsq", "PopovTriple"
+    ],
+)
+def test_non_square_refused(call, name):
+    with pytest.raises(ValueError) as exc:
+        call(np.ones((2, 3)))
+    assert str(exc.value) == f"{name} must be square, got shape (2, 3)"

@@ -216,6 +216,32 @@ def test_certified_solve_skips_the_eigen_decomposition(monkeypatch):
     assert len(calls) == 1
 
 
+def test_symmetric_lstsq_reads_one_symmetric_matrix(monkeypatch):
+    # The certified LU solve reads all of M, Cholesky and eigh its lower
+    # triangle: both paths must get the same symmetrised copy.  An asymmetry
+    # beyond the tolerance is refused; one within it gives the symmetric
+    # part's answer, the same on both paths up to n cond(M) eps.
+    with pytest.raises(ValueError, match="not symmetric within tolerance"):
+        symmetric_lstsq([[2.0, 1.0], [0.0, 2.0]], [1.0, 1.0])
+    rng = np.random.default_rng(29)
+    eps = np.finfo(float).eps
+    for n in (2, 5, 20):
+        L = rng.normal(size=(n, n))
+        S = L @ L.T + 0.1 * np.eye(n)
+        E = rng.normal(size=(n, n))
+        E = E - E.T
+        M = S + 5e-9 * np.linalg.norm(S) / np.linalg.norm(E) * E  # half the tolerance RESIDUAL_REL ||M||
+        b = rng.normal(size=n)
+        assert linalg._certified_positive_definite(symmetrize(M)), n
+        x, rank = symmetric_lstsq(M, b)
+        assert rank == n and np.array_equal(x, symmetric_lstsq(symmetrize(M), b)[0]), n
+        with monkeypatch.context() as patch:
+            _eigen_only(patch)
+            x_eig, rank_eig = symmetric_lstsq(M, b)
+        assert rank_eig == n
+        assert np.linalg.norm(x - x_eig) <= n * np.linalg.cond(S) * eps * np.linalg.norm(x), n
+
+
 def test_positive_definite_certificate_fuzz(monkeypatch):
     # Random SPD matrices, n = 2..100, eigenvalues in [0.1, 1] but one at
     # 1e-13..1e-5, around the shift: where certified, numerical_rank and the
