@@ -265,19 +265,32 @@ def problem_to_json(problem: LQProblem, X_ref: Optional[np.ndarray] = None) -> s
     return _json_object(fields)
 
 
-def _parse_matrix(name, raw, rows, cols):
-    if not isinstance(raw, list) or any(not isinstance(r, list) for r in raw):
-        raise ProblemFormatError(f"field {name} must be a nested array of rows")
+# The JSON values that are not numbers, by the name a refusal gives them.
+_NOT_NUMBERS = {bool: "boolean", str: "string", type(None): "null", dict: "object", list: "array"}
+
+
+def _parse_numbers(name, raw, shape=None):
+    """A field of JSON numbers as a float array: a flat array where shape is
+    None, else a nested array of rows of that shape.  Every entry must be a
+    JSON number; a boolean, like any other value, is refused, not converted."""
+    rows = [raw] if shape is None else raw
+    if not isinstance(raw, list) or any(not isinstance(r, list) for r in rows):
+        kind = "an array" if shape is None else "a nested array of rows"
+        raise ProblemFormatError(f"field {name} must be {kind}")
+    kinds = set().union(*(map(type, r) for r in rows)) - {int, float}
+    found = sorted(_NOT_NUMBERS[t] for t in kinds)
+    if shape is None and "array" in found:
+        raise ProblemFormatError(f"field {name} must be a flat array")
+    if found:
+        raise ProblemFormatError(f"field {name} must hold numbers, not {' or '.join(found)}")
     try:
         M = np.array(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise ProblemFormatError(f"field {name} is not numeric: {exc}") from exc
-    if M.ndim == 1 and M.size == 0:
-        M = M.reshape(0, cols)
-    if M.ndim != 2 or M.shape != (rows, cols):
-        raise ProblemFormatError(
-            f"field {name} has shape {tuple(M.shape)}, expected ({rows}, {cols})"
-        )
+    if shape is not None and M.shape == (0,):  # no rows
+        M = M.reshape(0, shape[1])
+    if shape is not None and M.shape != shape:
+        raise ProblemFormatError(f"field {name} has shape {M.shape}, expected {shape}")
     return M
 
 
@@ -303,20 +316,14 @@ def problem_from_json(text: str):
     for label, v in (("n", n), ("m", m)):
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
             raise ProblemFormatError(f"field {label} must be a non-negative integer")
-    A = _parse_matrix("A", doc["A"], n, n)
-    B = _parse_matrix("B", doc["B"], n, m)
-    Q = _parse_matrix("Q", doc["Q"], n, n)
-    S = _parse_matrix("S", doc["S"], n, m)
-    R = _parse_matrix("R", doc["R"], m, m)
-    P = _parse_matrix("P", doc["P"], n, n)
-    x0 = None
-    if "x0" in doc:
-        if not isinstance(doc["x0"], list):
-            raise ProblemFormatError("field x0 must be an array")
-        x0 = np.array(doc["x0"], dtype=float)
-        if x0.ndim != 1:
-            raise ProblemFormatError("field x0 must be a flat array")
-    X_ref = _parse_matrix("X_ref", doc["X_ref"], n, n) if "X_ref" in doc else None
+    A = _parse_numbers("A", doc["A"], (n, n))
+    B = _parse_numbers("B", doc["B"], (n, m))
+    Q = _parse_numbers("Q", doc["Q"], (n, n))
+    S = _parse_numbers("S", doc["S"], (n, m))
+    R = _parse_numbers("R", doc["R"], (m, m))
+    P = _parse_numbers("P", doc["P"], (n, n))
+    x0 = _parse_numbers("x0", doc["x0"]) if "x0" in doc else None
+    X_ref = _parse_numbers("X_ref", doc["X_ref"], (n, n)) if "X_ref" in doc else None
     try:
         problem = LQProblem(PopovTriple(A, B, Q, S, R), P, doc["T"], x0)
     except ValueError as exc:

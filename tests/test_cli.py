@@ -17,6 +17,11 @@ from conftest import PHI, scalar_two_step
 from test_reduction import live_scalar_problem
 
 
+# What `griccati gen --n 20 --m 2 --kind nilpotent_block --horizon 500` writes:
+# a long horizon whose reduced solves fill a certified stationary tail.
+LONG = random_problem(20, 2, 0, "nilpotent_block", horizon=500)
+
+
 def _write(tmp_path, problem, name="prob.json", X_ref=None):
     path = tmp_path / name
     save_problem(problem, path, X_ref=X_ref)
@@ -53,12 +58,18 @@ def test_validate_failure_exit_code(tmp_path, capsys):
 
 
 def test_malformed_file_exit_code(tmp_path, capsys):
+    # A file that is not JSON, or whose x0 holds an object, is an input
+    # error: a JSON report and one line on stderr, not a traceback.
+    doc = json.loads(problem_to_json(scalar_two_step()))
+    doc["x0"] = [{}]
     path = tmp_path / "broken.json"
-    path.write_text("{ not json")
-    code, report, _ = _run(capsys, ["validate", str(path)])
-    assert code == 1
-    assert report["status"] == "error"
-    assert "malformed" in report["reason"]
+    for text, reason in (("{ not json", "malformed"), (json.dumps(doc), "field x0 must hold numbers, not object")):
+        path.write_text(text)
+        code, report, err = _run(capsys, ["--json", "validate", str(path)])
+        assert code == 1
+        assert report["status"] == "error"
+        assert reason in report["reason"]
+        assert err == f"error: {report['reason']}\n"
 
 
 def test_missing_file_exit_code(tmp_path, capsys):
@@ -68,38 +79,41 @@ def test_missing_file_exit_code(tmp_path, capsys):
 
 
 def test_gen_validate_solve_verify_pipeline(tmp_path, capsys):
-    path = str(tmp_path / "gen.json")
-    code, report, _ = _run(
-        capsys,
-        ["gen", "--n", "4", "--m", "2", "--seed", "11", "--kind", "nilpotent_block", "--horizon", "12", "--out", path],
-    )
-    assert code == 0
-    assert report["results"]["out"] == path
+    # The second problem is LONG: its batch QP has 1000 inputs, and the
+    # recursion, batch-QP and simulated costs must still agree.
+    for gen in (
+        ["--n", "4", "--m", "2", "--seed", "11", "--kind", "nilpotent_block", "--horizon", "12"],
+        ["--n", "20", "--m", "2", "--kind", "nilpotent_block", "--horizon", "500"],
+    ):
+        path = str(tmp_path / "gen.json")
+        code, report, _ = _run(capsys, ["gen", *gen, "--out", path])
+        assert code == 0
+        assert report["results"]["out"] == path
 
-    assert _run(capsys, ["validate", path])[0] == 0
+        assert _run(capsys, ["validate", path])[0] == 0
 
-    code, report, _ = _run(capsys, ["solve", path, "--method", "full"])
-    assert code == 0
-    assert report["results"]["method_used"] == "full"
-    cost_full = report["results"]["optimal_cost"]
+        code, report, _ = _run(capsys, ["solve", path, "--method", "full"])
+        assert code == 0
+        assert report["results"]["method_used"] == "full"
+        cost_full = report["results"]["optimal_cost"]
 
-    code, report, _ = _run(capsys, ["solve", path, "--method", "reduced"])
-    assert code == 0
-    assert report["status"] == "ok"
-    assert report["results"]["method_used"] == "reduced"
-    assert report["results"]["nu"] >= 1
-    assert abs(report["results"]["optimal_cost"] - cost_full) <= 1e-8 * (1.0 + abs(cost_full))
+        code, report, _ = _run(capsys, ["solve", path, "--method", "reduced"])
+        assert code == 0
+        assert report["status"] == "ok"
+        assert report["results"]["method_used"] == "reduced"
+        assert report["results"]["nu"] >= 1
+        assert abs(report["results"]["optimal_cost"] - cost_full) <= 1e-8 * (1.0 + abs(cost_full))
 
-    code, report, _ = _run(capsys, ["solve", path, "--method", "closed-form"])
-    assert code == 0
-    assert report["results"]["method_used"] == "closed-form"
-    assert abs(report["results"]["optimal_cost"] - cost_full) <= 1e-8 * (1.0 + abs(cost_full))
+        code, report, _ = _run(capsys, ["solve", path, "--method", "closed-form"])
+        assert code == 0
+        assert report["results"]["method_used"] == "closed-form"
+        assert abs(report["results"]["optimal_cost"] - cost_full) <= 1e-8 * (1.0 + abs(cost_full))
 
-    code, report, _ = _run(capsys, ["verify", path])
-    assert code == 0
-    assert report["status"] == "ok"
-    worst = max(report["residuals"].values())
-    assert worst <= 1e-6
+        code, report, _ = _run(capsys, ["verify", path])
+        assert code == 0
+        assert report["status"] == "ok"
+        worst = max(report["residuals"].values())
+        assert worst <= 1e-6, gen
 
 
 def test_solve_writes_trajectory(tmp_path, capsys):
@@ -111,6 +125,16 @@ def test_solve_writes_trajectory(tmp_path, capsys):
     assert doc["T"] == 2
     assert doc["X"][0] == [[1.5]]
     assert len(doc["K"]) == 2
+    # On LONG the file holds T + 1 X and T gains; the certified tail's gains
+    # are the reference's one K_X and G_X, repeated.
+    path = _write(tmp_path, LONG, name="long.json")
+    code, report, _ = _run(capsys, ["solve", path, "--method", "reduced", "--out", out])
+    tail = report["results"]["tail_steps"]
+    assert code == 0 and tail > 0
+    doc = json.loads(open(out).read())
+    assert doc["T"] == 500 and len(doc["X"]) == 501 and len(doc["K"]) == len(doc["G"]) == 500
+    assert all(K == doc["K"][0] for K in doc["K"][:tail])
+    assert all(G == doc["G"][0] for G in doc["G"][:tail])
 
 
 def test_solve_reduced_without_reference_falls_back(tmp_path, capsys):
@@ -166,19 +190,51 @@ def test_solve_closed_form_refusal_validates_once(tmp_path, capsys, report_build
     assert report["results"]["X0_trace"] == trace
 
 
-def test_solve_closed_form_long_horizon(tmp_path, capsys):
-    from griccati.grde import solve_full
-    from griccati.model import random_problem
+def _r_zero():
+    # With m = 1 the singular_R kind has R = 0, so the reference search
+    # cannot double from X_0 = 0 and doubles from X_1 = riccati_map(0).
+    problem = random_problem(6, 1, 1, "singular_R", horizon=60)
+    assert not problem.triple.R.any()
+    assert "doubling" in find_reference(problem).message
+    return problem
 
-    problem = random_problem(12, 2, 3, "nilpotent_block", horizon=500, nilpotent_dim=2)
+
+def _r_below_certificate():
+    # R = diag(1, 1e-13) is positive definite but too close to singular for
+    # the full-rank certificate, so every step takes the SVD pseudo-inverse.
+    base = random_problem(6, 2, 11, "generic", horizon=40)
+    triple = dataclasses.replace(base.triple, R=np.diag([1.0, 1e-13]), S=np.zeros((6, 2)))
+    assert grde._inverse_limit(triple) == 0.0
+    return dataclasses.replace(base, triple=triple)
+
+
+@pytest.mark.parametrize(
+    "make, dim_u",
+    [
+        (lambda: random_problem(12, 2, 3, "nilpotent_block", horizon=500, nilpotent_dim=2), 2),
+        (lambda: LONG, 1),
+        # No nilpotent part: U is empty and the whole state is iterated.
+        (lambda: random_problem(50, 5, 0, "generic", horizon=200), 0),
+        (_r_zero, 1),
+        (_r_below_certificate, 1),
+    ],
+    ids=["live_psi", "stationary_tail", "nu_zero", "R_zero", "R_below_certificate"],
+)
+def test_reduced_routes_match_the_full_recursion(tmp_path, capsys, make, dim_u):
+    # Both reduced routes answer without falling back, fill a certified
+    # stationary tail, and give the full recursion's X_0 to 1e-10.
+    problem = make()
     path = _write(tmp_path, problem)
-    code, report, _ = _run(capsys, ["--json", "solve", path, "--method", "closed-form"])
-    assert code == 0
-    assert report["results"]["method_used"] == "closed-form"
-    assert report["results"]["horizon_prime"] == 500 - report["results"]["nu"]
-    assert "checkpoint_off_norm" in report["residuals"]
-    trace = float(np.trace(solve_full(problem).X[0]))
-    assert abs(report["results"]["X0_trace"] - trace) <= 1e-8 * (1.0 + abs(trace))
+    code, full, _ = _run(capsys, ["--json", "solve", path, "--method", "full"])
+    assert code == 0 and full["status"] == "ok"
+    trace = full["results"]["X0_trace"]
+    for method in ("reduced", "closed-form"):
+        code, report, _ = _run(capsys, ["--json", "solve", path, "--method", method])
+        results = report["results"]
+        assert code == 0 and results["method_used"] == method and results["dim_u"] == dim_u, method
+        assert results["tail_steps"] > 0 and "checkpoint_off_norm" in report["residuals"], method
+        assert abs(results["X0_trace"] - trace) <= 1e-10 * abs(trace), method
+    assert results["horizon_prime"] == problem.T - results["nu"]
 
 
 def test_usage_error_exit_code(capsys):
@@ -208,20 +264,37 @@ def test_solve_uses_x_ref_from_file(tmp_path, capsys):
     code, report, _ = _run(capsys, ["solve", path, "--method", "reduced"])
     assert code == 1 and report["status"] == "error"
     assert report["reason"].startswith("supplied reference rejected"), report["reason"]
+    # On LONG the supplied reference also fills a certified tail, and gives
+    # the full recursion's X_0.
+    path = _write(tmp_path, LONG, name="long_ref.json", X_ref=find_reference(LONG).solution.X)
+    _, full, _ = _run(capsys, ["solve", path, "--method", "full"])
+    code, report, _ = _run(capsys, ["solve", path, "--method", "reduced"])
+    results = report["results"]
+    assert code == 0 and results["method_used"] == "reduced"
+    assert results["reference_iterations"] == 0 and results["tail_steps"] > 0
+    trace = full["results"]["X0_trace"]
+    assert abs(results["X0_trace"] - trace) <= 1e-10 * abs(trace)
 
 
 def test_analyze_full_level(tmp_path, capsys):
-    path = str(tmp_path / "nb.json")
-    _run(capsys, ["gen", "--n", "4", "--m", "2", "--seed", "11", "--kind", "nilpotent_block", "--horizon", "12", "--out", path])
-    code, report, err = _run(capsys, ["analyze", path])
-    assert code == 0
-    assert report["results"]["analysis_level"] == "full"
-    assert report["results"]["pencil"]["criterion_consistent"]
-    assert report["results"]["closed_loop"]["criterion_consistent"]
-    assert report["results"]["mu"]["additive"]
-    assert report["residuals"]["det_identity_worst"] <= 1e-8
-    assert "seed" not in report["inputs"]
-    assert "mu:" in err
+    # The second problem's 50 x 50 closed loop is non-singular: the staircase
+    # certifies its full rank without an SVD, and the determinant identity's
+    # right side comes from A_X's eigenvalues.
+    for gen in (
+        ["--n", "4", "--m", "2", "--seed", "11", "--kind", "nilpotent_block", "--horizon", "12"],
+        ["--n", "50", "--m", "5", "--kind", "generic", "--horizon", "200"],
+    ):
+        path = str(tmp_path / "gen.json")
+        _run(capsys, ["gen", *gen, "--out", path])
+        code, report, err = _run(capsys, ["analyze", path])
+        assert code == 0
+        assert report["results"]["analysis_level"] == "full"
+        assert report["results"]["pencil"]["criterion_consistent"]
+        assert report["results"]["closed_loop"]["criterion_consistent"]
+        assert report["results"]["mu"]["additive"]
+        assert report["residuals"]["det_identity_worst"] <= 1e-8, gen
+        assert "seed" not in report["inputs"]
+        assert "mu:" in err
 
 
 def test_analyze_invalid_problem_pencil_only(tmp_path, capsys):
@@ -275,13 +348,19 @@ def test_verify_x0_flag(tmp_path, capsys):
 
 def test_verify_validates_once(tmp_path, capsys, report_builds):
     # The recursion and the batch QP both validate the loaded problem; the
-    # report is built once.
-    problem = random_problem(4, 2, 2200, "nilpotent_block", horizon=12)
-    path = _write(tmp_path, problem)
-    code, report, _ = _run(capsys, ["verify", path])
-    assert code == 0 and report["status"] == "ok"
-    assert len(report_builds) == 1
-    assert report["results"]["cost_grde"] == grde.optimal_cost(grde.solve_full(problem), problem.x0)
+    # report is built once.  The second problem has R = 0 and m > n: its
+    # 40-input batch QP has rank 20, so the minimiser takes the eigen path,
+    # and the three costs must still agree.
+    for problem in (
+        random_problem(4, 2, 2200, "nilpotent_block", horizon=12),
+        random_problem(2, 4, 3, "singular_R", horizon=10),
+    ):
+        report_builds.clear()
+        path = _write(tmp_path, problem)
+        code, report, _ = _run(capsys, ["verify", path])
+        assert code == 0 and report["status"] == "ok"
+        assert len(report_builds) == 1
+        assert report["results"]["cost_grde"] == grde.optimal_cost(grde.solve_full(problem), problem.x0)
 
 
 def test_verify_x0_rejects_non_finite(tmp_path, capsys):
@@ -301,6 +380,12 @@ def test_analyze_x_ref_file(tmp_path, capsys):
     assert report["results"]["reference_found"]
     assert report["results"]["analysis_level"] == "full"
     assert report["residuals"]["reference_residual"] <= 1e-12
+    # A well-formed X_ref that is not a solution leaves only the pencil.
+    path = _write(tmp_path, scalar_two_step(), name="bad_ref.json", X_ref=np.array([[2.0 * PHI]]))
+    code, report, _ = _run(capsys, ["analyze", path])
+    assert code == 0
+    assert report["results"]["analysis_level"] == "pencil-only"
+    assert report["reason"].startswith("supplied reference rejected"), report["reason"]
 
 
 def test_analyze_x_ref_malformed(tmp_path, capsys):
@@ -371,14 +456,19 @@ def test_json_flag_suppresses_summary(tmp_path, capsys):
 
 
 def test_solve_invalid_problem_exit_code(tmp_path, capsys):
-    # Every method validates the problem, the reduced ones included.
+    # Every command that validates the problem refuses it, the reduced
+    # solves and verify included; validate reports the failed check.
     problem = random_problem(6, 2, 3, "nilpotent_block", horizon=20, nilpotent_dim=3)
     path = _write(tmp_path, dataclasses.replace(problem, P=-np.eye(problem.n)))
-    for method in ("full", "reduced", "closed-form"):
-        code, report, err = _run(capsys, ["solve", path, "--method", method])
-        assert code == 1, method
+    solves = [["solve", path, "--method", method] for method in ("full", "reduced", "closed-form")]
+    for argv in solves + [["verify", path]]:
+        code, report, err = _run(capsys, argv)
+        assert code == 1, argv
         assert report["status"] == "error"
         assert err == "error: problem validation failed: terminal_psd\n"
+    code, report, _ = _run(capsys, ["--json", "validate", path])
+    assert code == 1 and report["status"] == "error"
+    assert [c["name"] for c in report["results"]["checks"] if not c["passed"]] == ["terminal_psd"]
 
 
 @pytest.mark.parametrize(

@@ -2,10 +2,15 @@
 refuses a bad one with that check's message: initial states (and the other
 vectors), symmetric matrices of a given size, and square matrices."""
 
+import contextlib
+import copy
+import io
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from griccati import linalg
 from griccati.cgdare import closed_loop, find_reference, gdare_residual
@@ -84,9 +89,83 @@ def test_initial_state_is_the_given_or_the_problems_own():
 
 
 def test_problem_file_rejects_nested_x0():
-    for nested in ([[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0, 3.0, 4.0]]):
+    for nested in ([[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0, 3.0, 4.0]], [[1, 2], [3]], [["a"]]):
         with pytest.raises(ProblemFormatError, match="field x0 must be a flat array"):
             _problem_file(nested)
+
+
+@pytest.mark.parametrize("field", ["A", "B", "Q", "S", "R", "P", "x0", "X_ref"])
+def test_problem_file_reads_only_numbers(field):
+    # A JSON true is not 1.0: every entry of a numeric field must be a JSON
+    # number, and an integer too large for a double is refused as well.
+    doc = json.loads(problem_to_json(PROBLEM, X_ref=np.eye(4)))
+    row = doc[field] if field == "x0" else doc[field][0]
+    faults = ((True, "boolean"), (False, "boolean"), ({}, "object"), ("1", "string"), (None, "null"))
+    for value, kind in faults:
+        row[0] = value
+        with pytest.raises(ProblemFormatError, match=f"^field {field} must hold numbers, not {kind}$"):
+            problem_from_json(json.dumps(doc))
+    row[0] = 10**400
+    with pytest.raises(ProblemFormatError, match=f"^field {field} is not numeric: int too large"):
+        problem_from_json(json.dumps(doc))
+
+
+# A valid problem file (X_ref included) and random edits to it: a value of
+# any JSON type in place of a field or an entry, one level of nesting more
+# or less, an entry, row or field dropped or repeated, an unknown field.
+EDITED = json.loads(problem_to_json(random_problem(3, 2, 11, "nilpotent_block", horizon=4), X_ref=np.eye(3)))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | st.just(10**400) | st.sampled_from([0.5, np.nan, np.inf])
+    | st.text(max_size=1),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=1), inner, max_size=1),
+    max_leaves=4,
+)
+NAMES_A_FIELD = re.compile(r"(?:field|unknown field\(s\):|missing field\(s\):) (\w+)")
+
+
+@st.composite
+def edited_documents(draw):
+    doc = copy.deepcopy(EDITED)
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["replace", "wrap", "unwrap", "drop", "repeat", "unknown"]))
+        if edit == "unknown" or not doc:
+            doc[draw(st.sampled_from(["extra", "X", "x1"]))] = draw(JSON_VALUES)
+            continue
+        parent, index = doc, draw(st.sampled_from(sorted(doc)))
+        while isinstance(parent[index], list) and parent[index] and draw(st.booleans()):
+            parent, index = parent[index], draw(st.integers(0, len(parent[index]) - 1))
+        node = parent[index]
+        if edit == "replace":
+            parent[index] = draw(JSON_VALUES)
+        elif edit == "wrap":
+            parent[index] = [node]
+        elif edit == "unwrap" and isinstance(node, list) and node:
+            parent[index] = node[0]
+        elif edit == "drop":
+            del parent[index]
+        elif edit == "repeat" and isinstance(parent, list):
+            parent.insert(index, copy.deepcopy(node))
+    return doc
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(doc=edited_documents())
+def test_edited_problem_files_load_or_name_a_field(doc, tmp_path_factory):
+    # Every edit either loads or is refused by a ProblemFormatError that
+    # names the field; griccati validate answers each with a JSON report.
+    text = json.dumps(doc)
+    try:
+        problem_from_json(text)
+    except ProblemFormatError as exc:
+        named = NAMES_A_FIELD.match(str(exc))
+        assert named and named.group(1) in set(EDITED) | set(doc), str(exc)
+    path = tmp_path_factory.getbasetemp() / "edited.json"
+    path.write_text(text)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["--json", "validate", str(path)])
+    assert code in (0, 1, 2)
+    assert json.loads(out.getvalue())["command"] == "validate"
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 
 from griccati.cgdare import closed_loop, find_reference
 from griccati.linalg import RANK_REL
-from griccati.model import LQProblem, PopovTriple, random_problem
+from griccati.model import LQProblem, PopovTriple, Xorshift64Star, random_problem
 from griccati.pencil import (
     build,
     closed_loop_singular_criterion,
@@ -63,6 +65,24 @@ def test_det_identity_random_problems():
         ).tolist()
         worst = max(worst, det_identity_check(pencil, res.solution, zs))
     assert worst <= 1e-8
+
+
+def test_det_identity_detects_a_perturbed_closed_loop():
+    # analyze passes the identity at a worst defect of 1e-8, on these 20
+    # samples.  The accepted solution's defect is at rounding (4.4e-16).
+    # The right side is a polynomial in A_X's eigenvalues, so moving them all
+    # by eps moves the defect by c eps to first order; c is about 8.5 here
+    # (A_X has three eigenvalues at zero, and |det(N - z M)| reaches 30).  A
+    # defect of at least eps leaves a margin of 8, and puts each perturbed
+    # A_X above analyze's bound by a factor of 100 or more.
+    problem = random_problem(4, 2, 11, "nilpotent_block", horizon=12)
+    pencil, sol = build(problem.triple), find_reference(problem).solution
+    rng = Xorshift64Star(0)
+    zs = [rng.interval(-2.0, 2.0) for _ in range(20)]
+    assert det_identity_check(pencil, sol, zs) <= 1e-14
+    for eps in (1e-4, 1e-6):
+        worst = det_identity_check(pencil, replace(sol, A_X=sol.A_X + eps * np.eye(4)), zs)
+        assert worst >= eps, (eps, worst)
 
 
 def _stacked_lu_defect(pencil, solution, z_samples):
