@@ -96,7 +96,7 @@ def closed_loop(X, triple: PopovTriple) -> CgdareSolution:
     """Evaluate a candidate X: residual, constraint, gain, closed loop, eigenspace."""
     Xs = check_symmetric(X, "candidate solution", triple.n)
     A, B, n = triple.A, triple.B, triple.n
-    X_prev, K_X, W, R_X_pinv = _schur_step(Xs, triple.AB, triple.Pi)
+    X_prev, K_X, W, R_X_pinv, _ = _schur_step(Xs, triple.AB, triple.Pi)
     R_X, S_X = W[n:, n:], W[:n, n:]
     G = np.eye(triple.m) - R_X_pinv @ R_X
     A_X = A - B @ K_X
@@ -160,7 +160,7 @@ def _doubling(triple: PopovTriple, band: float):
     n, A, B, M, Pi = triple.n, triple.A, triple.B, triple.AB, triple.Pi
     X_b, W = np.zeros((n, n)), Pi  # W = [[Q_b + X_b, S_b], [S_b^T, R_b]]
     if not is_nonsingular(W[n:, n:]):
-        X_b = _schur_step(X_b, M, Pi)[0]
+        X_b = _schur_step(X_b, M, Pi, certify=False)[0]  # its curvature R is singular
         W = M.T @ (X_b @ M) + Pi
         if not is_nonsingular(W[n:, n:]):
             return None
@@ -192,8 +192,10 @@ def _doubling(triple: PopovTriple, band: float):
 def _fixed_point(triple: PopovTriple, band: float) -> ReferenceSearchResult:
     """X <- riccati_map(X) from zero, one step at a time, and its verdict.
 
-    It runs where doubling cannot (find_reference), so every step takes
-    the SVD pseudo-inverse of its curvature, which may be singular.
+    It runs where doubling cannot (find_reference).  Each step inverts
+    its curvature where certified, as a sweep does, and the first that is
+    not makes the rest take the SVD pseudo-inverse: there the curvature is
+    most often singular at every step.
     """
     M, Pi = triple.AB, triple.Pi
     X = np.zeros((triple.n, triple.n))
@@ -202,10 +204,11 @@ def _fixed_point(triple: PopovTriple, band: float) -> ReferenceSearchResult:
     stop_at = None
     plateau = 0
     it = 0
+    certify = True
     # Not grde._sweep: the search keeps only its last iterate, where a sweep
     # would hold all of up to _MAX_ITER of them.
     for it in range(1, _MAX_ITER + 1):
-        X_next = _schur_step(X, M, Pi)[0]
+        X_next, _, _, _, certify = _schur_step(X, M, Pi, certify)
         if not np.linalg.norm(X_next) <= _DIVERGENCE_NORM:  # also catches inf and nan
             return ReferenceSearchResult(None, it, "iterates diverged")
         step = float(np.linalg.norm(X_next - X))

@@ -19,6 +19,7 @@ import numpy as np
 from .linalg import InternalInconsistencyError, NumericalRefusal
 from .model import (
     ProblemFormatError,
+    ProblemValidationError,
     Xorshift64Star,
     load_problem,
     random_problem,
@@ -84,7 +85,7 @@ def cmd_validate(args) -> int:
         inputs={"problem": args.problem, "n": problem.n, "m": problem.m, "T": problem.T},
         results=report.to_dict(),
         status="ok" if report.passed else "error",
-        reason="" if report.passed else "validation failed",
+        reason="" if report.passed else str(ProblemValidationError(report)),
     )
     lines = [f"validate {args.problem}: {'PASS' if report.passed else 'FAIL'}"]
     for c in report.checks:
@@ -233,7 +234,7 @@ def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     traj = solve_full(problem)
     run.timings["solve_ms"] = (time.perf_counter() - t0) * 1e3
-    j_grde = float(x0 @ traj.X[0] @ x0)
+    j_grde = optimal_cost(traj, x0)
     t0 = time.perf_counter()
     qp = batch_matrices(problem, x0)
     _, j_oracle = batch_optimal(qp)

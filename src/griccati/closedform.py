@@ -49,11 +49,10 @@ def gramian_sweep(Psi_terminal, steps: int, rd: ReductionData):
         yield symmetrize(P.T @ Psi_terminal @ (M_inv @ P))
 
 
-def _gramian_rule(Psi_terminal, steps: int, rd: ReductionData, stop, x_max: float = 0.0):
+def _gramian_rule(Psi_terminal, steps: int, rd: ReductionData, stop):
     """Phase-two rule (see reduction._hybrid_rule) from the Gramian sweep, the
-    curvature pinvs taken in one stacked call, so x_max goes unused.  stop
-    is asked before each Gramian step is pulled, so a cut raises no later
-    step's refusal."""
+    curvature pinvs taken in one stacked call.  stop is asked before each
+    Gramian step is pulled, so a cut raises no later step's refusal."""
     Psi, R_X = [Psi_terminal], []
     sweep = gramian_sweep(Psi_terminal, steps, rd)
     while len(R_X) < steps and not stop(float(np.linalg.norm(Psi[-1]))):

@@ -2,10 +2,10 @@
 
 The recursion uses the Moore-Penrose pseudo-inverse of the control curvature
 R + B^T X B, so it stays well defined when R (or the curvature itself) is
-singular; where R > 0 proves the curvature non-singular, a sweep inverts
-it without an SVD (_inverse_limit).  Optimal inputs are then a feedback
-term plus an arbitrary component in the curvature's null space, captured by
-a projector G_t.
+singular; wherever linalg._certified_nonsingular proves a curvature of full
+rank, whatever X is, the step inverts it by LU instead.  Optimal inputs are
+then a feedback term plus an arbitrary component in the curvature's null
+space, captured by a projector G_t.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import RANK_REL, _pinv, as_vector, check_symmetric, symmetrize
+from .linalg import _certified_nonsingular, _pinv, as_vector, check_symmetric, symmetrize
 from .model import LQProblem, PopovTriple, _fmt_matrix, _json_object, require_valid
 
 
@@ -37,71 +37,40 @@ class GrdeTrajectory:
         return len(self.X) - 1
 
 
-def _inverse_limit(triple: PopovTriple) -> float:
-    """Bound x_max on ||X_{t+1}||_F below which the full step's curvature
-    W22 = R + B^T X_{t+1} B is certified to have full rank; 0 certifies none.
-
-    Let X = X_{t+1}, s = ||R||_F + ||B||_F^2 ||X||_F and r the smallest
-    eigenvalue of R's symmetric part less the norm of its skew part (which
-    validation allows within its symmetry band).  Every iterate of a sweep
-    from a validated P is a value function, X >= 0, so W22 >= R and
-    sigma_min(W22) >= r; sigma_max(W22) <= s needs no premise.  _pinv
-    drops a singular value only at or below RANK_REL m sigma_max, so W22
-    keeps all m of them where
-
-        r  >  2 RANK_REL (m s + ||B||_F^2 ||X||_F),
-
-    that is where ||X||_F < x_max.  Its last term pays for an X that is
-    indefinite by up to RANK_REL ||X||_F (its own rounding, or validation's
-    allowance on P, eigenvalues down to -RANK_REL ||P||), which moves W22 by
-    at most ||B||_F^2 RANK_REL ||X||_F.  The factor 2 leaves a margin of at
-    least RANK_REL m s for the rest of floating point: forming W22 errs by
-    about (n + 2) u s, and the SVD's and eigvalsh's values by about m u s,
-    u the unit round-off, 1e-6 of RANK_REL.  Scaling the weights by c
-    scales r, s and ||X|| by c, and an orthogonal change of state
-    coordinates keeps every norm, so neither moves a decision.  The premise
-    X >= 0 is the caller's, so only the sweeps from a validated P pass a
-    bound: solve_full and both phases of the reduced solve.  riccati_map,
-    gain_and_projector, closed_loop, reduced_step and the reference
-    search's single steps take any symmetric X and never pass one.
-    """
-    R, B, m = triple.R, triple.B, triple.m
-    if not m:
-        return 0.0
-    r = float(np.linalg.eigvalsh(symmetrize(R))[0]) - 0.5 * float(np.linalg.norm(R - R.T))
-    c = r / (2.0 * RANK_REL) - m * float(np.linalg.norm(R))
-    if c <= 0.0:
-        return 0.0
-    b = float(np.linalg.norm(B)) ** 2
-    return c / ((m + 1) * b) if b else np.inf
-
-
-def _schur_step(X_next, M, Pi, invert: bool = False):
+def _schur_step(X_next, M, Pi, certify: bool = True):
     """Generalised Schur complement of the Popov block W = M^T X_next M + Pi.
 
     With k = rows of M, W = [[W11, W12], [W21, R_X]] is split after k, and
     from one factorisation of R_X this returns (symmetrize(W11 - W12 L), L,
-    W, R_X^+) with L = R_X^+ W21.  The factorisation is linalg's SVD pinv,
-    or np.linalg.inv where invert is the caller's certificate that the SVD
-    would keep every singular value (||X_next||_F < x_max, x_max from
-    _inverse_limit), so both give R_X^{-1}.  M = [A B] with the Popov
-    matrix as Pi is the full backward step, L its gain K; the reduction
-    applies the same map to the trailing block.  X_next must be symmetric
-    and is not checked.
+    W, R_X^+, certified) with L = R_X^+ W21.  Where certify is set, the
+    factorisation is np.linalg.inv, kept only where
+    linalg._certified_nonsingular proves that the SVD would keep every
+    singular value of R_X, so that R_X^{-1} = R_X^+; elsewhere it is
+    linalg's SVD pinv.  certified says which was kept, so a sweep whose
+    curvature stays singular stops asking.  M = [A B] with the Popov matrix
+    as Pi is the full backward step, L its gain K; the reduction applies the
+    same map to the trailing block.  X_next must be symmetric and is not
+    checked; no other premise is made on it.
     """
     k = M.shape[0]
     W = M.T @ (X_next @ M) + Pi
     R_X = W[k:, k:]
-    R_X_pinv = np.linalg.inv(R_X) if invert else _pinv(R_X)
+    try:
+        R_X_inv = np.linalg.inv(R_X) if certify else None
+    except np.linalg.LinAlgError:
+        R_X_inv = None
+    certified = R_X_inv is not None and _certified_nonsingular(R_X, A_inv=R_X_inv)
+    R_X_pinv = R_X_inv if certified else _pinv(R_X)
     L = R_X_pinv @ W[k:, :k]
-    return symmetrize(W[:k, :k] - W[:k, k:] @ L), L, W, R_X_pinv
+    return symmetrize(W[:k, :k] - W[:k, k:] @ L), L, W, R_X_pinv, certified
 
 
-def _sweep(X_end, M, Pi, steps: int, stop=None, x_max: float = 0.0):
+def _sweep(X_end, M, Pi, steps: int, stop=None):
     """`steps` Schur-complement steps back from X_end, in backward order, or
     fewer: stop(||X||_F), if given, is asked before each step and ends the
-    sweep.  A step from X inverts its curvature where ||X||_F < x_max (see
-    _schur_step); the one norm serves both tests.
+    sweep.  Each step inverts its curvature where certified (see
+    _schur_step); the first that is not makes the rest of the sweep take
+    the SVD, so a curvature that stays singular costs one failed inverse.
 
     Returns the lists X (X_end first), L, R_X and R_X^+ (or R_X^{-1}, where
     certified); whatever else a solver reports is formed from them after
@@ -109,11 +78,11 @@ def _sweep(X_end, M, Pi, steps: int, stop=None, x_max: float = 0.0):
     """
     k = M.shape[0]
     X, L, R_X, R_X_pinv = [X_end], [], [], []
+    certify = True
     for _ in range(steps):
-        x_norm = float(np.linalg.norm(X[-1])) if stop is not None or x_max > 0.0 else np.inf
-        if stop is not None and stop(x_norm):
+        if stop is not None and stop(float(np.linalg.norm(X[-1]))):
             break
-        X_prev, L_t, W, R_pinv_t = _schur_step(X[-1], M, Pi, x_norm < x_max)
+        X_prev, L_t, W, R_pinv_t, certify = _schur_step(X[-1], M, Pi, certify)
         X.append(X_prev)
         L.append(L_t)
         R_X.append(W[k:, k:])
@@ -133,7 +102,7 @@ def gain_and_projector(X_next, triple: PopovTriple):
 
     K = (R + B^T X B)^+ (S^T + B^T X A),  G = I - (R + B^T X B)^+ (R + B^T X B).
     """
-    _, K, W, R_X_pinv = _schur_step(X_next, triple.AB, triple.Pi)
+    _, K, W, R_X_pinv, _ = _schur_step(X_next, triple.AB, triple.Pi)
     n = triple.n
     return K, np.eye(triple.m) - R_X_pinv @ W[n:, n:]
 
@@ -152,9 +121,7 @@ def solve_full(problem: LQProblem) -> GrdeTrajectory:
     """Full backward recursion from the terminal weight down to time 0."""
     require_valid(problem)
     triple = problem.triple
-    X, K, R_X, R_X_pinv = _sweep(
-        symmetrize(problem.P), triple.AB, triple.Pi, problem.T, x_max=_inverse_limit(triple)
-    )
+    X, K, R_X, R_X_pinv = _sweep(symmetrize(problem.P), triple.AB, triple.Pi, problem.T)
     return GrdeTrajectory(tuple(X[::-1]), tuple(K[::-1]), _projectors(R_X, R_X_pinv)[::-1])
 
 

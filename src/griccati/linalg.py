@@ -16,6 +16,8 @@ solver applies to a whole horizon at once (``_pinv``, ``svd_cutoff``,
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -71,8 +73,11 @@ def as_square(M, name: str = "matrix") -> np.ndarray:
 
 
 def as_vector(x, length: int, name: str) -> np.ndarray:
-    """Coerce input to a flat float64 array of the given length, rejecting non-finite entries."""
-    v = np.asarray(x, dtype=float).reshape(-1)
+    """Coerce input to a float64 array of the given length, rejecting
+    non-finite entries and any input that is not 1-D, as a file's x0 is."""
+    v = np.asarray(x, dtype=float)
+    if v.ndim != 1:
+        raise ValueError(f"{name} must be a flat array")
     if v.shape[0] != length:
         raise ValueError(f"{name} has length {v.shape[0]}, expected {length}")
     if not np.isfinite(v).all():
@@ -203,8 +208,11 @@ def _certified_nonsingular(A: np.ndarray, scale: float = 0.0, A_inv=None) -> boo
             A_inv = np.linalg.inv(A)
         except np.linalg.LinAlgError:
             return False
-    cutoff = RANK_REL * max(float(np.linalg.norm(A)), scale) * A.shape[0]
-    return 2.0 * cutoff * float(np.linalg.norm(A_inv)) < 1.0
+    # Frobenius norms by vdot, as np.linalg.norm takes them but without its
+    # warning where a near-singular A's inverse overflows: inf or nan
+    # certifies nothing.
+    cutoff = RANK_REL * max(math.sqrt(np.vdot(A, A)), scale) * A.shape[0]
+    return 2.0 * cutoff * math.sqrt(np.vdot(A_inv, A_inv)) < 1.0
 
 
 def _certified_positive_definite(A: np.ndarray) -> bool:

@@ -167,20 +167,22 @@ class ValidationReport:
         return {"passed": self.passed, "checks": [asdict(c) for c in self.checks]}
 
 
+# A check passes only where its limit is finite: a norm that overflows
+# makes a limit infinite, and would pass any residual.
 def _residual_check(name: str, residual: float, scale: float) -> CheckResult:
     thr = residual_limit(scale)
-    return CheckResult(name, residual <= thr, residual, thr)
+    return CheckResult(name, residual <= thr < np.inf, residual, thr)
 
 
 def _psd_check(name: str, M: np.ndarray, describe: bool = False) -> CheckResult:
-    """-lambda_min <= RANK_REL * max|lambda| on the symmetric part of M."""
+    """-lambda_min <= RANK_REL * max|lambda| < inf on the symmetric part of M."""
     w = np.linalg.eigvalsh(symmetrize(M)) if M.size else np.zeros(0)
     cutoff = RANK_REL * float(np.max(np.abs(w))) if w.size else 0.0
     neg = float(max(0.0, -np.min(w))) if w.size else 0.0
     detail = ""
     if describe:
         detail = f"eigenvalue range [{w.min():.3e}, {w.max():.3e}]" if w.size else "empty"
-    return CheckResult(name, neg <= cutoff, neg, cutoff, detail)
+    return CheckResult(name, neg <= cutoff < np.inf, neg, cutoff, detail)
 
 
 def validate(problem) -> ValidationReport:
@@ -202,18 +204,17 @@ def validate(problem) -> ValidationReport:
 def _validation_report(triple: PopovTriple, terminal) -> ValidationReport:
     """The checks of validate; terminal is the weight P, or None for a triple alone."""
     Pi = triple.Pi
-    checks = [
-        _residual_check("popov_symmetric", float(np.linalg.norm(Pi - Pi.T)), float(np.linalg.norm(Pi))),
-        _psd_check("popov_psd", Pi, describe=True),
-    ]
-    proj_resid = float(np.linalg.norm(triple.S @ (np.eye(triple.m) - pinv(triple.R) @ triple.R)))
-    checks.append(_residual_check("kernel_inclusion", proj_resid, float(np.linalg.norm(triple.S))))
-
-    if terminal is not None:
-        skew = float(np.linalg.norm(terminal - terminal.T))
-        checks.append(_residual_check("terminal_symmetric", skew, float(np.linalg.norm(terminal))))
-        checks.append(_psd_check("terminal_psd", terminal))
-
+    with np.errstate(over="ignore"):  # an overflowing norm fails its check instead
+        checks = [
+            _residual_check("popov_symmetric", float(np.linalg.norm(Pi - Pi.T)), float(np.linalg.norm(Pi))),
+            _psd_check("popov_psd", Pi, describe=True),
+        ]
+        proj_resid = float(np.linalg.norm(triple.S @ (np.eye(triple.m) - pinv(triple.R) @ triple.R)))
+        checks.append(_residual_check("kernel_inclusion", proj_resid, float(np.linalg.norm(triple.S))))
+        if terminal is not None:
+            skew = float(np.linalg.norm(terminal - terminal.T))
+            checks.append(_residual_check("terminal_symmetric", skew, float(np.linalg.norm(terminal))))
+            checks.append(_psd_check("terminal_psd", terminal))
     return ValidationReport(tuple(checks))
 
 

@@ -8,7 +8,9 @@ Delta_t = X_t - X vanishes on U entirely: every later step only moves the
 trailing diagonal block Psi_t.  The hybrid solver therefore runs nu full
 steps, checks the predicted block structure, and iterates the small
 homogeneous recursion for the rest of the horizon.  The closed form in
-closedform shares that driver and replaces only the iteration.
+closedform shares that driver and replaces only the iteration.  Both
+phases are grde sweeps, so a step inverts its curvature by LU wherever
+that curvature itself is certified of full rank, with R singular too.
 
 Psi = 0 is a fixed point of the reduced recursion, and Psi decays like
 Z^s towards it.  Phase two stops at the first step where a certificate
@@ -35,7 +37,7 @@ from .linalg import (
 )
 from .model import LQProblem, require_valid
 from .cgdare import CgdareSolution
-from .grde import GrdeTrajectory, _inverse_limit, _projectors, _schur_step, _sweep, solve_full
+from .grde import GrdeTrajectory, _projectors, _schur_step, _sweep, solve_full
 
 _EPS = float(np.finfo(float).eps)
 
@@ -213,16 +215,15 @@ def checkpoint_blocks(Delta, rd: ReductionData):
     return D[:k, :k], D[:k, k:], D[k:, k:]
 
 
-def _hybrid_rule(Psi_terminal, steps: int, rd: ReductionData, stop, x_max: float = 0.0):
+def _hybrid_rule(Psi_terminal, steps: int, rd: ReductionData, stop):
     """Phase-two rule of the hybrid solver: grde's sweep on [Z B2].
 
     A phase-two rule takes at most steps steps back from Psi_{T'} =
     Psi_terminal, asking stop(||Psi||_F) before each, and returns the
     stacks of Psi (Psi_terminal first), of each step's curvature R_full +
-    B2^T Psi B2 and of its pinv.  x_max is the sweep's bound on ||Psi||_F
-    below which that curvature is inverted without an SVD (see _solve_reduced).
+    B2^T Psi B2 and of its pinv (its inverse, where the sweep certifies it).
     """
-    Psi, _, R_X, R_X_pinv = _sweep(Psi_terminal, rd.ZB2, rd.Pi, steps, stop, x_max)
+    Psi, _, R_X, R_X_pinv = _sweep(Psi_terminal, rd.ZB2, rd.Pi, steps, stop)
     return np.array(Psi), np.array(R_X), np.array(R_X_pinv)
 
 
@@ -287,7 +288,7 @@ class _TailCut:
 
     ||L|| >= 1 makes ||Psi_s||_F <= eps ||X_circ||_F necessary for a cut,
     and only then is _tail_bound computed, once; reason keeps its refusal.
-    Its argument is ||Psi||_F, as the sweep's certificate reads it too."""
+    Its argument is ||Psi||_F, which the sweep passes to its stop rule."""
 
     def __init__(self, rd: ReductionData):
         self.rd = rd
@@ -332,13 +333,10 @@ def _solve_reduced(problem: LQProblem, rd: ReductionData, phase_two) -> HybridSo
     Validates the problem as solve_full does, runs the nu full steps,
     keeping their gains, checks that the difference to the reference is
     confined to the trailing block, and takes the rest from the rule
-    phase_two(Psi_{T'}, T', rd, stop, x_max) (see _hybrid_rule), which
-    _TailCut stops at a certified stationary tail.  Both phases invert a
-    curvature without an SVD where grde._inverse_limit certifies it: phase
-    two's curvature R_full + B2^T Psi B2 is R + B^T X_t B at X_t = X_circ +
-    U_c Psi U_c^T, the iterate the checkpoint matched to the full sweep's,
-    so ||Psi||_F < x_max - ||X_circ||_F bounds ||X_t||_F below x_max.  The
-    bound comes from R, not R_full: Psi, like X_circ, may be indefinite.
+    phase_two(Psi_{T'}, T', rd, stop) (see _hybrid_rule), which _TailCut
+    stops at a certified stationary tail.  Each phase is one grde sweep, so
+    each inverts a curvature without an SVD where the curvature itself is
+    certified of full rank, phase two's R_full + B2^T Psi B2 included.
     X_t, K_t and G_t of the steps taken follow in stacked products after
     the loop; every tail step shares the reference's X, K_X and G_X.  When
     the horizon is shorter than nu or the checkpoint fails, the result has
@@ -353,8 +351,7 @@ def _solve_reduced(problem: LQProblem, rd: ReductionData, phase_two) -> HybridSo
     if T < nu:
         return HybridSolveResult(None, rd, T, T, fallback_reason=f"horizon {T} shorter than nilpotency index {nu}")
 
-    x_max = _inverse_limit(triple)
-    X, K, R_X, R_X_pinv = _sweep(symmetrize(problem.P), triple.AB, triple.Pi, nu, x_max=x_max)
+    X, K, R_X, R_X_pinv = _sweep(symmetrize(problem.P), triple.AB, triple.Pi, nu)
     X, K, G = X[::-1], K[::-1], _projectors(R_X, R_X_pinv)[::-1]
     Delta = X[0] - ref.X
     D11, D12, D22 = checkpoint_blocks(Delta, rd)
@@ -365,7 +362,7 @@ def _solve_reduced(problem: LQProblem, rd: ReductionData, phase_two) -> HybridSo
 
     # Phase two: only the trailing block moves.
     cut = _TailCut(rd)
-    Psi, R_X, R_X_pinv = phase_two(D22, T - nu, rd, cut, x_max - float(np.linalg.norm(ref.X)))
+    Psi, R_X, R_X_pinv = phase_two(D22, T - nu, rd, cut)
     if len(R_X):
         X2, K2, G2 = _phase_two_outputs(Psi, R_X, R_X_pinv, rd)
         X = list(X2[::-1]) + X

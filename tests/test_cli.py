@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from griccati import cli, grde, model
+from griccati import cli, grde, linalg, model
 from griccati.cgdare import find_reference
 from griccati.cli import main
 from griccati.linalg import InternalInconsistencyError, NumericalRefusal
@@ -201,10 +201,10 @@ def _r_zero():
 
 def _r_below_certificate():
     # R = diag(1, 1e-13) is positive definite but too close to singular for
-    # the full-rank certificate, so every step takes the SVD pseudo-inverse.
+    # the full-rank certificate; each curvature R + B^T X B is judged on its own.
     base = random_problem(6, 2, 11, "generic", horizon=40)
     triple = dataclasses.replace(base.triple, R=np.diag([1.0, 1e-13]), S=np.zeros((6, 2)))
-    assert grde._inverse_limit(triple) == 0.0
+    assert not linalg._certified_nonsingular(triple.R)
     return dataclasses.replace(base, triple=triple)
 
 
@@ -467,8 +467,31 @@ def test_solve_invalid_problem_exit_code(tmp_path, capsys):
         assert report["status"] == "error"
         assert err == "error: problem validation failed: terminal_psd\n"
     code, report, _ = _run(capsys, ["--json", "validate", path])
-    assert code == 1 and report["status"] == "error"
+    assert code == 1 and report["status"] == "error" and report["reason"] == "problem validation failed: terminal_psd"
     assert [c["name"] for c in report["results"]["checks"] if not c["passed"]] == ["terminal_psd"]
+
+
+def test_validate_fails_a_check_whose_limit_overflows(tmp_path, capsys):
+    # Q[0][0] = 1e300 overflows ||Pi||_F, and with it popov_symmetric's
+    # limit; an infinite limit would pass any residual, so the check fails.
+    # The overflow raises no RuntimeWarning, an error under this suite.
+    doc = json.loads(problem_to_json(random_problem(3, 2, 1, "generic")))
+    doc["Q"][0][0] = 1e300
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, report, _ = _run(capsys, ["--json", "validate", str(path)])
+    assert code == 1 and report["status"] == "error"
+    assert report["reason"] == "problem validation failed: popov_symmetric"
+    failed = [c for c in report["results"]["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["popov_symmetric"] and failed[0]["threshold"] == np.inf
+    code, _, err = _run(capsys, ["solve", str(path)])
+    assert code == 1 and err == "error: problem validation failed: popov_symmetric\n"
+    # A terminal weight of 6e307 overflows its largest eigenvalue too, so
+    # the PSD check's limit is infinite as well, and both terminal checks fail.
+    problem = model.LQProblem(random_problem(3, 2, 1, "generic").triple, np.full((3, 3), 6e307), 3)
+    failed = [c for c in model.validate(problem).checks if not c.passed]
+    assert [c.name for c in failed] == ["terminal_symmetric", "terminal_psd"]
+    assert all(c.threshold == np.inf for c in failed)
 
 
 @pytest.mark.parametrize(

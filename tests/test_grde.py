@@ -184,11 +184,12 @@ def test_simulate_horizon_mismatch():
 
 
 def _count_factorisations(monkeypatch):
-    """Patch the curvature's two factorisations, _pinv and the certified
-    np.linalg.inv taken in grde, to record one entry per call: the number
-    of slices pinv'd, or 1 for an inverse, and the matrix inverted.  The
-    closed form's own inverses of I + W Psi are not counted."""
-    calls = []
+    """Patch the curvature's factorisations to record them: calls gets one
+    entry per factorisation kept, the number of slices pinv'd with None, or
+    1 with the matrix where grde keeps a certified inverse; attempts gets
+    every matrix np.linalg.inv is asked to invert in grde, certified or
+    not.  The closed form's own inverses of I + W Psi are not counted."""
+    calls, attempts = [], []
 
     def counting_pinv(A):
         calls.append((int(np.prod(A.shape[:-2])), None))
@@ -198,22 +199,38 @@ def _count_factorisations(monkeypatch):
 
     def counting_inv(A):
         if sys._getframe(1).f_globals["__name__"] == grde.__name__:
-            calls.append((1, A))
+            attempts.append(A)
         return inv(A)
+
+    def counting_certificate(A, scale=0.0, A_inv=None):
+        certified = linalg._certified_nonsingular(A, scale, A_inv)
+        if certified:
+            calls.append((1, A))
+        return certified
 
     for module in (grde, closedform):
         monkeypatch.setattr(module, "_pinv", counting_pinv)
+    monkeypatch.setattr(grde, "_certified_nonsingular", counting_certificate)
     monkeypatch.setattr(np.linalg, "inv", counting_inv)
-    return calls
+    return calls, attempts
+
+
+def _svd_only_sweep(monkeypatch, problem):
+    """solve_full's X, K and G with every curvature pinv'd by the SVD."""
+    triple = problem.triple
+    with monkeypatch.context() as patch:
+        patch.setattr(grde, "_certified_nonsingular", lambda A, scale=0.0, A_inv=None: False)
+        X, K, R_X, R_X_pinv = grde._sweep(grde.symmetrize(problem.P), triple.AB, triple.Pi, problem.T)
+    return X[::-1], K[::-1], grde._projectors(R_X, R_X_pinv)[::-1]
 
 
 def test_one_curvature_factorisation_per_step(monkeypatch):
     # Every solver factorises the curvature once per step, counted per
-    # slice of a stacked call: the Schur-complement step takes one pinv or,
-    # where R > 0 certifies full rank, one inverse, and the closed form
-    # takes the pinvs of its whole phase two in one stacked call.
+    # slice of a stacked call: the Schur-complement step keeps one pinv or,
+    # where the curvature is certified of full rank, one inverse, and the
+    # closed form takes the pinvs of its whole phase two in one stacked call.
     # closed_loop takes its residual, gain and kernel condition from one.
-    calls = _count_factorisations(monkeypatch)
+    calls, _ = _count_factorisations(monkeypatch)
     problem = random_problem(4, 2, 41, "singular_R", horizon=9)
     solve_full(problem)
     assert sum(c for c, _ in calls) == problem.T
@@ -247,10 +264,11 @@ BENCH_SHAPES = (
 
 @pytest.mark.parametrize("n, m, kind, T, nilpotent_dim", BENCH_SHAPES)
 def test_certified_steps_keep_every_singular_value(monkeypatch, n, m, kind, T, nilpotent_dim):
-    # A step inverts its curvature without an SVD only where the SVD would
-    # keep all m singular values, at every weight scale, on the full sweep
-    # and on both phases of the hybrid; a singular R certifies no step.
-    calls = _count_factorisations(monkeypatch)
+    # A step keeps its curvature's inverse only where the SVD would keep
+    # all m singular values, at every weight scale, on the full sweep and
+    # on both phases of the hybrid; a singular R with a non-singular
+    # curvature is certified like any other.
+    calls, _ = _count_factorisations(monkeypatch)
     base = random_problem(n, m, 1, kind, horizon=T, nilpotent_dim=nilpotent_dim)
     for c in (1.0, 1e6, 1e-6):
         problem = scaled_problem(base, c)
@@ -260,60 +278,90 @@ def test_certified_steps_keep_every_singular_value(monkeypatch, n, m, kind, T, n
         assert search.found, c
         reduction.solve_hybrid(problem, reduction.build_reduction(problem, search.solution))
         certified = [A for _, A in calls if A is not None]
-        if kind == "singular_R":
-            assert not certified, c
-        else:
-            assert len(certified) >= T, c
-            assert all(linalg.numerical_rank(A) == m for A in certified), c
+        assert len(certified) >= T, c
+        assert all(linalg.numerical_rank(A) == m for A in certified), c
 
 
 def test_certificate_boundary_is_sharp(monkeypatch):
     # With R = diag(1, delta) and P = 0 the terminal step's curvature is R
-    # itself, at X_T = 0, and the bound certifies it exactly where
-    # delta > 2 RANK_REL m ||R||_F = 4e-10.  Just below, no step is
-    # certified and solve_full is the SVD-only sweep bit for bit; just
-    # above, the terminal step is, and the SVD keeps both singular values.
+    # itself, at X_T = 0, and its inverse certifies it exactly where
+    # delta > 2 RANK_REL m ||R||_F = 4e-10.  Just below, that one failed
+    # attempt makes the whole sweep take the SVD, and solve_full is the
+    # SVD-only sweep bit for bit; just above, every step is certified, and
+    # the SVD keeps both singular values of each.
     base = random_problem(4, 2, 5, "generic", horizon=10)
     t = base.triple
     threshold = 2.0 * linalg.RANK_REL * 2
-    calls = _count_factorisations(monkeypatch)
-    for delta, certified in ((threshold * (1.0 - 1e-6), 0), (threshold * (1.0 + 1e-6), 1)):
+    calls, attempts = _count_factorisations(monkeypatch)
+    for delta, certified in ((threshold * (1.0 - 1e-6), 0), (threshold * (1.0 + 1e-6), base.T)):
         triple = PopovTriple(t.A, t.B, t.Q, np.zeros((4, 2)), np.diag([1.0, delta]))
         problem = LQProblem(triple, np.zeros((4, 4)), base.T)
         calls.clear()
+        attempts.clear()
         traj = solve_full(problem)
         inverted = [A for _, A in calls if A is not None]
-        assert len(inverted) == certified, delta
+        assert len(inverted) == certified and len(attempts) == max(certified, 1), delta
         assert all(linalg.numerical_rank(A) == 2 for A in inverted), delta
         if not certified:
-            X, K, R_X, R_X_pinv = grde._sweep(np.zeros((4, 4)), triple.AB, triple.Pi, problem.T)
-            svd_only = (X[::-1], K[::-1], grde._projectors(R_X, R_X_pinv)[::-1])
-            for field, want in zip("XKG", svd_only):
+            for field, want in zip("XKG", _svd_only_sweep(monkeypatch, problem)):
                 assert all(np.array_equal(a, b) for a, b in zip(getattr(traj, field), want)), field
 
 
-def test_phase_two_certifies_only_where_the_full_sweep_does(monkeypatch):
-    # Phase two bounds ||X_t||_F by ||X_circ||_F + ||Psi||_F, never by
-    # ||Psi||_F alone: Psi -> 0 while X_t -> X_circ.  R = diag(1, delta)
-    # puts the bound x_max = 1.9 below ||X_circ||_F, so the full sweep
-    # certifies its first steps from the small P but none near X_circ, and
-    # the hybrid, step for step, may certify none that the full sweep does not.
-    base = random_problem(6, 2, 42, "nilpotent_block", horizon=40, nilpotent_dim=3)
+def test_singular_R_with_regular_curvature_takes_the_inverse(monkeypatch):
+    # The paper's case: R is singular, but B^T X B fills its kernel, so
+    # every curvature R + B^T X B is certified and inverted by LU, and the
+    # trajectory is the SVD-only sweep's to rounding.
+    problem = random_problem(5, 2, 1, "singular_R", horizon=20)
+    assert linalg.numerical_rank(problem.triple.R) < problem.m
+    calls, attempts = _count_factorisations(monkeypatch)
+    traj = solve_full(problem)
+    assert len(attempts) == problem.T
+    assert [c for c, A in calls if A is not None] == [1] * problem.T
+    for field, want in zip("XKG", _svd_only_sweep(monkeypatch, problem)):
+        for a, b in zip(getattr(traj, field), want):
+            assert np.linalg.norm(a - b) <= 1e-13 * max(1.0, np.linalg.norm(b)), field
+
+
+def test_curvature_that_stays_singular_costs_one_inverse_per_sweep(monkeypatch):
+    # An input that moves neither state nor cost (B v = 0, R v = 0, S v = 0)
+    # leaves every curvature singular.  The first failed inverse makes the
+    # rest of the sweep, or of the single-step search, take the SVD, and
+    # doubling's X_1 step, whose base curvature R is known singular, tries none.
+    base = random_problem(4, 2, 7, "generic", horizon=30)
     t = base.triple
-    delta = 2.0 * linalg.RANK_REL * (3 * np.linalg.norm(t.B) ** 2 * 1.9 + 2)
-    triple = PopovTriple(t.A, t.B, t.Q, t.S, np.diag([1.0, delta]))
-    problem = LQProblem(triple, base.P, base.T)
-    rd = reduction.build_reduction(problem, cgdare.find_reference(problem).solution)
-    assert abs(grde._inverse_limit(triple) - 1.9) <= 1e-9 < np.linalg.norm(rd.X_circ) - 1.9
-    calls = _count_factorisations(monkeypatch)
-    solve_full(problem)
-    full = [A is not None for _, A in calls]
-    calls.clear()
-    assert reduction.solve_hybrid(problem, rd).tail_steps == 0
-    hybrid = [A is not None for _, A in calls]
-    assert len(full) == len(hybrid) == problem.T
-    assert any(hybrid) and not all(full)
-    assert all(f or not h for f, h in zip(full, hybrid))
+    B, R, S = t.B.copy(), t.R.copy(), t.S.copy()
+    B[:, 1], R[:, 1], R[1, :], S[:, 1] = 0.0, 0.0, 0.0, 0.0
+    problem = LQProblem(PopovTriple(t.A, B, t.Q, S, R), base.P, base.T)
+    calls, attempts = _count_factorisations(monkeypatch)
+    traj = solve_full(problem)
+    assert len(attempts) == 1 and not [A for _, A in calls if A is not None]
+    assert all(G[1, 1] == 1.0 for G in traj.G)
+    attempts.clear()
+    search = cgdare.find_reference(problem)
+    assert search.found and "single steps" in search.message
+    # One for the single steps, one for closed_loop's look at their result.
+    assert len(attempts) == 2
+    rd = reduction.build_reduction(problem, search.solution)
+    attempts.clear()
+    result = reduction.solve_hybrid(problem, rd)
+    assert not result.used_fallback
+    assert len(attempts) == (rd.nu > 0) + (rd.nu < problem.T)
+
+
+def test_overflowing_inverse_is_not_certified_and_does_not_warn(monkeypatch):
+    # R = diag(1, 1e-200): the terminal curvature's inverse holds 1e200,
+    # whose squared norm overflows.  The certificate reads it without a
+    # RuntimeWarning (an error under this suite) and certifies nothing.
+    base = random_problem(4, 2, 5, "generic", horizon=10)
+    t = base.triple
+    triple = PopovTriple(t.A, t.B, t.Q, np.zeros((4, 2)), np.diag([1.0, 1e-200]))
+    assert not linalg._certified_nonsingular(triple.R)
+    problem = LQProblem(triple, np.zeros((4, 4)), base.T)
+    calls, attempts = _count_factorisations(monkeypatch)
+    with np.errstate(all="raise"):
+        traj = solve_full(problem)
+    assert len(attempts) == 1 and not [A for _, A in calls if A is not None]
+    assert all(np.isfinite(X).all() for X in traj.X)
 
 
 def test_indefinite_iterate_keeps_the_pseudo_inverse():

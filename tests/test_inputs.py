@@ -31,6 +31,7 @@ X0_FAULTS = {
     "short": ([1.0, 2.0], "field x0 has length 2, expected 4"),
     "nan": ([np.nan, 0.0, 0.0, 0.0], "field x0 contains non-finite entries"),
     "inf": ([0.0, np.inf, 0.0, 0.0], "field x0 contains non-finite entries"),
+    "nested": ([[1.0, 2.0], [3.0, 4.0]], "field x0 must be a flat array"),
 }
 
 
@@ -68,6 +69,7 @@ X0_CASES = [
     for entry in X0_ENTRIES
     for fault in X0_FAULTS
     if fault != "missing" or entry in ("simulate", "batch_matrices", "verify --x0")
+    if fault != "nested" or entry != "verify --x0"  # --x0 is a flat list by its syntax
 ]
 
 
@@ -84,8 +86,11 @@ def test_initial_state_refused_with_one_message(entry, fault, tmp_path, capsys):
 def test_initial_state_is_the_given_or_the_problems_own():
     assert np.array_equal(PROBLEM.initial_state(), PROBLEM.x0)
     assert np.array_equal(BARE.initial_state([1, 2, 3, 4]), [1.0, 2.0, 3.0, 4.0])
-    # A column vector is flattened, as before.
-    assert np.array_equal(PROBLEM.initial_state(np.ones((4, 1))), np.ones(4))
+    # Only a 1-D x0 is one, as in the problem file: a column, a row or a
+    # scalar is refused with the file's message, not flattened.
+    for shaped in (np.ones((4, 1)), np.ones((1, 4)), np.ones((2, 2)), 1.0):
+        with pytest.raises(ValueError, match="^field x0 must be a flat array$"):
+            PROBLEM.initial_state(shaped)
 
 
 def test_problem_file_rejects_nested_x0():

@@ -6,7 +6,7 @@ import pytest
 from griccati import reduction
 from griccati.cgdare import closed_loop, find_reference
 from griccati.closedform import _gramian_rule, solve_closed_form
-from griccati.grde import _inverse_limit, gain_and_projector, solve_full
+from griccati.grde import gain_and_projector, solve_full
 from griccati.linalg import symmetrize
 from griccati.model import LQProblem, PopovTriple, problem_from_json, problem_to_json, random_problem
 from griccati.reduction import build_reduction, checkpoint_blocks, reduced_step, solve_hybrid
@@ -237,14 +237,13 @@ def test_hybrid_nu_zero_runs_reduced_recursion():
 def test_nu_zero_assembly_equals_rotated_product():
     # A non-singular A_X leaves the staircase's T_orth = I exactly, so the
     # X_circ + Psi assembly is the rotated X_circ + U_c Psi U_c^T bit for bit.
-    # The rule inverts the curvature under the hybrid solve's own bound.
+    # The rule inverts each certified curvature, as the hybrid solve does.
     problem = random_problem(5, 2, 1801, "generic", horizon=20)
     rd = build_reduction(problem, find_reference(problem).solution)
     T_orth = rd.reference.T_orth
     assert rd.dim_u == 0 and np.array_equal(T_orth, np.eye(problem.n))
     Psi_T = checkpoint_blocks(symmetrize(problem.P) - rd.X_circ, rd)[2]
-    x_max = _inverse_limit(problem.triple) - np.linalg.norm(rd.X_circ)
-    Psi, R_X, R_X_pinv = reduction._hybrid_rule(Psi_T, problem.T, rd, lambda Psi: False, x_max)
+    Psi, R_X, R_X_pinv = reduction._hybrid_rule(Psi_T, problem.T, rd, lambda Psi: False)
     assert len(R_X) == problem.T
     X = reduction._phase_two_outputs(Psi, R_X, R_X_pinv, rd)[0]
     U_c = T_orth[:, rd.dim_u :]
