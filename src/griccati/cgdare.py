@@ -25,11 +25,11 @@ import numpy as np
 
 from .linalg import (
     RESIDUAL_ABS,
-    RESIDUAL_REL,
     check_symmetric,
     inertia,
     is_nonsingular,
     nilpotent_eigenspace,
+    residual_limit,
     symmetrize,
 )
 from .model import LQProblem, PopovTriple, _read_only
@@ -92,20 +92,24 @@ def _residual_band(triple: PopovTriple) -> float:
     return RESIDUAL_ABS * float(np.linalg.norm(triple.Pi))
 
 
+def loop_and_scale(triple: PopovTriple, K_X: np.ndarray):
+    """A_X = A - B K_X and ||A||_F + ||B K_X||_F: A_X can cancel to rounding noise
+    (a deadbeat loop), so its structure is judged against its parents' size."""
+    BK = triple.B @ K_X
+    return triple.A - BK, float(np.linalg.norm(triple.A)) + float(np.linalg.norm(BK))
+
+
 def closed_loop(X, triple: PopovTriple) -> CgdareSolution:
     """Evaluate a candidate X: residual, constraint, gain, closed loop, eigenspace."""
     Xs = check_symmetric(X, "candidate solution", triple.n)
-    A, B, n = triple.A, triple.B, triple.n
+    n = triple.n
     X_prev, K_X, W, R_X_pinv, _ = _schur_step(Xs, triple.AB, triple.Pi)
     R_X, S_X = W[n:, n:], W[:n, n:]
     G = np.eye(triple.m) - R_X_pinv @ R_X
-    A_X = A - B @ K_X
+    A_X, loop_scale = loop_and_scale(triple, K_X)
     # D(X) = X minus its backward step, taken from the same pseudo-inverse.
     resid = float(np.linalg.norm(Xs - X_prev))
-    kercond_ok = float(np.linalg.norm(S_X @ G)) <= RESIDUAL_REL * float(np.linalg.norm(S_X))
-    # A_X can cancel to zero exactly (deadbeat loops), leaving pure rounding
-    # noise; its kernel structure is judged against the size of its parents.
-    loop_scale = float(np.linalg.norm(A)) + float(np.linalg.norm(B @ K_X))
+    kercond_ok = float(np.linalg.norm(S_X @ G)) <= residual_limit(float(np.linalg.norm(S_X)))
     T_orth, dim_u, nu = nilpotent_eigenspace(A_X, scale=loop_scale)
     return CgdareSolution(
         X=_read_only(Xs),

@@ -56,7 +56,9 @@ class RunReport:
     reason: str = ""
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        """Strict JSON: json's own Infinity and NaN tokens are read back as null."""
+        plain = json.loads(json.dumps(asdict(self)), parse_constant=lambda _: None)
+        return json.dumps(plain, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _emit(report: RunReport, args, summary_lines):

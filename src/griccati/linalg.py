@@ -2,13 +2,16 @@
 
 Every rank, kernel, and inertia decision in this package flows through the
 helpers and the three constants below, so that all modules share one notion
-of "numerically zero".  Two certificates settle some full-rank ones without
-the decomposition, never differently: ``_certified_nonsingular`` a square
-matrix's without an SVD, ``_certified_positive_definite`` a symmetric one's
-without an eigen-solve.  The nilpotent eigenspace, its complement and its
-index come from one staircase (``nilpotent_eigenspace``).
+of "numerically zero".  Two certificates settle some full-rank decisions
+without the decomposition, never differently: ``_certified_nonsingular`` a
+square matrix's without an SVD, ``_certified_positive_definite`` a symmetric
+one's without an eigen-solve.  The nilpotent eigenspace, its complement and
+its index come from one staircase (``nilpotent_eigenspace``).  Every
+residual check reads ``residual_limit``, relative to the scale of what it
+tests and with no absolute floor, so scaling the weights keeps its verdict.
 Each kind of input has one check: ``as_matrix``, ``as_square``,
-``as_vector`` and ``check_symmetric`` (symmetric, of a given size).
+``as_vector`` and ``check_symmetric`` (symmetric, of a given size); a
+matrix must be 2-D and a vector 1-D, and neither is reshaped.
 Matrices are plain 2-D float64 ``numpy`` arrays throughout; the helpers a
 solver applies to a whole horizon at once (``_pinv``, ``svd_cutoff``,
 ``symmetrize``) also take stacks (..., r, c), slice by slice.
@@ -41,23 +44,19 @@ class InternalInconsistencyError(RuntimeError):
 
 # The package's one numerical meaning of "zero".  RANK_REL is the relative
 # cutoff for rank, kernel and inertia decisions, applied against the largest
-# singular value (or eigenvalue magnitude).  RESIDUAL_ABS and RESIDUAL_REL
-# bound residual norms, absolutely and against a problem scale; the reference
-# path (cgdare) reads RESIDUAL_ABS against ||Pi||_F instead, Pi the Popov
-# matrix [[Q, S], [S^T, R]], so scaled weights keep the outcome.
+# singular value (or eigenvalue magnitude).  RESIDUAL_REL bounds residual
+# norms against the scale of what they test (residual_limit).  RESIDUAL_ABS
+# is only the factor of the reference search's band, read against ||Pi||_F,
+# Pi the Popov matrix [[Q, S], [S^T, R]] (cgdare._residual_band).
 RANK_REL = 1e-10
 RESIDUAL_ABS = 1e-9
 RESIDUAL_REL = 1e-8
 
 
 def as_matrix(M, name: str = "matrix") -> np.ndarray:
-    """Coerce input to a 2-D float64 array, rejecting non-finite entries."""
+    """A 2-D float64 array of finite entries; a scalar or flat array is refused."""
     A = np.asarray(M, dtype=float)
-    if A.ndim == 0:
-        A = A.reshape(1, 1)
-    elif A.ndim == 1:
-        A = A.reshape(1, -1)
-    elif A.ndim != 2:
+    if A.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {A.shape}")
     if A.size and not np.all(np.isfinite(A)):
         raise ValueError(f"{name} contains non-finite entries")
@@ -96,20 +95,14 @@ def check_symmetric(M, name: str = "matrix", size=None) -> np.ndarray:
     if size is not None and A.shape[0] != size:
         raise ValueError(f"{name} has size {A.shape[0]}, expected {size}")
     skew = np.linalg.norm(A - A.T)
-    scale = np.linalg.norm(A)
-    if not within_residual(skew, scale):
+    if not skew <= residual_limit(np.linalg.norm(A)):
         raise ValueError(f"{name} is not symmetric within tolerance (asymmetry {skew:.3e})")
     return symmetrize(A)
 
 
 def residual_limit(scale: float) -> float:
-    """Mixed absolute/relative residual threshold for a quantity of size scale."""
-    return RESIDUAL_ABS + RESIDUAL_REL * scale
-
-
-def within_residual(value: float, scale: float) -> bool:
-    """Mixed absolute/relative residual acceptance test."""
-    return value <= residual_limit(scale)
+    """The largest residual of a quantity of size scale; a zero scale passes only 0."""
+    return RESIDUAL_REL * scale
 
 
 def svd_cutoff(singular_values: np.ndarray, shape, scale: float = 0.0) -> float:

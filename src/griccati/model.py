@@ -241,9 +241,7 @@ def _fmt(x: float) -> str:
 
 
 def _fmt_matrix(M: np.ndarray, indent: str) -> str:
-    rows = []
-    for row in np.atleast_2d(M):
-        rows.append(indent + "  [" + ", ".join(_fmt(v) for v in row) + "]")
+    rows = [indent + "  [" + ", ".join(_fmt(v) for v in row) + "]" for row in M]
     return "[\n" + ",\n".join(rows) + "\n" + indent + "]"
 
 

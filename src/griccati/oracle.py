@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RESIDUAL_ABS, symmetric_lstsq
+from .linalg import residual_limit, symmetric_lstsq
 from .model import LQProblem, require_valid
 
 
@@ -118,13 +118,13 @@ def batch_optimal(qp: BatchQP):
     ill-conditioned.  At long horizons the SVD's U and V part ways in the
     small singular directions: on an n = 12, T = 84 problem with
     cond(H) ~ 2e7 its J* misses the recursion's cost by 8e-4 relative, the
-    eigen-solve's by 5e-11 and the LU solve's by 5e-10.  Tiny negative
-    values of J* (round-off on problems whose true optimum is 0) are
-    clamped.
+    eigen-solve's by 5e-11 and the LU solve's by 5e-10.  Where the true
+    optimum is 0, c - g^T H^+ g cancels and may round below it: a negative
+    J* within residual_limit(c), c >= J* the free-run cost, reads 0.
     """
     H_pinv_g, _ = symmetric_lstsq(qp.H, qp.g)
     u_star = -H_pinv_g
     j_star = qp.c + float(qp.g @ u_star)
-    if -RESIDUAL_ABS <= j_star < 0.0:
+    if -residual_limit(qp.c) <= j_star < 0.0:
         j_star = 0.0
     return u_star, j_star

@@ -27,16 +27,15 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (
-    RESIDUAL_REL,
     InternalInconsistencyError,
     check_symmetric,
     is_nonsingular,
+    residual_limit,
     svd_cutoff,
     symmetrize,
-    within_residual,
 )
 from .model import LQProblem, require_valid
-from .cgdare import CgdareSolution
+from .cgdare import CgdareSolution, loop_and_scale
 from .grde import GrdeTrajectory, _projectors, _schur_step, _sweep, solve_full
 
 _EPS = float(np.finfo(float).eps)
@@ -116,8 +115,10 @@ def build_reduction(problem: LQProblem, reference: CgdareSolution) -> ReductionD
     closed loop block upper triangular by construction; the consequences
     are still measured: the lower-left block is zero within tolerance (U is
     an invariant subspace), the trailing block Z is non-singular and N0^nu
-    vanishes.  Any of them failing raises InternalInconsistencyError.  A
-    reference solved for another Popov triple is a ValueError.
+    vanishes, both within residual_limit of the scale cgdare.loop_and_scale
+    gives the staircase (||A_X|| cancels on a deadbeat loop).  Any failing
+    raises InternalInconsistencyError; a reference solved for another Popov
+    triple is a ValueError.
     """
     _require_same_triple(reference, problem)
     if not reference.accepted():
@@ -131,15 +132,15 @@ def build_reduction(problem: LQProblem, reference: CgdareSolution) -> ReductionD
     N0 = A_rot[:k, :k]
     Z = A_rot[k:, k:]
     lower_left = float(np.linalg.norm(A_rot[k:, :k]))
-    scale = float(np.linalg.norm(reference.A_X))
-    if not within_residual(lower_left, scale):
+    limit = residual_limit(loop_and_scale(reference.triple, reference.K_X)[1])
+    if not lower_left <= limit:
         raise InternalInconsistencyError(
             f"nilpotent eigenspace is not invariant: lower-left norm {lower_left:.3e}"
         )
     if Z.shape[0] and not is_nonsingular(Z):
         raise InternalInconsistencyError("trailing closed-loop block is singular")
     defect = float(np.linalg.norm(np.linalg.matrix_power(N0, reference.nu))) if k else 0.0
-    if not within_residual(defect, scale):
+    if not defect <= limit:
         raise InternalInconsistencyError(
             f"leading block is not nilpotent of index {reference.nu}: defect {defect:.3e}"
         )
@@ -356,7 +357,7 @@ def _solve_reduced(problem: LQProblem, rd: ReductionData, phase_two) -> HybridSo
     Delta = X[0] - ref.X
     D11, D12, D22 = checkpoint_blocks(Delta, rd)
     off_norm = float(max(np.linalg.norm(D11), np.linalg.norm(D12)))
-    threshold = RESIDUAL_REL * (float(np.linalg.norm(ref.X)) + float(np.linalg.norm(Delta)))
+    threshold = residual_limit(float(np.linalg.norm(ref.X)) + float(np.linalg.norm(Delta)))
     if off_norm > threshold:
         return HybridSolveResult(None, rd, T, T, 0, off_norm, threshold, "checkpoint block structure violated")
 

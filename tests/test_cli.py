@@ -28,10 +28,14 @@ def _write(tmp_path, problem, name="prob.json", X_ref=None):
     return str(path)
 
 
+def _refuse_constant(name):
+    raise AssertionError(f"report is not strict JSON: {name}")
+
+
 def _run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
-    report = json.loads(captured.out) if captured.out.strip() else None
+    report = json.loads(captured.out, parse_constant=_refuse_constant) if captured.out.strip() else None
     return code, report, captured.err
 
 
@@ -474,7 +478,9 @@ def test_solve_invalid_problem_exit_code(tmp_path, capsys):
 def test_validate_fails_a_check_whose_limit_overflows(tmp_path, capsys):
     # Q[0][0] = 1e300 overflows ||Pi||_F, and with it popov_symmetric's
     # limit; an infinite limit would pass any residual, so the check fails.
-    # The overflow raises no RuntimeWarning, an error under this suite.
+    # The overflow raises no RuntimeWarning, an error under this suite.  The
+    # report stays strict JSON (_run refuses Infinity and NaN, as JSON.parse
+    # does): the infinite limit is written as null.
     doc = json.loads(problem_to_json(random_problem(3, 2, 1, "generic")))
     doc["Q"][0][0] = 1e300
     path = tmp_path / "huge.json"
@@ -483,7 +489,7 @@ def test_validate_fails_a_check_whose_limit_overflows(tmp_path, capsys):
     assert code == 1 and report["status"] == "error"
     assert report["reason"] == "problem validation failed: popov_symmetric"
     failed = [c for c in report["results"]["checks"] if not c["passed"]]
-    assert [c["name"] for c in failed] == ["popov_symmetric"] and failed[0]["threshold"] == np.inf
+    assert [c["name"] for c in failed] == ["popov_symmetric"] and failed[0]["threshold"] is None
     code, _, err = _run(capsys, ["solve", str(path)])
     assert code == 1 and err == "error: problem validation failed: popov_symmetric\n"
     # A terminal weight of 6e307 overflows its largest eigenvalue too, so
@@ -540,5 +546,5 @@ def test_console_script_entry_point(tmp_path):
         text=True,
     )
     assert proc.returncode == 0
-    report = json.loads(proc.stdout)
+    report = json.loads(proc.stdout, parse_constant=_refuse_constant)
     assert report["status"] == "ok"

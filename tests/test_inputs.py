@@ -225,3 +225,25 @@ def test_non_square_refused(call, name):
     with pytest.raises(ValueError) as exc:
         call(np.ones((2, 3)))
     assert str(exc.value) == f"{name} must be square, got shape (2, 3)"
+
+
+@pytest.mark.parametrize(
+    "call, value, message",
+    [
+        (
+            lambda b: PopovTriple(np.eye(4), b, np.eye(4), np.zeros((4, 1)), [[1.0]]),
+            np.ones(4),
+            "field B must be 2-dimensional, got shape (4,)",
+        ),
+        (linalg.pinv, 2.0, "matrix must be 2-dimensional, got shape ()"),
+        (linalg.check_symmetric, np.ones(3), "matrix must be 2-dimensional, got shape (3,)"),
+        (linalg.check_symmetric, np.ones((1, 2, 2)), "matrix must be 2-dimensional, got shape (1, 2, 2)"),
+    ],
+    ids=["PopovTriple column B", "pinv scalar", "check_symmetric flat", "check_symmetric 3-D"],
+)
+def test_matrix_input_must_be_2d(call, value, message):
+    # A scalar or a flat array is never read as a 1 x 1 matrix or a row:
+    # a column b given flat would otherwise be refused as a 1-row B.
+    with pytest.raises(ValueError) as exc:
+        call(value)
+    assert str(exc.value) == message

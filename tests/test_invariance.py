@@ -14,7 +14,8 @@ import pytest
 
 from griccati.cgdare import find_reference
 from griccati.grde import solve_full
-from griccati.model import random_problem
+from griccati.linalg import check_symmetric
+from griccati.model import LQProblem, PopovTriple, random_problem, validate
 from griccati.reduction import build_reduction, solve_hybrid
 
 from conftest import rotated_problem, scaled_problem
@@ -132,3 +133,52 @@ def test_reference_search_count_is_scale_free():
     results = [find_reference(scaled_problem(problem, c)) for c in (1.0, 1e-9, 1e-3, 1e3, 1e9)]
     assert all(res.found for res in results)
     assert len({res.iterations for res in results}) == 1, [res.iterations for res in results]
+
+
+def _defective(defect, size):
+    """A 3 x 2 problem whose validation fails one check by a relative defect
+    of the given size, and passes every check at size 1e-12: Q asymmetric by
+    size ||Pi||_F ("popov_symmetric"); S with a component in ker R of size
+    ||S|| ("kernel_inclusion"; Pi's eigenvalue of about -size^2 ||S||^2 / Q_33
+    stays within the PSD cutoff); or lambda_min(Pi) = -size max|lambda|
+    ("popov_psd")."""
+    Q, S, R = np.diag([2.0, 1.0, 0.5]), np.zeros((3, 2)), np.diag([1.0, 0.0])
+    S[0, 0] = 0.5
+    Pi = np.block([[Q, S], [S.T, R]])
+    if defect == "popov_symmetric":  # ||Pi - Pi^T||_F = 2 sqrt(2) t
+        t = size * np.linalg.norm(Pi) / (2.0 * np.sqrt(2.0))
+        Q[0, 1], Q[1, 0] = t, -t
+    elif defect == "kernel_inclusion":
+        S[2, 1] = size * np.linalg.norm(S)
+    else:  # e_5 is in ker Pi and apart from the rest of Pi
+        R[1, 1] = -size * np.abs(np.linalg.eigvalsh(Pi)).max()
+    A = np.array([[0.5, 1.0, 0.0], [0.0, 0.3, 1.0], [0.2, 0.0, 0.7]])
+    B = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    return LQProblem(PopovTriple(A, B, Q, S, R), np.eye(3), 4, np.ones(3))
+
+
+def test_refusals_are_scale_free():
+    # Every residual check is relative to the scale of what it tests, with
+    # no absolute floor: an absolute 1e-9 accepted the asymmetric Q at
+    # weights x 1e-6 and below and the S outside ker R at x 1e-3 and below.
+    V, _ = np.linalg.qr(np.random.default_rng(28).normal(size=(3, 3)))
+    skewed = np.eye(3)
+    skewed[0, 1] = 1e-4
+    for k in range(-12, 13, 3):
+        c = 10.0**k
+        for rotation in (np.eye(3), V):
+            label = (k, rotation is V)
+            for defect, size in (("popov_symmetric", 1e-4), ("kernel_inclusion", 1e-6), ("popov_psd", 1e-6)):
+                for case, want in ((size, [defect]), (1e-12, [])):
+                    problem = rotated_problem(scaled_problem(_defective(defect, case), c), rotation)
+                    failed = [chk.name for chk in validate(problem).checks if not chk.passed]
+                    assert failed == want, (label, defect, case)
+            with pytest.raises(ValueError, match="not symmetric within tolerance"):
+                check_symmetric(c * (rotation.T @ skewed @ rotation))
+    # A_X = 1.1 - 1 * 1.1 cancels to 0 at c = 1 but to -2.2e-16 at c = 1e-12:
+    # the reduction's checks read the scale the loop was formed from.
+    for c in (1.0, 1e-12):
+        z = np.zeros((1, 1))
+        problem = LQProblem(PopovTriple([[1.1]], [[1.0]], [[c]], z, z), z, 5)
+        rd = build_reduction(problem, find_reference(problem).solution)
+        assert (rd.nu, rd.dim_u, rd.dim_reduced) == (1, 1, 0), c

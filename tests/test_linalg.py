@@ -17,8 +17,8 @@ from griccati.linalg import (
     spectral_radius,
     svd_cutoff,
     symmetric_lstsq,
+    residual_limit,
     symmetrize,
-    within_residual,
 )
 from griccati.model import LQProblem, PopovTriple, random_problem
 from griccati.oracle import batch_matrices
@@ -32,10 +32,12 @@ def test_tolerance_defaults_frozen():
     assert RESIDUAL_REL == 1e-8
 
 
-def test_within_residual_mixed_scale():
-    assert within_residual(1e-10, 0.0)
-    assert within_residual(0.5e-8 * 100.0, 100.0)
-    assert not within_residual(1e-5, 100.0)
+def test_residual_limit_is_relative():
+    # No absolute floor: a zero scale passes only an exact zero.
+    assert residual_limit(0.0) == 0.0
+    assert 0.5e-8 * 100.0 <= residual_limit(100.0)
+    assert not 1e-5 <= residual_limit(100.0)
+    assert residual_limit(1e-12) == RESIDUAL_REL * 1e-12
 
 
 def test_pinv_diagonal_frozen():
@@ -230,7 +232,8 @@ def test_symmetric_lstsq_reads_one_symmetric_matrix(monkeypatch):
         S = L @ L.T + 0.1 * np.eye(n)
         E = rng.normal(size=(n, n))
         E = E - E.T
-        M = S + 5e-9 * np.linalg.norm(S) / np.linalg.norm(E) * E  # half the tolerance RESIDUAL_REL ||M||
+        # ||M - M^T|| is twice the perturbation's norm: half the tolerance RESIDUAL_REL ||M||.
+        M = S + 2.5e-9 * np.linalg.norm(S) / np.linalg.norm(E) * E
         b = rng.normal(size=n)
         assert linalg._certified_positive_definite(symmetrize(M)), n
         x, rank = symmetric_lstsq(M, b)

@@ -186,6 +186,23 @@ def test_cost_clamp_non_negative():
         assert J >= 0.0
 
 
+def test_cost_clamp_is_relative_to_the_free_run_cost():
+    # x_1 = 1.1 x_0 + 0.3 u_0 with only the terminal weight 0.7 c: u_0 zeroes
+    # the cost, and c - g^T H^+ g rounds below 0 by about 1e-16 c: at unit
+    # weights, and by 6e-5 at weights x 1e12, beyond an absolute 1e-9.  Every
+    # such J* is the round-off of a true optimum of 0, within residual_limit(c).
+    z = np.zeros((1, 1))
+    raws = {}
+    for k in range(-12, 13, 3):
+        problem = LQProblem(PopovTriple([[1.1]], [[0.3]], z, z, z), [[0.7 * 10.0**k]], 1, [0.7])
+        qp = batch_matrices(problem)
+        raws[k] = qp.c - float(qp.g @ linalg.symmetric_lstsq(qp.H, qp.g)[0])
+        assert abs(raws[k]) <= linalg.residual_limit(qp.c), k
+        _, J = batch_optimal(qp)
+        assert J == max(raws[k], 0.0), k
+    assert raws[0] < 0.0 and raws[12] < -1e-9
+
+
 def test_x0_required():
     problem = scalar_two_step()
     stripped = LQProblem(problem.triple, problem.P, problem.T)
