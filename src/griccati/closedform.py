@@ -2,64 +2,67 @@
 
 After the nu full steps of the hybrid solver only the trailing block Psi
 moves, and its backward sweep can be written down without iterating.  With
-the full curvature R_full = R + B^T X B invertible, let C = B2 R_full^{-1} B2^T,
-P_s = Z^s and W_s = sum_{j<s} Z^j C (Z^j)^T, so that W_0 = 0 and
-W_{s+1} = C + Z W_s Z^T.  Then, s steps before the end of the reduced
-horizon T',
+the full curvature R_full = R + B^T X B invertible, let P_s = Z^s and
+W_s = sum_{j<s} Z^j B2 R_full^{-1} B2^T (Z^j)^T.  Then, s steps before the
+end of the reduced horizon T',
 
-    Psi_{T'-s} = P_s^T Psi_{T'} (I + W_s Psi_{T'})^{-1} P_s.
+    Psi_{T'-s} = P_s^T Y_s P_s,    Y_s = Psi_{T'} (I + W_s Psi_{T'})^{-1}.
 
-Only positive powers of Z appear.  The rule refuses, raising
-NumericalRefusal, when R_full is singular or when some I + W_s Psi_{T'} is
-(which needs an indefinite Psi_{T'}); both are relative rank decisions, and
-the inverse the formula takes certifies the latter's full rank where it can.
+W_s grows by the rank-m term F R_full^{-1} F^T, F = P_{s-1} B2, so
+Woodbury's identity updates Y_s = Y_{s-1} - G R_s^{-1} G^T, G = Y_{s-1} F,
+without a d x d inverse; R_s = R_full + F^T G is step s's own curvature,
+and det(I + W_s Psi) = det(I + W_{s-1} Psi) det R_s / det R_full.  The rule
+refuses, raising NumericalRefusal, when R_full is singular or when some
+I + W_s Psi_{T'} is (which needs an indefinite Psi_{T'}), the first singular
+R_s; both are relative rank decisions.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import NumericalRefusal, _certified_nonsingular, _pinv, numerical_rank, symmetrize
+from .grde import _certified_inverse
+from .linalg import NumericalRefusal, numerical_rank, symmetrize
 from .model import LQProblem
 from .reduction import HybridSolveResult, ReductionData, _solve_reduced
 
 
-def gramian_sweep(Psi_terminal, steps: int, rd: ReductionData):
-    """Yield Psi_{T'-1}, ..., Psi_{T'-steps} from Psi_{T'} = Psi_terminal."""
+def _woodbury_steps(Psi_terminal, steps: int, rd: ReductionData):
+    """Yield (Psi_{T'-s}, R_s, R_s^{-1}) for s = 1, ..., steps."""
     if rd.R_full_inverse_norm == np.inf:
         raise NumericalRefusal("closed form inapplicable: full curvature R_full is singular")
-    d = rd.dim_reduced
-    Z = rd.Z
-    C = symmetrize(rd.B2 @ np.linalg.solve(rd.reference.R_X, rd.B2.T))
-    Psi_norm = float(np.linalg.norm(Psi_terminal))
-    W = np.zeros((d, d))
-    P = np.eye(d)
+    R_full, Y, P = rd.reference.R_X, Psi_terminal, np.eye(rd.dim_reduced)
+    R_full_norm = float(np.linalg.norm(R_full))
     for s in range(1, steps + 1):
-        W = symmetrize(C + Z @ W @ Z.T)
-        P = Z @ P
-        M = np.eye(d) + W @ Psi_terminal
-        try:
-            M_inv = np.linalg.inv(M)
-        except np.linalg.LinAlgError:
-            M_inv = None
-        # I + W_s Psi is a sum that may cancel, so it is judged against its parts.
-        scale = 1.0 + float(np.linalg.norm(W)) * Psi_norm
-        if M_inv is None or not (_certified_nonsingular(M, scale, M_inv) or numerical_rank(M, scale) == d):
+        F = P @ rd.B2
+        G = Y @ F
+        R_s = R_full + F.T @ G
+        # R_s is a sum that may cancel, so it is judged against its parts.
+        scale = R_full_norm + float(np.linalg.norm(F)) * float(np.linalg.norm(G))
+        R_inv, certified = _certified_inverse(R_s, scale)
+        if not certified and numerical_rank(R_s, scale) < R_s.shape[0]:
             raise NumericalRefusal(f"closed form inapplicable: I + W_{s} Psi is singular")
-        yield symmetrize(P.T @ Psi_terminal @ (M_inv @ P))
+        Y = symmetrize(Y - (G @ R_inv) @ G.T)
+        P = rd.Z @ P
+        yield symmetrize(P.T @ Y @ P), R_s, R_inv
+
+
+def gramian_sweep(Psi_terminal, steps: int, rd: ReductionData):
+    """Yield Psi_{T'-1}, ..., Psi_{T'-steps} from Psi_{T'} = Psi_terminal."""
+    return (Psi for Psi, _, _ in _woodbury_steps(Psi_terminal, steps, rd))
 
 
 def _gramian_rule(Psi_terminal, steps: int, rd: ReductionData, stop):
-    """Phase-two rule (see reduction._hybrid_rule) from the Gramian sweep, the
-    curvature pinvs taken in one stacked call.  stop is asked before each
-    Gramian step is pulled, so a cut raises no later step's refusal."""
-    Psi, R_X = [Psi_terminal], []
-    sweep = gramian_sweep(Psi_terminal, steps, rd)
+    """Phase-two rule (see reduction._hybrid_rule) from the Woodbury sweep,
+    each step's curvature and inverse taken from the sweep itself.  stop is
+    asked before each step is pulled, so a cut raises no later step's
+    refusal."""
+    Psi, R_X, R_X_inv = [Psi_terminal], [], []
+    sweep = _woodbury_steps(Psi_terminal, steps, rd)
     while len(R_X) < steps and not stop(float(np.linalg.norm(Psi[-1]))):
-        R_X.append(rd.reference.R_X + rd.B2.T @ Psi[-1] @ rd.B2)
-        Psi.append(next(sweep))
-    R_X = np.array(R_X)
-    return np.array(Psi), R_X, (_pinv(R_X) if len(R_X) else R_X)
+        for out, stack in zip(next(sweep), (Psi, R_X, R_X_inv)):
+            stack.append(out)
+    return np.array(Psi), np.array(R_X), np.array(R_X_inv)
 
 
 def solve_closed_form(problem: LQProblem, rd: ReductionData) -> HybridSolveResult:

@@ -41,12 +41,9 @@ def _schur_step(X_next, M, Pi, certify: bool = True):
     """Generalised Schur complement of the Popov block W = M^T X_next M + Pi.
 
     With k = rows of M, W = [[W11, W12], [W21, R_X]] is split after k, and
-    from one factorisation of R_X this returns (symmetrize(W11 - W12 L), L,
-    W, R_X^+, certified) with L = R_X^+ W21.  Where certify is set, the
-    factorisation is np.linalg.inv, kept only where
-    linalg._certified_nonsingular proves that the SVD would keep every
-    singular value of R_X, so that R_X^{-1} = R_X^+; elsewhere it is
-    linalg's SVD pinv.  certified says which was kept, so a sweep whose
+    from one factorisation of R_X (_certified_inverse) this returns
+    (symmetrize(W11 - W12 L), L, W, R_X^+, certified) with L = R_X^+ W21.
+    certified says whether the inverse was kept, so a sweep whose
     curvature stays singular stops asking.  M = [A B] with the Popov matrix
     as Pi is the full backward step, L its gain K; the reduction applies the
     same map to the trailing block.  X_next must be symmetric and is not
@@ -54,15 +51,22 @@ def _schur_step(X_next, M, Pi, certify: bool = True):
     """
     k = M.shape[0]
     W = M.T @ (X_next @ M) + Pi
-    R_X = W[k:, k:]
+    R_X_pinv, certified = _certified_inverse(W[k:, k:], certify=certify)
+    L = R_X_pinv @ W[k:, :k]
+    return symmetrize(W[:k, :k] - W[:k, k:] @ L), L, W, R_X_pinv, certified
+
+
+def _certified_inverse(R_X, scale: float = 0.0, certify: bool = True):
+    """(R_X^+, certified), every curvature's one factorisation: np.linalg.inv
+    where certify is set and linalg._certified_nonsingular(R_X, scale) proves
+    that the SVD keeps every singular value (R_X^{-1} = R_X^+), else the pinv."""
     try:
         R_X_inv = np.linalg.inv(R_X) if certify else None
     except np.linalg.LinAlgError:
         R_X_inv = None
-    certified = R_X_inv is not None and _certified_nonsingular(R_X, A_inv=R_X_inv)
-    R_X_pinv = R_X_inv if certified else _pinv(R_X)
-    L = R_X_pinv @ W[k:, :k]
-    return symmetrize(W[:k, :k] - W[:k, k:] @ L), L, W, R_X_pinv, certified
+    if R_X_inv is not None and _certified_nonsingular(R_X, scale, R_X_inv):
+        return R_X_inv, True
+    return _pinv(R_X), False
 
 
 def _sweep(X_end, M, Pi, steps: int, stop=None):

@@ -176,7 +176,10 @@ def _residual_check(name: str, residual: float, scale: float) -> CheckResult:
 
 def _psd_check(name: str, M: np.ndarray, describe: bool = False) -> CheckResult:
     """-lambda_min <= RANK_REL * max|lambda| < inf on the symmetric part of M."""
-    w = np.linalg.eigvalsh(symmetrize(M)) if M.size else np.zeros(0)
+    M = symmetrize(M)
+    if not np.isfinite(M).all():  # overflowed: eigvalsh would not converge
+        return CheckResult(name, False, np.inf, np.inf)
+    w = np.linalg.eigvalsh(M) if M.size else np.zeros(0)
     cutoff = RANK_REL * float(np.max(np.abs(w))) if w.size else 0.0
     neg = float(max(0.0, -np.min(w))) if w.size else 0.0
     detail = ""

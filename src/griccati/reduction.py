@@ -7,8 +7,8 @@ nilpotent leading block, and after nu backward steps the difference
 Delta_t = X_t - X vanishes on U entirely: every later step only moves the
 trailing diagonal block Psi_t.  The hybrid solver therefore runs nu full
 steps, checks the predicted block structure, and iterates the small
-homogeneous recursion for the rest of the horizon.  The closed form in
-closedform shares that driver and replaces only the iteration.  Both
+homogeneous recursion for the rest of the horizon.  closedform shares
+that driver and replaces only the iteration, by the Gramian formula.  Both
 phases are grde sweeps, so a step inverts its curvature by LU wherever
 that curvature itself is certified of full rank, with R singular too.
 
@@ -257,7 +257,7 @@ def _tail_bound(rd: ReductionData) -> tuple[float, str]:
 
     With R_full invertible let C = B2 R_full^{-1} B2^T and W_j =
     sum_{i<j} Z^i C (Z^i)^T.  The reduced recursion from Psi_s is then the
-    Gramian rule of closedform, Psi_{s+j} = (Z^j)^T Psi_s (I + W_j Psi_s)^{-1} Z^j,
+    Gramian formula, Psi_{s+j} = (Z^j)^T Psi_s (I + W_j Psi_s)^{-1} Z^j,
     wherever the inverse exists.  With L as in _stein_norm, -||C|| L <= W_j
     <= ||C|| L and Z^j (Z^j)^T <= L, so for every j >= 0
 

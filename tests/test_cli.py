@@ -548,3 +548,22 @@ def test_console_script_entry_point(tmp_path):
     assert proc.returncode == 0
     report = json.loads(proc.stdout, parse_constant=_refuse_constant)
     assert report["status"] == "ok"
+
+
+def test_validate_lists_the_checks_of_an_overflowing_terminal_weight(tmp_path, capsys):
+    # P = 1e308 everywhere: the PSD check's eigen-solve would not converge
+    # on the overflowing symmetric part, so the check fails by name and the
+    # report still lists every check, in strict JSON.
+    doc = json.loads(problem_to_json(random_problem(3, 2, 1, "generic")))
+    doc["P"] = [[1e308] * 3 for _ in range(3)]
+    path = tmp_path / "huge_p.json"
+    path.write_text(json.dumps(doc))
+    code, report, _ = _run(capsys, ["--json", "validate", str(path)])
+    assert code == 1 and report["status"] == "error"
+    assert report["reason"] == "problem validation failed: terminal_symmetric, terminal_psd"
+    checks = report["results"]["checks"]
+    assert [c["name"] for c in checks] == [
+        "popov_symmetric", "popov_psd", "kernel_inclusion", "terminal_symmetric", "terminal_psd"
+    ]
+    assert [c["name"] for c in checks if not c["passed"]] == ["terminal_symmetric", "terminal_psd"]
+    assert checks[-1]["residual"] is None  # infinite, written as null

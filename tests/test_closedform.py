@@ -8,7 +8,7 @@ from griccati.closedform import gramian_sweep, solve_closed_form
 from griccati.grde import solve_full
 from griccati.linalg import NumericalRefusal
 from griccati.model import LQProblem, PopovTriple, ProblemValidationError, random_problem
-from griccati.reduction import build_reduction, checkpoint_blocks, reduced_step, solve_hybrid
+from griccati.reduction import _stein_norm, build_reduction, checkpoint_blocks, reduced_step, solve_hybrid
 
 from conftest import PHI, scalar_j_problem, scaled_problem
 from test_reduction import (
@@ -110,6 +110,35 @@ def test_closed_form_matches_iteration_synthetic():
     assert done >= 30
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_closed_form_matches_iteration_at_workload_size(sign):
+    # d = 50, m = 5, as wide_generic's reduced block: the sweep's rank-m
+    # updates must reproduce the iterated recursion over 60 steps, from a
+    # terminal Psi of either sign, with rho(Z) between 0.6 and 0.95.  A
+    # negative Psi_{T'} is taken where reduction._tail_bound proves every
+    # I + W_s Psi invertible (q = 1/2, by scaling R_full), as every
+    # curvature of an LQ problem with P >= 0 stays positive semidefinite:
+    # a large negative Psi drives the recursion past near-singular
+    # curvatures, where the iterated reference itself loses digits.
+    rng = np.random.default_rng(50)
+    d, m, steps = 50, 5, 60
+    for rho in (0.6, 0.8, 0.95):
+        Z = rng.normal(size=(d, d))
+        Z *= rho / max(abs(np.linalg.eigvals(Z)))
+        B2 = rng.normal(size=(d, m))
+        L = rng.normal(size=(m, m))
+        R_full = L @ L.T + 0.3 * np.eye(m)
+        LP = rng.normal(size=(d, d))
+        term = sign * (LP @ LP.T) / (2.0 * d)
+        if sign < 0:
+            q = _stein_norm(Z) * np.linalg.norm(B2, 2) ** 2 * np.linalg.norm(term, 2)
+            R_full *= 2.0 * q / min(np.linalg.eigvalsh(R_full))
+        rd = _synthetic_rd(Z, B2, R_full)
+        sweep = list(gramian_sweep(term, steps, rd))
+        for s, (got, want) in enumerate(zip(sweep, _iterated(term, steps, rd))):
+            assert np.linalg.norm(got - want) <= 1e-12 * (1.0 + np.linalg.norm(want)), (rho, s)
+
+
 def test_long_horizon_mixed_decay_matches_iteration():
     # Stable Z with mixed decay rates at a long reduced horizon: the fast
     # direction of Z^s underflows relative to the slow one, which no
@@ -140,10 +169,26 @@ def test_refusal_singular_gramian_denominator():
     with pytest.raises(NumericalRefusal, match=r"I \+ W_1 Psi"):
         next(gramian_sweep(np.array([[-1.0]]), 4, rd))
     # A near-cancellation is caught too: a 1 x 1 I + W_1 Psi of -1e-12 is
-    # measured against the size of its parts, not against itself.
-    rd = _synthetic_rd([[0.5]], [[1e4]], [[1.0]])
-    with pytest.raises(NumericalRefusal, match=r"I \+ W_1 Psi"):
-        next(gramian_sweep(np.array([[-1e-8 * (1.0 + 1e-12)]]), 4, rd))
+    # measured against the size of its parts, not against itself, at every
+    # scale of the weights (R_full and Psi by c): a scale of 1 would let the
+    # curvature R_1 = -1e-12 c through at c = 1e6.
+    for c in (1e-6, 1.0, 1e6):
+        rd = _synthetic_rd([[0.5]], [[1e4]], [[c]])
+        with pytest.raises(NumericalRefusal, match=r"I \+ W_1 Psi"):
+            next(gramian_sweep(np.array([[-1e-8 * (1.0 + 1e-12) * c]]), 4, rd))
+
+
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+def test_refusal_at_the_first_singular_gramian_denominator(c):
+    # Z = 0.5, B2 = 1, R_full = c and Psi_{T'} = -0.8 c: W_1 = 1/c makes
+    # I + W_1 Psi = 0.2, and Psi_{T'-1} = 0.25 Psi / 0.2 = -c, but W_2 =
+    # 1.25/c makes I + W_2 Psi = 0.  The sweep yields its first step and
+    # refuses at the second, whatever the scale of the weights.
+    rd = _synthetic_rd([[0.5]], [[1.0]], [[c]])
+    sweep = gramian_sweep(np.array([[-0.8 * c]]), 4, rd)
+    assert abs(next(sweep)[0, 0] + c) <= 1e-12 * c
+    with pytest.raises(NumericalRefusal, match=r"I \+ W_2 Psi"):
+        next(sweep)
 
 
 def test_solve_closed_form_matches_full(nilpotent50):

@@ -184,11 +184,11 @@ def test_simulate_horizon_mismatch():
 
 
 def _count_factorisations(monkeypatch):
-    """Patch the curvature's factorisations to record them: calls gets one
-    entry per factorisation kept, the number of slices pinv'd with None, or
-    1 with the matrix where grde keeps a certified inverse; attempts gets
-    every matrix np.linalg.inv is asked to invert in grde, certified or
-    not.  The closed form's own inverses of I + W Psi are not counted."""
+    """Patch the curvature's factorisations, all taken by
+    grde._certified_inverse, to record them: calls gets one entry per
+    factorisation kept, the number of slices pinv'd with None, or 1 with
+    the matrix where grde keeps a certified inverse; attempts gets every
+    matrix np.linalg.inv is asked to invert in grde, certified or not."""
     calls, attempts = [], []
 
     def counting_pinv(A):
@@ -208,8 +208,7 @@ def _count_factorisations(monkeypatch):
             calls.append((1, A))
         return certified
 
-    for module in (grde, closedform):
-        monkeypatch.setattr(module, "_pinv", counting_pinv)
+    monkeypatch.setattr(grde, "_pinv", counting_pinv)
     monkeypatch.setattr(grde, "_certified_nonsingular", counting_certificate)
     monkeypatch.setattr(np.linalg, "inv", counting_inv)
     return calls, attempts
@@ -225,11 +224,11 @@ def _svd_only_sweep(monkeypatch, problem):
 
 
 def test_one_curvature_factorisation_per_step(monkeypatch):
-    # Every solver factorises the curvature once per step, counted per
-    # slice of a stacked call: the Schur-complement step keeps one pinv or,
-    # where the curvature is certified of full rank, one inverse, and the
-    # closed form takes the pinvs of its whole phase two in one stacked call.
-    # closed_loop takes its residual, gain and kernel condition from one.
+    # Every solver factorises the curvature once per step, through
+    # grde._certified_inverse: the Schur-complement step keeps one pinv or,
+    # where the curvature is certified of full rank, one inverse, and so
+    # does each step of the closed form's Woodbury sweep.  closed_loop
+    # takes its residual, gain and kernel condition from one.
     calls, _ = _count_factorisations(monkeypatch)
     problem = random_problem(4, 2, 41, "singular_R", horizon=9)
     solve_full(problem)
@@ -246,8 +245,25 @@ def test_one_curvature_factorisation_per_step(monkeypatch):
         assert not solve(problem, rd).used_fallback
         assert sum(c for c, _ in calls) == problem.T, solve.__name__
         assert any(A is not None for _, A in calls), solve.__name__
-    # nu full steps, then the closed form's one stacked call.
-    assert len(calls) == rd.nu + 1
+        # nu full steps, then one per phase-two step: no stacked call.
+        assert len(calls) == problem.T, solve.__name__
+
+    # The closed form's sweep inverts, solves and decomposes nothing of the
+    # reduced block's size d, only each step's m x m curvature.
+    d, m = rd.dim_reduced, problem.m
+    assert d > m
+    shapes = []
+    for name in ("inv", "solve", "svd"):
+        def recording(A, *args, _f=getattr(np.linalg, name), **kwargs):
+            shapes.append(np.shape(A))
+            return _f(A, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    calls.clear()
+    steps = problem.T - rd.nu
+    Psi, _, _ = closedform._gramian_rule(-0.1 * np.eye(d), steps, rd, lambda psi: False)
+    assert len(Psi) == steps + 1 and [c for c, _ in calls] == [1] * steps
+    assert shapes and all(shape == (m, m) for shape in shapes), shapes
 
 
 # The benchmark's workload shapes: headline_dead_psi, live_psi, wide_generic

@@ -81,6 +81,21 @@ def test_validate_terminal_checks():
     assert validate(LQProblem(triple, [[0.0]], 2)).passed
 
 
+def test_validate_fails_an_overflowing_terminal_weight_by_name():
+    # Every entry of P = 1e308 is finite, but P + P^T overflows, and an
+    # eigen-solve of the infinite symmetric part does not converge: the
+    # PSD check fails by name, with an infinite residual, and raises
+    # nothing.  ||P||_F overflows too, so the symmetry check's limit is
+    # infinite and it fails as well.
+    problem = LQProblem(random_problem(3, 2, 1, "generic").triple, np.full((3, 3), 1e308), 3)
+    report = validate(problem)
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failed] == ["terminal_symmetric", "terminal_psd"]
+    assert failed[1].residual == np.inf
+    with pytest.raises(ProblemValidationError, match="terminal_psd"):
+        require_valid(problem)
+
+
 def test_require_valid_raises_with_report():
     bad = LQProblem(PopovTriple([[0.5]], [[1.0]], [[0.0]], [[1.0]], [[0.0]]), [[0.0]], 1)
     with pytest.raises(ProblemValidationError) as ei:
