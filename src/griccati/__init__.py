@@ -12,7 +12,8 @@ from .model import LQProblem, PopovTriple, load_problem, random_problem, save_pr
 from .grde import GrdeTrajectory, riccati_map, simulate, solve_full
 from .oracle import BatchQP, batch_matrices, batch_optimal
 from .cgdare import CgdareSolution, closed_loop, find_reference, gdare_residual
-from .reduction import ReductionData, build_reduction, reduced_step, solve_hybrid
+from .reduction import ReductionData, build_reduction, solve_hybrid
+from .closedform import solve
 
 __all__ = [
     "NumericalRefusal",
@@ -36,8 +37,8 @@ __all__ = [
     "find_reference",
     "ReductionData",
     "build_reduction",
-    "reduced_step",
     "solve_hybrid",
+    "solve",
 ]
 
 __version__ = "0.1.0"

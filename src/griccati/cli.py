@@ -36,8 +36,7 @@ from .pencil import (
     mu_bookkeeping,
     n_singular_criterion,
 )
-from .reduction import build_reduction, solve_hybrid
-from .closedform import solve_closed_form
+from .closedform import METHODS, solve
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -103,44 +102,31 @@ def cmd_solve(args) -> int:
         inputs={"problem": args.problem, "method": args.method, "n": problem.n, "m": problem.m, "T": problem.T},
     )
     t0 = time.perf_counter()
-    traj, fallback = None, ""
-    if args.method != "full":
-        ref = find_reference(problem, X_ref=X_ref)
-        run.results["reference_found"] = ref.found
-        run.results["reference_iterations"] = ref.iterations
-        if not ref.found:
-            fallback = f"no reference solution: {ref.message}"
-        else:
-            run.residuals["reference_residual"] = ref.solution.residual_norm
-            try:
-                rd = build_reduction(problem, ref.solution)
-                run.results.update(nu=rd.nu, dim_u=rd.dim_u, dim_reduced=rd.dim_reduced)
-                res = (solve_hybrid if args.method == "reduced" else solve_closed_form)(problem, rd)
-            # Where the hybrid solver falls back the closed form refuses, and a
-            # reduction that fails its structural checks leaves the full recursion.
-            except (NumericalRefusal, InternalInconsistencyError) as exc:
-                fallback = str(exc)
-            else:
-                # A hybrid fallback's trajectory is the full recursion's.
-                traj, fallback = res.trajectory, res.fallback_reason
-                run.residuals["checkpoint_off_norm"] = res.checkpoint_off_norm
-                if not fallback:
-                    run.results["reduced_steps" if args.method == "reduced" else "horizon_prime"] = res.reduced_steps
-                    run.results["tail_steps"] = res.tail_steps
-                    if res.tail_reason:
-                        run.results["tail_reason"] = res.tail_reason
-    if traj is None:
-        traj = solve_full(problem)
-    if fallback:
-        run.status, run.reason = "fallback", fallback
-    run.results["method_used"] = "full" if fallback else args.method
+    result = solve(problem, args.method, X_ref)
     run.timings["solve_ms"] = (time.perf_counter() - t0) * 1e3
+    search, rd, hybrid = result.search, result.reduction, result.hybrid
+    if search is not None:
+        run.results.update(reference_found=search.found, reference_iterations=search.iterations)
+        if search.found:
+            run.residuals["reference_residual"] = search.solution.residual_norm
+    if rd is not None:
+        run.results.update(nu=rd.nu, dim_u=rd.dim_u, dim_reduced=rd.dim_reduced)
+    if hybrid is not None:
+        run.residuals["checkpoint_off_norm"] = hybrid.checkpoint_off_norm
+        if not hybrid.used_fallback:
+            run.results["reduced_steps" if args.method == "reduced" else "horizon_prime"] = hybrid.reduced_steps
+            run.results["tail_steps"] = hybrid.tail_steps
+            if hybrid.tail_reason:
+                run.results["tail_reason"] = hybrid.tail_reason
+    if result.fallback_reason:
+        run.status, run.reason = "fallback", result.fallback_reason
+    run.results["method_used"] = result.method_used
 
     if problem.x0 is not None:
-        run.results["optimal_cost"] = optimal_cost(traj, problem.x0)
-    run.results["X0_trace"] = float(np.trace(traj.X[0]))
+        run.results["optimal_cost"] = optimal_cost(result.trajectory, problem.x0)
+    run.results["X0_trace"] = float(np.trace(result.trajectory.X[0]))
     if args.out:
-        save_trajectory(traj, args.out)
+        save_trajectory(result.trajectory, args.out)
         run.results["out"] = args.out
 
     lines = [
@@ -314,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run the backward recursion")
     p.add_argument("problem")
-    p.add_argument("--method", choices=["full", "reduced", "closed-form"], default="full")
+    p.add_argument("--method", choices=METHODS, default="full")
     p.add_argument("--out", default=None, help="write the trajectory JSON here")
     p.set_defaults(func=cmd_solve)
 

@@ -14,17 +14,23 @@ without a d x d inverse; R_s = R_full + F^T G is step s's own curvature,
 and det(I + W_s Psi) = det(I + W_{s-1} Psi) det R_s / det R_full.  The rule
 refuses, raising NumericalRefusal, when R_full is singular or when some
 I + W_s Psi_{T'} is (which needs an indefinite Psi_{T'}), the first singular
-R_s; both are relative rank decisions.
+R_s; both are relative rank decisions.  solve, the route driver of all
+three methods, sits here, where both phase-two rules are in reach.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .grde import _certified_inverse
-from .linalg import NumericalRefusal, numerical_rank, symmetrize
+from .cgdare import ReferenceSearchResult, find_reference
+from .grde import GrdeTrajectory, _certified_inverse, solve_full
+from .linalg import InternalInconsistencyError, NumericalRefusal, numerical_rank, symmetrize
 from .model import LQProblem
-from .reduction import HybridSolveResult, ReductionData, _solve_reduced
+from .reduction import HybridSolveResult, ReductionData, _solve_reduced, build_reduction, solve_hybrid
+
+METHODS = ("full", "reduced", "closed-form")
 
 
 def _woodbury_steps(Psi_terminal, steps: int, rd: ReductionData):
@@ -75,3 +81,39 @@ def solve_closed_form(problem: LQProblem, rd: ReductionData) -> HybridSolveResul
     if result.used_fallback:
         raise NumericalRefusal(f"closed form inapplicable: {result.fallback_reason}")
     return result
+
+
+@dataclass(frozen=True)
+class SolveResult:
+    """solve's answer, with each stage's result where it ran (else None)."""
+
+    trajectory: GrdeTrajectory
+    method_used: str
+    fallback_reason: str
+    search: ReferenceSearchResult | None
+    reduction: ReductionData | None
+    hybrid: HybridSolveResult | None
+
+
+def solve(problem: LQProblem, method: str = "reduced", X_ref=None) -> SolveResult:
+    """Solve by "full" (solve_full), "reduced" (solve_hybrid) or "closed-form".
+
+    A given X_ref replaces the reference search.  Where a reduced method finds
+    no reference, its reduction fails its checks, the hybrid falls back or the
+    closed form refuses, the result is solve_full's trajectory and the reason.
+    A rejected X_ref and an invalid problem raise: they are input errors."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}, expected one of {', '.join(METHODS)}")
+    search = rd = hybrid = None
+    try:
+        if method != "full":
+            search = find_reference(problem, X_ref=X_ref)
+            if not search.found:
+                raise NumericalRefusal(f"no reference solution: {search.message}")
+            rd = build_reduction(problem, search.solution)
+            hybrid = (solve_hybrid if method == "reduced" else solve_closed_form)(problem, rd)
+        reason = "" if hybrid is None else hybrid.fallback_reason
+    except (NumericalRefusal, InternalInconsistencyError) as exc:
+        reason = str(exc)
+    trajectory = solve_full(problem) if hybrid is None else hybrid.trajectory
+    return SolveResult(trajectory, "full" if reason else method, reason, search, rd, hybrid)

@@ -7,9 +7,10 @@ nilpotent leading block, and after nu backward steps the difference
 Delta_t = X_t - X vanishes on U entirely: every later step only moves the
 trailing diagonal block Psi_t.  The hybrid solver therefore runs nu full
 steps, checks the predicted block structure, and iterates the small
-homogeneous recursion for the rest of the horizon.  closedform shares
-that driver and replaces only the iteration, by the Gramian formula.  Both
-phases are grde sweeps, so a step inverts its curvature by LU wherever
+homogeneous recursion for the rest of the horizon.  closedform replaces
+only the iteration, by the Gramian formula, and holds the route driver
+solve, which turns any fallback or refusal into solve_full's answer.
+Both phases are grde sweeps, so a step inverts its curvature by LU wherever
 that curvature itself is certified of full rank, with R singular too.
 
 Psi = 0 is a fixed point of the reduced recursion, and Psi decays like

@@ -6,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from griccati import cli, grde, linalg, model
-from griccati.cgdare import find_reference
+from griccati import cli, grde, linalg, model, solve
+from griccati.cgdare import ReferenceRejectedError, find_reference
 from griccati.cli import main
 from griccati.linalg import InternalInconsistencyError, NumericalRefusal
 from griccati.model import problem_to_json, random_problem, save_problem
@@ -37,6 +37,15 @@ def _run(capsys, argv):
     captured = capsys.readouterr()
     report = json.loads(captured.out, parse_constant=_refuse_constant) if captured.out.strip() else None
     return code, report, captured.err
+
+
+def _assert_library_falls_back(problem, method, reason):
+    """griccati.solve reports the command line's fallback, with solve_full's X_t, K_t and G_t."""
+    result, full = solve(problem, method), grde.solve_full(problem)
+    assert result.method_used == "full" and result.fallback_reason == reason, method
+    for name in "XKG":
+        got, want = getattr(result.trajectory, name), getattr(full, name)
+        assert len(got) == len(want) and all(map(np.array_equal, got, want)), (method, name)
 
 
 def test_validate_ok(tmp_path, capsys):
@@ -159,6 +168,9 @@ def test_solve_reduced_without_reference_falls_back(tmp_path, capsys):
     # The fallback still solves the problem: cost is the finite-horizon sum.
     expect = sum(4.0**t for t in range(5 - 1))  # Q-weighted states, T=4, P=0
     assert abs(report["results"]["optimal_cost"] - expect) <= 1e-9 * expect
+    problem, _ = model.load_problem(path)
+    for method in ("reduced", "closed-form"):
+        _assert_library_falls_back(problem, method, report["reason"])
 
 
 def test_solve_closed_form_refusal_falls_back(tmp_path, capsys):
@@ -192,6 +204,7 @@ def test_solve_closed_form_refusal_validates_once(tmp_path, capsys, report_build
     assert len(report_builds) == 1
     trace = float(np.trace(grde.solve_full(problem).X[0]))
     assert report["results"]["X0_trace"] == trace
+    _assert_library_falls_back(problem, "closed-form", report["reason"])
 
 
 def _r_zero():
@@ -250,6 +263,9 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "p.json", "--method", "nope"])
     assert exc.value.code == 1
+    # The library refuses an unknown method as a ValueError.
+    with pytest.raises(ValueError, match="unknown method 'nope'"):
+        solve(scalar_two_step(), "nope")
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
@@ -268,6 +284,8 @@ def test_solve_uses_x_ref_from_file(tmp_path, capsys):
     code, report, _ = _run(capsys, ["solve", path, "--method", "reduced"])
     assert code == 1 and report["status"] == "error"
     assert report["reason"].startswith("supplied reference rejected"), report["reason"]
+    with pytest.raises(ReferenceRejectedError, match="supplied reference rejected"):
+        solve(problem, "reduced", X_ref=np.array([[2.0 * phi]]))
     # On LONG the supplied reference also fills a certified tail, and gives
     # the full recursion's X_0.
     path = _write(tmp_path, LONG, name="long_ref.json", X_ref=find_reference(LONG).solution.X)
@@ -447,6 +465,8 @@ def test_solve_falls_back_when_the_reduction_fails_its_checks(tmp_path, capsys):
         assert "not invariant" in report["reason"]
         assert report["results"]["method_used"] == "full"
         assert report["results"]["X0_trace"] == full["results"]["X0_trace"]
+        # The library reports the same fallback instead of raising.
+        _assert_library_falls_back(problem, method, report["reason"])
 
 
 def test_json_flag_suppresses_summary(tmp_path, capsys):

@@ -179,15 +179,29 @@ def test_refusal_singular_gramian_denominator():
 
 
 @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
-def test_refusal_at_the_first_singular_gramian_denominator(c):
-    # Z = 0.5, B2 = 1, R_full = c and Psi_{T'} = -0.8 c: W_1 = 1/c makes
-    # I + W_1 Psi = 0.2, and Psi_{T'-1} = 0.25 Psi / 0.2 = -c, but W_2 =
-    # 1.25/c makes I + W_2 Psi = 0.  The sweep yields its first step and
-    # refuses at the second, whatever the scale of the weights.
-    rd = _synthetic_rd([[0.5]], [[1.0]], [[c]])
-    sweep = gramian_sweep(np.array([[-0.8 * c]]), 4, rd)
-    assert abs(next(sweep)[0, 0] + c) <= 1e-12 * c
-    with pytest.raises(NumericalRefusal, match=r"I \+ W_2 Psi"):
+@pytest.mark.parametrize(
+    "Z, B2, Psi, first",
+    [
+        # Z = 0.5, B2 = 1, R_full = c and Psi_{T'} = -0.8 c: W_1 = 1/c makes
+        # I + W_1 Psi = 0.2, and Psi_{T'-1} = 0.25 Psi / 0.2 = -c, but W_2 =
+        # 1.25/c makes I + W_2 Psi = 0.  The sweep yields its first step and
+        # refuses at the second.
+        ([[0.5]], [[1.0]], [[-0.8]], [[-1.0]]),
+        # F = B2 = (1e4, 0) and G = Psi F = c (-(1 - 1e-8) 1e-4, 1): R_1 =
+        # c + F^T G = 1e-8 c cancels to 1e-12 of its parts ||F|| ||G|| = 1e4 c,
+        # below the rank cutoff, though it is 1e-8 of R_full alone.
+        (0.5 * np.eye(2), [[1e4], [0.0]], [[-(1.0 - 1e-8) / 1e8, 1e-4], [1e-4, 0.0]], None),
+    ],
+    ids=["second_step", "cancelling_first_step"],
+)
+def test_refusal_at_the_first_singular_gramian_denominator(c, Z, B2, Psi, first):
+    # The sweep refuses at the first singular I + W_s Psi, each R_s judged
+    # against the size of its parts, whatever the scale of the weights.
+    rd = _synthetic_rd(Z, B2, [[c]])
+    sweep = gramian_sweep(c * np.array(Psi), 4, rd)
+    if first is not None:
+        assert np.abs(next(sweep) - c * np.array(first)).max() <= 1e-12 * c
+    with pytest.raises(NumericalRefusal, match=rf"I \+ W_{1 if first is None else 2} Psi"):
         next(sweep)
 
 

@@ -12,11 +12,12 @@ may move by rounding: tail_steps is not compared.
 import numpy as np
 import pytest
 
+from griccati import solve
 from griccati.cgdare import find_reference
 from griccati.grde import solve_full
 from griccati.linalg import check_symmetric
 from griccati.model import LQProblem, PopovTriple, random_problem, validate
-from griccati.reduction import build_reduction, solve_hybrid
+from griccati.reduction import build_reduction
 
 from conftest import rotated_problem, scaled_problem
 
@@ -62,13 +63,12 @@ def _cases():
 
 
 def _outcome(problem):
-    """What must survive a rewrite, and the reference X and hybrid X_0, ..., X_T."""
-    res = find_reference(problem)
-    if not res.found:
-        return (False, res.iterations), None
-    rd = build_reduction(problem, res.solution)
-    hyb = solve_hybrid(problem, rd)
-    return (True, res.iterations, rd.nu, rd.dim_u, hyb.used_fallback), (res.solution.X, *hyb.trajectory.X)
+    """What must survive a rewrite, and the reference X and reduced X_0, ..., X_T."""
+    res = solve(problem, "reduced")
+    if not res.search.found:
+        return (False, res.search.iterations), None
+    rd = res.reduction
+    return (True, res.search.iterations, rd.nu, rd.dim_u, res.method_used), (res.search.solution.X, *res.trajectory.X)
 
 
 @pytest.mark.parametrize("kind, n, m, nilpotent_dim, seed", list(_cases()))
@@ -112,15 +112,13 @@ def test_reference_search_scale_sweep(n, m, seed, kind, horizon, nilpotent_dim):
     seen = set()
     for k in range(-9, 10, 3):
         scaled = scaled_problem(problem, 10.0**k)
-        res = find_reference(scaled)
-        assert res.found, k
-        rd = build_reduction(scaled, res.solution)
-        hyb = solve_hybrid(scaled, rd)
-        seen.add((res.iterations, rd.nu, rd.dim_u, hyb.used_fallback))
+        res = solve(scaled, "reduced")
+        assert res.search.found, k
+        seen.add((res.search.iterations, res.reduction.nu, res.reduction.dim_u, res.method_used))
         if horizon == 500:  # the cut is certified at every scale
-            assert hyb.tail_steps > 0, k
+            assert res.hybrid.tail_steps > 0, k
         full = solve_full(scaled)
-        for Xa, Xb in zip(hyb.trajectory.X, full.X):
+        for Xa, Xb in zip(res.trajectory.X, full.X):
             assert np.linalg.norm(Xa - Xb) <= 1e-10 * np.linalg.norm(Xb), k
     assert len(seen) == 1, seen
 

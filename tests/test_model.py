@@ -4,8 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from griccati.cgdare import find_reference
-from griccati.closedform import solve_closed_form
+from griccati import solve
 from griccati.grde import solve_full
 from griccati.linalg import RANK_REL
 from griccati.model import (
@@ -23,7 +22,6 @@ from griccati.model import (
     validate,
 )
 from griccati.oracle import batch_matrices
-from griccati.reduction import build_reduction, solve_hybrid
 
 from conftest import scalar_two_step
 
@@ -132,10 +130,8 @@ def test_validation_report_built_once_per_problem(report_builds):
     # Every route validates; the problem keeps its report.  A problem
     # rebuilt by dataclasses.replace is a new problem, validated afresh.
     problem = random_problem(6, 2, 3, "nilpotent_block", horizon=20, nilpotent_dim=3)
-    solve_full(problem)
-    ref = find_reference(problem)
-    solve_hybrid(problem, build_reduction(problem, ref.solution))
-    solve_closed_form(problem, build_reduction(problem, ref.solution))
+    for method in ("full", "reduced", "closed-form"):
+        assert solve(problem, method).method_used == method
     batch_matrices(problem)
     assert validate(problem) is validate(problem)
     require_valid(problem)
