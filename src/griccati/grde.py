@@ -6,6 +6,11 @@ singular; wherever linalg._certified_nonsingular proves a curvature of full
 rank, whatever X is, the step inverts it by LU instead.  Optimal inputs are
 then a feedback term plus an arbitrary component in the curvature's null
 space, captured by a projector G_t.
+
+A sweep without a stop rule (solve_full, the reduced solve's first phase)
+replays its own float cycle: once the converging iterate returns, bit for
+bit, to a state it held before, the rest of the sweep is the plain loop's
+replayed, exactly (see _sweep).
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .linalg import _certified_nonsingular, _pinv, as_vector, check_symmetric, symmetrize
-from .model import LQProblem, PopovTriple, _fmt_matrix, _json_object, require_valid
+from .model import LQProblem, PopovTriple, _fmt_matrix, _json_object, _read_only, require_valid
 
 
 @dataclass(frozen=True)
@@ -69,12 +74,55 @@ def _certified_inverse(R_X, scale: float = 0.0, certify: bool = True):
     return _pinv(R_X), False
 
 
+class _States:
+    """The states (certify flag, exact bits of X) that a sweep has held.
+
+    Every state is keyed on the hash of its flag and diagonal; only a
+    diagonal held before is keyed on the hash of the whole matrix, and a
+    full key that matches is confirmed byte for byte, so a hash collision
+    costs a comparison, never a wrong replay.  The memory cost is one
+    hashed key per step.
+    """
+
+    def __init__(self):
+        self.by_diagonal = {}  # diagonal key -> steps not yet keyed in full
+        self.by_matrix = {}  # full key -> steps
+
+    def repeat(self, X: list, certify: bool):
+        """Record the state (X[-1], certify); the step that held it before, or None."""
+        s, X_s = len(X) - 1, X[-1]
+        key = (certify, hash(X_s.diagonal().tobytes()))
+        unkeyed = self.by_diagonal.get(key)
+        if unkeyed is None:
+            self.by_diagonal[key] = [s]
+            return None
+        for i in unkeyed:
+            self.by_matrix.setdefault((certify, hash(X[i].tobytes())), []).append(i)
+        unkeyed.clear()
+        bits = X_s.tobytes()
+        held = self.by_matrix.setdefault((certify, hash(bits)), [])
+        first = next((i for i in held if X[i].tobytes() == bits), None)
+        held.append(s)
+        return first
+
+
 def _sweep(X_end, M, Pi, steps: int, stop=None):
     """`steps` Schur-complement steps back from X_end, in backward order, or
     fewer: stop(||X||_F), if given, is asked before each step and ends the
     sweep.  Each step inverts its curvature where certified (see
     _schur_step); the first that is not makes the rest of the sweep take
     the SVD, so a curvature that stays singular costs one failed inverse.
+
+    A sweep without a stop rule replays its own float cycle.  A step is a
+    deterministic function of its state, the certify flag and the exact
+    bits of X, so once the sweep holds a state it held before (_States),
+    every later step repeats the cycle between the two: those steps take
+    the cycle's arrays by reference, made read-only, and the lists are the
+    plain loop's bit for bit.  The premise is a float evaluation that
+    repeats, as OpenBLAS gives at a fixed thread count; a BLAS whose results
+    depend on memory alignment gives another valid evaluation, not a
+    different answer.  A sweep with a stop rule ends at its certified tail
+    and looks for no cycle.
 
     Returns the lists X (X_end first), L, R_X and R_X^+ (or R_X^{-1}, where
     certified); whatever else a solver reports is formed from them after
@@ -83,8 +131,16 @@ def _sweep(X_end, M, Pi, steps: int, stop=None):
     k = M.shape[0]
     X, L, R_X, R_X_pinv = [X_end], [], [], []
     certify = True
-    for _ in range(steps):
+    states = _States() if stop is None else None
+    for s in range(steps):
         if stop is not None and stop(float(np.linalg.norm(X[-1]))):
+            break
+        first = None if states is None else states.repeat(X, certify)
+        if first is not None:
+            left, period = steps - s, s - first
+            for seq, start in ((X, first + 1), (L, first), (R_X, first), (R_X_pinv, first)):
+                cycle = [_read_only(a) for a in seq[start:]]
+                seq += (cycle * (left // period + 1))[:left]
             break
         X_prev, L_t, W, R_pinv_t, certify = _schur_step(X[-1], M, Pi, certify)
         X.append(X_prev)
@@ -122,7 +178,13 @@ def riccati_map(X, triple: PopovTriple) -> np.ndarray:
 
 
 def solve_full(problem: LQProblem) -> GrdeTrajectory:
-    """Full backward recursion from the terminal weight down to time 0."""
+    """Full backward recursion from the terminal weight down to time 0.
+
+    Once the sweep holds a state it held before, the rest of the horizon
+    replays the cycle between the two (see _sweep): the trajectory is the
+    plain loop's bit for bit, and its replayed steps share the cycle's X and
+    K arrays, made read-only.
+    """
     require_valid(problem)
     triple = problem.triple
     X, K, R_X, R_X_pinv = _sweep(symmetrize(problem.P), triple.AB, triple.Pi, problem.T)

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from griccati import model
+from griccati import grde, model
 from griccati.linalg import pinv, svd_cutoff
 from griccati.model import LQProblem, PopovTriple
 
@@ -40,6 +40,30 @@ def benchmark_pools(seeds):
         for name, size, problem in pools:
             for i in range(size):
                 yield name, problem(seed * 100_003 + i, i)
+
+
+def plain_sweep(problem):
+    """solve_full's X, K and G by the plain backward loop: one
+    grde._schur_step per step, carrying the certify flag from step to step,
+    with no replay; G is formed after the loop as solve_full forms it."""
+    t = problem.triple
+    X, K, R_X, R_X_pinv = [grde.symmetrize(problem.P)], [], [], []
+    certify = True
+    for _ in range(problem.T):
+        X_prev, K_t, W, R_pinv_t, certify = grde._schur_step(X[-1], t.AB, t.Pi, certify)
+        X.append(X_prev)
+        K.append(K_t)
+        R_X.append(W[problem.n :, problem.n :])
+        R_X_pinv.append(R_pinv_t)
+    return tuple(X[::-1]), tuple(K[::-1]), grde._projectors(R_X, R_X_pinv)[::-1]
+
+
+def same_bits(traj, want) -> bool:
+    """Whether a trajectory's X, K and G equal want's, element for element."""
+    return all(
+        len(getattr(traj, f)) == len(w) and all(np.array_equal(a, b) for a, b in zip(getattr(traj, f), w))
+        for f, w in zip("XKG", want)
+    )
 
 
 def scaled_problem(problem, c):

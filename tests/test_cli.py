@@ -131,20 +131,20 @@ def test_gen_validate_solve_verify_pipeline(tmp_path, capsys):
 
 def test_solve_writes_trajectory(tmp_path, capsys):
     path = _write(tmp_path, scalar_two_step())
-    out = str(tmp_path / "traj.json")
-    code, report, _ = _run(capsys, ["solve", path, "--out", out])
+    out = tmp_path / "traj.json"
+    code, report, _ = _run(capsys, ["solve", path, "--out", str(out)])
     assert code == 0
-    doc = json.loads(open(out).read())
+    doc = json.loads(out.read_text())
     assert doc["T"] == 2
     assert doc["X"][0] == [[1.5]]
     assert len(doc["K"]) == 2
     # On LONG the file holds T + 1 X and T gains; the certified tail's gains
     # are the reference's one K_X and G_X, repeated.
     path = _write(tmp_path, LONG, name="long.json")
-    code, report, _ = _run(capsys, ["solve", path, "--method", "reduced", "--out", out])
+    code, report, _ = _run(capsys, ["solve", path, "--method", "reduced", "--out", str(out)])
     tail = report["results"]["tail_steps"]
     assert code == 0 and tail > 0
-    doc = json.loads(open(out).read())
+    doc = json.loads(out.read_text())
     assert doc["T"] == 500 and len(doc["X"]) == 501 and len(doc["K"]) == len(doc["G"]) == 500
     assert all(K == doc["K"][0] for K in doc["K"][:tail])
     assert all(G == doc["G"][0] for G in doc["G"][:tail])
