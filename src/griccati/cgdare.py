@@ -7,16 +7,15 @@ A symmetric X solves the generalised DARE when
 and the constrained equation additionally demands ker(R + B^T X B) be
 contained in ker(A^T X B + S).  This module evaluates residuals, packages
 the derived closed-loop quantities and searches for a reference solution
-among the iterates of X <- riccati_map(X) from zero: by doubling, which
-reaches the 2^k-th iterate in k steps, and one step at a time where the
-curvature stays singular.  Scaling the weights by c scales every solution
-by c, so the residual tests here are read against the Popov matrix's
-||Pi||_F and the kernel condition against ||S_X||.
+among the iterates of X <- riccati_map(X) from zero by doubling, which
+reaches the 2^k-th iterate in k steps; input directions that no iterate's
+curvature sees are compressed out.  Scaling the weights by c scales every
+solution by c, so the residual tests here are read against the Popov
+matrix's ||Pi||_F and the kernel condition against ||S_X||.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -30,6 +29,7 @@ from .linalg import (
     is_nonsingular,
     nilpotent_eigenspace,
     residual_limit,
+    svd_cutoff,
     symmetrize,
 )
 from .model import LQProblem, PopovTriple, _read_only
@@ -127,19 +127,12 @@ def closed_loop(X, triple: PopovTriple) -> CgdareSolution:
     )
 
 
-# The search's iteration cap, its overflow guard (absolute: it only has to
-# stop the iterates before they overflow) and its polish floor over the band.
-_MAX_ITER = 10000
+# The search's doubling cap (2^14 steps of the map), its overflow guard
+# (absolute: it only has to stop the iterates before they overflow) and its
+# polish floor over the band.
+_MAX_DOUBLINGS = 14
 _DIVERGENCE_NORM = 1e100
 _POLISH_RATIO = 3e-4
-
-
-def _polish_steps(step: float, prev_step: float, floor: float) -> int:
-    """Steps that take a step norm from `step` to `floor` at the rate step / prev_step."""
-    rate = step / prev_step
-    if step <= floor or rate == 0.0:
-        return 0
-    return math.ceil(math.log(floor / step) / math.log(rate))
 
 
 @dataclass(frozen=True)
@@ -154,20 +147,45 @@ class ReferenceSearchResult:
 
 
 def _doubling(triple: PopovTriple, band: float):
-    """(X_{b + 2^k}, k) of X <- riccati_map(X) by structure-preserving doubling.
+    """(X_{b + 2^k}, k, note) of X <- riccati_map(X) from zero by doubling.
+
+    The base X_b is the first of X_0 = 0, X_1, ..., X_n whose curvature
+    R_b = R + B^T X_b B is non-singular.  Where X_n's is still singular, its
+    kernel is permanent, and doubling runs with it compressed out: on the
+    inputs u = V w, V an orthonormal basis of the right singular vectors the
+    rank cutoff keeps, that is on (B V, S V, V^T R V).  No iterate changes.
+    X_k is the k-step optimal cost from a zero terminal weight, so Pi >= 0
+    gives 0 = X_0 <= X_1 <= ..., and ker X_k only shrinks.  x is in ker X_k
+    exactly where some u has [x; u] in ker Pi and A x + B u in ker X_{k-1},
+    so ker X_k depends on ker X_{k-1} alone: once it stays, it stays, and
+    after at most n drops ker X_k = ker X_n for every k >= n.  The
+    curvature's kernel is {v : R v = 0, B v in ker X_k}, as R >= 0 and
+    B^T X_k B >= 0.  On it R >= 0, a block of Pi >= 0, gives S v = 0, and
+    X_k B v = 0 for every k >= n, so A^T X_k B + S vanishes there and the
+    pseudo-inverse's step is the compressed curvature's inverse.  The same
+    kernel shows that a curvature non-singular at X_b stays so later.
 
     On Y = X - X_b the step is Y -> H_0 + A_0^T Y (I + G_0 Y)^{-1} A_0, and
     the k-th doubling (Chu, Fan, Lin and Wang 2004) gives H_k = X_{b + 2^k} - X_b.
-    X is None once ||H_k|| passes the overflow guard; None where doubling
-    cannot run (find_reference).
+    It stops once ||H_k - H_{k-1}||_F reaches the polish floor or stops
+    shrinking inside the band.  X is None, and note says why, where the
+    iterates pass the overflow guard, I + G_k H_k is singular or no doubling
+    up to _MAX_DOUBLINGS stops; else note names the base.
     """
-    n, A, B, M, Pi = triple.n, triple.A, triple.B, triple.AB, triple.Pi
-    X_b, W = np.zeros((n, n)), Pi  # W = [[Q_b + X_b, S_b], [S_b^T, R_b]]
-    if not is_nonsingular(W[n:, n:]):
-        X_b = _schur_step(X_b, M, Pi, certify=False)[0]  # its curvature R is singular
+    n, m, A, B, M, Pi = triple.n, triple.m, triple.A, triple.B, triple.AB, triple.Pi
+    X_b, W, b, compressed = np.zeros((n, n)), Pi, 0, ""  # W = [[Q_b + X_b, S_b], [S_b^T, R_b]]
+    while not is_nonsingular(W[n:, n:]):
+        if b == n:
+            _, s, Vt = np.linalg.svd(W[n:, n:])
+            V = Vt[: np.count_nonzero(s > svd_cutoff(s, Vt.shape))].T
+            E = np.block([[np.eye(n), np.zeros((n, V.shape[1]))], [np.zeros((m, n)), V]])
+            B, W = B @ V, E.T @ W @ E
+            compressed = f", {m - V.shape[1]} of {m} inputs compressed out"
+            break
+        X_b = _schur_step(X_b, M, Pi, certify=False)[0]
         W = M.T @ (X_b @ M) + Pi
-        if not is_nonsingular(W[n:, n:]):
-            return None
+        b += 1
+    note = f"doubling from X_{b}{compressed}"
     KG = np.linalg.solve(W[n:, n:], np.hstack([W[n:, :n], B.T]))  # R_b^{-1} [S_b^T, B^T]
     A_k = A - B @ KG[:, :n]
     G = symmetrize(B @ KG[:, n:])
@@ -175,73 +193,21 @@ def _doubling(triple: PopovTriple, band: float):
     floor = band * _POLISH_RATIO
     prev_step = np.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, math.ceil(math.log2(_MAX_ITER)) + 1):
+        for k in range(1, _MAX_DOUBLINGS + 1):
             try:
-                V = np.linalg.solve(np.eye(n) + G @ H, np.hstack([A_k, G]))
+                F = np.linalg.solve(np.eye(n) + G @ H, np.hstack([A_k, G]))
             except np.linalg.LinAlgError:
-                return None
-            H_next = symmetrize(H + A_k.T @ (H @ V[:, :n]))
+                return None, k, f"I + G_k H_k singular at doubling {k}"
+            H_next = symmetrize(H + A_k.T @ (H @ F[:, :n]))
             if not np.linalg.norm(H_next) <= _DIVERGENCE_NORM:  # also catches inf and nan
-                return None, k
-            G = symmetrize(G + A_k @ V[:, n:] @ A_k.T)
-            A_k = A_k @ V[:, :n]
+                return None, k, "iterates diverged"
             step = float(np.linalg.norm(H_next - H))
-            H = H_next
             if step <= floor or band >= step >= prev_step:
-                return X_b + H, k
-            prev_step = step
-    return None
-
-
-def _fixed_point(triple: PopovTriple, band: float) -> ReferenceSearchResult:
-    """X <- riccati_map(X) from zero, one step at a time, and its verdict.
-
-    It runs where doubling cannot (find_reference).  Each step inverts
-    its curvature where certified, as a sweep does, and the first that is
-    not makes the rest take the SVD pseudo-inverse: there the curvature is
-    most often singular at every step.
-    """
-    M, Pi = triple.AB, triple.Pi
-    X = np.zeros((triple.n, triple.n))
-    floor = band * _POLISH_RATIO
-    prev_step = np.inf
-    stop_at = None
-    plateau = 0
-    it = 0
-    certify = True
-    # Not grde._sweep: the search keeps only its last iterate, where a sweep
-    # would hold all of up to _MAX_ITER of them.
-    for it in range(1, _MAX_ITER + 1):
-        X_next, _, _, _, certify = _schur_step(X, M, Pi, certify)
-        if not np.linalg.norm(X_next) <= _DIVERGENCE_NORM:  # also catches inf and nan
-            return ReferenceSearchResult(None, it, "iterates diverged")
-        step = float(np.linalg.norm(X_next - X))
-        X = X_next
-        if stop_at is None and step <= band:
-            # Near the floor the step norm is close to round-off, and a test
-            # against the floor would be settled by rounding, which changes
-            # when the problem is scaled or rotated; the two steps giving
-            # this rate are far above it.
-            stop_at = it + _polish_steps(step, prev_step, floor)
-        if stop_at is not None:
-            # Polish, stopping early when the step plateaus (round-off limit).
-            if it >= stop_at:
-                break
-            plateau = plateau + 1 if step >= 0.999 * prev_step else 0
-            if plateau >= 5:
-                break
-        prev_step = step
-    if stop_at is None:
-        return ReferenceSearchResult(None, _MAX_ITER, f"no fixed point within {_MAX_ITER} iterations")
-
-    sol = closed_loop(X, triple)
-    if not sol.accepted():
-        return ReferenceSearchResult(
-            None,
-            it,
-            f"iteration settled but candidate rejected (residual {sol.residual_norm:.3e})",
-        )
-    return ReferenceSearchResult(sol, it, "fixed point accepted after single steps")
+                return X_b + H_next, k, note
+            G = symmetrize(G + A_k @ F[:, n:] @ A_k.T)
+            A_k = A_k @ F[:, :n]
+            H, prev_step = H_next, step
+    return None, _MAX_DOUBLINGS, f"no fixed point within {_MAX_DOUBLINGS} doublings"
 
 
 def find_reference(problem: LQProblem, X_ref: Optional[np.ndarray] = None) -> ReferenceSearchResult:
@@ -249,17 +215,11 @@ def find_reference(problem: LQProblem, X_ref: Optional[np.ndarray] = None) -> Re
 
     When X_ref is given it is verified and either returned or rejected with
     the measured residuals (ReferenceRejectedError).  Otherwise X <-
-    riccati_map(X) runs from zero by doubling from the first of X_0 = 0 and
-    X_1 whose curvature R + B^T X B is non-singular, until the change over
-    a doubling reaches the polish floor or stops shrinking inside the
-    acceptance band.  Where doubling cannot run (that curvature singular at
-    both, a singular I + G_k H_k, no stop within the doublings that cover
-    _MAX_ITER steps) or its candidate is rejected, it runs one step at a
-    time until the step norm enters the band, then for as many steps as the
-    rate of that step needs to reach the polish floor, stopping early if the
-    step stops shrinking.  iterations counts the doublings or the steps of
-    the path taken, which message names.  Divergence or stagnation gives a
-    no-solution-found result rather than an exception.
+    riccati_map(X) runs from zero by doubling (_doubling), and closed_loop
+    evaluates its candidate on the problem's own triple.  iterations counts
+    the doublings, and message names the base and any inputs compressed
+    out.  Divergence, a doubling that cannot go on or does not stop, and a
+    rejected candidate give a no-solution-found result, not an exception.
     """
     triple = problem.triple
     band = _residual_band(triple)
@@ -273,12 +233,12 @@ def find_reference(problem: LQProblem, X_ref: Optional[np.ndarray] = None) -> Re
             )
         return ReferenceSearchResult(sol, 0, "supplied reference verified")
 
-    doubled = _doubling(triple, band)
-    if doubled is not None:
-        X, k = doubled
-        if X is None:
-            return ReferenceSearchResult(None, k, "iterates diverged")
-        sol = closed_loop(X, triple)
-        if sol.accepted():
-            return ReferenceSearchResult(sol, k, "fixed point accepted after doubling")
-    return _fixed_point(triple, band)
+    X, k, note = _doubling(triple, band)
+    if X is None:
+        return ReferenceSearchResult(None, k, note)
+    sol = closed_loop(X, triple)
+    if not sol.accepted():
+        return ReferenceSearchResult(
+            None, k, f"candidate rejected after {note} (residual {sol.residual_norm:.3e}, band {band:.1e})"
+        )
+    return ReferenceSearchResult(sol, k, f"fixed point accepted after {note}")

@@ -58,6 +58,15 @@ def plain_sweep(problem):
     return tuple(X[::-1]), tuple(K[::-1]), grde._projectors(R_X, R_X_pinv)[::-1]
 
 
+def riccati_iterate(triple, steps):
+    """The steps-th iterate of the plain X <- riccati_map(X) from zero, one
+    step at a time: the reference search's independent check."""
+    X = np.zeros((triple.n, triple.n))
+    for _ in range(steps):
+        X = grde.riccati_map(X, triple)
+    return X
+
+
 def same_bits(traj, want) -> bool:
     """Whether a trajectory's X, K and G equal want's, element for element."""
     return all(

@@ -1,18 +1,20 @@
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+from griccati import solve
 from griccati.cgdare import (
     ReferenceRejectedError,
-    _fixed_point,
+    _doubling,
     _residual_band,
     closed_loop,
     find_reference,
     gdare_residual,
 )
 from griccati.closedform import solve_closed_form
-from griccati.grde import riccati_map
+from griccati.grde import solve_full
 from griccati.linalg import NumericalRefusal
 from griccati.model import LQProblem, PopovTriple, random_problem
 from griccati.reduction import build_reduction, solve_hybrid
@@ -24,6 +26,7 @@ from conftest import (
     multi_root_family,
     projector_distance,
     random_psd,
+    riccati_iterate,
     scalar_two_step,
 )
 
@@ -130,25 +133,88 @@ def test_find_reference_divergence_refusal_pinned():
         assert (res.found, res.iterations, res.message) == (False, 8, "iterates diverged")
 
 
-def test_find_reference_singular_curvature_takes_single_steps():
+def test_find_reference_reports_no_stop_within_the_cap():
+    # A = 1 with no input and Q = 1: X_k = k grows by one a step, below the
+    # overflow guard at every doubling, so no doubling stops.
+    problem = LQProblem(PopovTriple([[1.0]], [[0.0]], [[1.0]], [[0.0]], [[1.0]]), [[0.0]], 3)
+    res = find_reference(problem)
+    assert (res.found, res.iterations, res.message) == (False, 14, "no fixed point within 14 doublings")
+
+
+def _doubled_steps(message, doublings):
+    """The iterate that the search's X stands for, X_{b + 2^k} from the base
+    X_b that its message names, after k doublings."""
+    return int(re.search(r"from X_(\d+)", message).group(1)) + 2**doublings
+
+
+def test_find_reference_compresses_out_a_permanent_curvature_kernel():
     # R = diag(1, 0) and B's second column zero: R + B^T X B is singular at
-    # every iterate, so doubling cannot start and the single-step loop runs.
-    # Its answer is the 83rd iterate from zero, bit for bit.
+    # every iterate, so the search doubles from X_3 = X_n with that input
+    # compressed out.  Its answer is the plain iteration's limit, within
+    # 1e-10 of the 83rd iterate from zero.
     A = np.array([[0.9, 0.3, 0.0], [0.0, 0.5, 0.2], [0.1, 0.0, 1.1]])
     B = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.0]])
     triple = PopovTriple(A, B, np.eye(3), np.zeros((3, 2)), np.diag([1.0, 0.0]))
     res = find_reference(LQProblem(triple, np.zeros((3, 3)), 10))
-    assert (res.found, res.iterations) == (True, 83)
-    assert "single steps" in res.message
-    X = np.zeros((3, 3))
-    for _ in range(res.iterations):
-        X = riccati_map(X, triple)
-    assert np.array_equal(res.solution.X, X)
+    assert res.found
+    assert "from X_3, 1 of 2 inputs compressed out" in res.message, res.message
+    X = riccati_iterate(triple, 83)
+    assert np.linalg.norm(res.solution.X - X) <= 1e-10 * np.linalg.norm(X)
 
 
-def _reduction_outcome(problem, res):
+def _late_and_uncosted(rng):
+    """n = m = 3, S = 0, Q = e1 e1^T, and the inputs mixed by a random
+    rotation: one moves x2, which is costed only from X_2 on, through x1;
+    one moves x3, which is never costed (x3 is in ker X_k for every k); and
+    one moves x1 at a cost of its own, R = e3 e3^T before the rotation."""
+    A = np.array([[0.0, 0.9, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.5]])
+    V, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    B = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    return A, B @ V, np.diag([1.0, 0.0, 0.0]), V.T @ np.diag([0.0, 0.0, 1.0]) @ V
+
+
+E1, E2, Z1 = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]), np.zeros((1, 1))
+
+
+@pytest.mark.parametrize(
+    "A, B, Q, R, path",
+    [
+        # The curvature is singular at X_0 and X_1 and regular at X_2.
+        pytest.param(0.9 * np.array([[0.0, 1.0], [0.0, 0.0]]), E2, E1 @ E1.T, Z1, "from X_2", id="late_costed"),
+        # B = e2 lies in ker X_k for every k: all inputs go, m~ = 0.
+        pytest.param(0.5 * np.eye(2), E2, E1 @ E1.T, Z1, "from X_2, 1 of 1 inputs", id="uncosted_state"),
+        pytest.param(*_late_and_uncosted(np.random.default_rng(3)), "from X_3, 1 of 3 inputs", id="mixed_3x3"),
+        # A strong input, a weak one whose curvature is 1e-6 of the strong
+        # one's, and a dead one: the compression keeps the weak input.
+        pytest.param(
+            np.array([[0.9, 0.3, 0.0], [0.0, 0.5, 0.2], [0.1, 0.0, 1.1]]),
+            np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 1e-3, 0.0]]),
+            np.eye(3),
+            np.diag([1.0, 1e-7, 0.0]),
+            "from X_3, 1 of 3 inputs",
+            id="weak_live_input",
+        ),
+    ],
+)
+def test_reference_base_waits_for_a_regular_curvature(A, B, Q, R, path):
+    # Doubling cannot start from X_0 or X_1 here: the base is the first
+    # iterate whose curvature is regular, or X_n with its kernel compressed out.
+    n, m = B.shape
+    triple = PopovTriple(A, B, Q, np.zeros((n, m)), R)
+    problem = LQProblem(triple, np.zeros((n, n)), 30, np.ones(n))
+    res = find_reference(problem)
+    assert res.found and path in res.message, res.message
+    X = riccati_iterate(triple, _doubled_steps(res.message, res.iterations))
+    assert np.linalg.norm(res.solution.X - X) <= 1e-10 * np.linalg.norm(X)
+    got = solve(problem, "reduced")
+    assert got.method_used == "reduced", got.fallback_reason
+    for Xa, Xb in zip(got.trajectory.X, solve_full(problem).X):
+        assert np.linalg.norm(Xa - Xb) <= 1e-10 * np.linalg.norm(Xb)
+
+
+def _reduction_outcome(problem, solution):
     """nu, dim U, the hybrid's fallback and whether the closed form refuses."""
-    rd = build_reduction(problem, res.solution)
+    rd = build_reduction(problem, solution)
     try:
         solve_closed_form(problem, rd)
         refused = False
@@ -157,25 +223,37 @@ def _reduction_outcome(problem, res):
     return rd.nu, rd.dim_u, solve_hybrid(problem, rd).used_fallback, refused
 
 
-@pytest.mark.parametrize("kind", ["generic", "singular_R", "nilpotent_block"])
-def test_doubling_agrees_with_single_steps(kind):
-    # The single-step loop is kept as an independent check of the doubling
-    # path: the same verdict and the same reduction, and X to 1e-10.
-    shapes = ((5, 2, None), (6, 1, None), (3, 4, None), (12, 2, 2 if kind == "nilpotent_block" else None))
-    doubled = 0
-    for n, m, nilpotent_dim in shapes:
-        for seed in range(1, 11):
-            problem = random_problem(n, m, seed, kind, horizon=30, nilpotent_dim=nilpotent_dim)
-            got = find_reference(problem)
-            want = _fixed_point(problem.triple, _residual_band(problem.triple))
-            doubled += "doubling" in got.message
-            assert got.found == want.found, (n, m, seed)
-            if not got.found:
-                continue
-            assert _reduction_outcome(problem, got) == _reduction_outcome(problem, want), (n, m, seed)
-            X, Y = got.solution.X, want.solution.X
-            assert np.linalg.norm(X - Y) <= 1e-10 * np.linalg.norm(Y), (n, m, seed)
-    assert doubled >= 30
+ROUND_OFF_BAND = pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 5: R = 0 and ||X|| = 1.1e4 ||Pi||_F put the residual band 1.2e-9 at "
+    "round-off, so rounding decides the verdict: the plain 513th iterate passes it at 3.8e-10, "
+    "while the doubled X, within 1e-10 of it, has residual 4.4e-9",
+)
+
+
+def _plain_cases():
+    for kind in ("generic", "singular_R", "nilpotent_block"):
+        nilpotent_dim = 2 if kind == "nilpotent_block" else None
+        for n, m, dim in ((5, 2, None), (6, 1, None), (3, 4, None), (12, 2, nilpotent_dim)):
+            for seed in range(1, 11):
+                marks = ROUND_OFF_BAND if (kind, n, m, seed) == ("singular_R", 6, 1, 10) else ()
+                yield pytest.param(kind, n, m, dim, seed, id=f"{kind}-{n}x{m}-{seed}", marks=marks)
+
+
+@pytest.mark.parametrize("kind, n, m, nilpotent_dim, seed", list(_plain_cases()))
+def test_doubling_agrees_with_plain_iteration(kind, n, m, nilpotent_dim, seed):
+    # The plain step loop is the independent check of the doubling search:
+    # the iterate that the doubled X stands for is within 1e-10 of it, gets
+    # the same verdict and, where accepted, the same reduction.
+    problem = random_problem(n, m, seed, kind, horizon=30, nilpotent_dim=nilpotent_dim)
+    triple = problem.triple
+    X, k, note = _doubling(triple, _residual_band(triple))
+    want = closed_loop(riccati_iterate(triple, _doubled_steps(note, k)), triple)
+    assert np.linalg.norm(X - want.X) <= 1e-10 * np.linalg.norm(want.X)
+    got = closed_loop(X, triple)
+    assert got.accepted() == want.accepted()
+    if got.accepted():
+        assert _reduction_outcome(problem, got) == _reduction_outcome(problem, want)
 
 
 def test_find_reference_accepts_supplied_solution():

@@ -404,8 +404,8 @@ def test_singular_R_with_regular_curvature_takes_the_inverse(monkeypatch):
 def test_curvature_that_stays_singular_costs_one_inverse_per_sweep(monkeypatch):
     # An input that moves neither state nor cost (B v = 0, R v = 0, S v = 0)
     # leaves every curvature singular.  The first failed inverse makes the
-    # rest of the sweep, or of the single-step search, take the SVD, and
-    # doubling's X_1 step, whose base curvature R is known singular, tries none.
+    # rest of the sweep take the SVD, and the search's steps to its base,
+    # whose curvatures are known singular, try none.
     base = random_problem(4, 2, 7, "generic", horizon=30)
     t = base.triple
     B, R, S = t.B.copy(), t.R.copy(), t.S.copy()
@@ -417,9 +417,9 @@ def test_curvature_that_stays_singular_costs_one_inverse_per_sweep(monkeypatch):
     assert all(G[1, 1] == 1.0 for G in traj.G)
     attempts.clear()
     search = cgdare.find_reference(problem)
-    assert search.found and "single steps" in search.message
-    # One for the single steps, one for closed_loop's look at their result.
-    assert len(attempts) == 2
+    assert search.found and "from X_4, 1 of 2 inputs compressed out" in search.message
+    # One, closed_loop's look at the doubled X.
+    assert len(attempts) == 1
     rd = reduction.build_reduction(problem, search.solution)
     attempts.clear()
     result = reduction.solve_hybrid(problem, rd)

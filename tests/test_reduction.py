@@ -270,10 +270,9 @@ def test_nu_zero_outputs_are_symmetric_without_symmetrize():
 
 def test_hybrid_headline_matches_full_sweep_to_rounding():
     # n = 20, nu = 15, T = 500: the nilpotent block settles one step after
-    # nu, and the single-step search, whose polish count was read from the
-    # rate on entering the band, stopped short of its floor and left the
-    # hybrid's X 2e-12 to 4e-12 off the full sweep on these seeds.  The
-    # doubled reference is polished to rounding.
+    # nu.  A reference short of the polish floor left the hybrid's X 2e-12
+    # to 4e-12 off the full sweep on these seeds; the doubled reference is
+    # polished to rounding.
     for seed in (8, 9, 11):
         problem = random_problem(20, 2, seed, "nilpotent_block", horizon=500, nilpotent_dim=15)
         result = solve_hybrid(problem, build_reduction(problem, find_reference(problem).solution))
