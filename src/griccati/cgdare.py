@@ -16,6 +16,7 @@ matrix's ||Pi||_F and the kernel condition against ||S_X||.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -199,9 +200,10 @@ def _doubling(triple: PopovTriple, band: float):
             except np.linalg.LinAlgError:
                 return None, k, f"I + G_k H_k singular at doubling {k}"
             H_next = symmetrize(H + A_k.T @ (H @ F[:, :n]))
-            if not np.linalg.norm(H_next) <= _DIVERGENCE_NORM:  # also catches inf and nan
+            if not math.sqrt(np.vdot(H_next, H_next)) <= _DIVERGENCE_NORM:  # also catches inf and nan
                 return None, k, "iterates diverged"
-            step = float(np.linalg.norm(H_next - H))
+            dH = H_next - H
+            step = math.sqrt(np.vdot(dH, dH))
             if step <= floor or band >= step >= prev_step:
                 return X_b + H_next, k, note
             G = symmetrize(G + A_k @ F[:, n:] @ A_k.T)

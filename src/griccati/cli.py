@@ -2,8 +2,8 @@
 
 Every command prints one machine-readable JSON report to stdout; a short
 human summary goes to stderr unless --json is given.  Exit codes: 0 success,
-1 input error, 2 numerical refusal or fallback-only result, 3 internal
-inconsistency.
+1 input error, 2 a requested method refused and the full recursion answered
+(solve's fallback), 3 an internal cross-check failed (verify).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .linalg import InternalInconsistencyError, NumericalRefusal
 from .model import (
     ProblemFormatError,
     ProblemValidationError,
@@ -326,27 +325,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Exit code and stderr prefix of each error a command may raise;
-# ProblemFormatError, ProblemValidationError and ReferenceRejectedError are
-# ValueErrors.
-_ERRORS = {
-    ValueError: (EXIT_INPUT, "error"),
-    FileNotFoundError: (EXIT_INPUT, "error"),
-    NumericalRefusal: (EXIT_REFUSAL, "numerical refusal"),
-    InternalInconsistencyError: (EXIT_INCONSISTENT, "internal inconsistency"),
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # The errors a command raises by design are input errors:
+    # ProblemFormatError, ProblemValidationError and ReferenceRejectedError
+    # are ValueErrors.
     try:
         return args.func(args)
-    except tuple(_ERRORS) as exc:
-        code, prefix = next(v for t, v in _ERRORS.items() if isinstance(exc, t))
+    except (ValueError, FileNotFoundError) as exc:
         print(RunReport(command=args.cmd, inputs={}, status="error", reason=str(exc)).to_json())
-        print(f"{prefix}: {exc}", file=sys.stderr)
-        return code
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

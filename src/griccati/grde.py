@@ -3,7 +3,9 @@
 The recursion uses the Moore-Penrose pseudo-inverse of the control curvature
 R + B^T X B, so it stays well defined when R (or the curvature itself) is
 singular; wherever linalg._certified_nonsingular proves a curvature of full
-rank, whatever X is, the step inverts it by LU instead.  Optimal inputs are
+rank, whatever X is, the step inverts it by LU instead.  A long sweep
+checks its first curvature alone and the others in one stacked call (see
+_sweep), with the plain loop's outputs bit for bit.  Optimal inputs are
 then a feedback term plus an arbitrary component in the curvature's null
 space, captured by a projector G_t.
 
@@ -15,6 +17,7 @@ replayed, exactly (see _sweep).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -42,17 +45,19 @@ class GrdeTrajectory:
         return len(self.X) - 1
 
 
-def _schur_step(X_next, M, Pi, certify: bool = True):
+def _schur_step(X_next, M, Pi, certify: bool | None = True):
     """Generalised Schur complement of the Popov block W = M^T X_next M + Pi.
 
     With k = rows of M, W = [[W11, W12], [W21, R_X]] is split after k, and
     from one factorisation of R_X (_certified_inverse) this returns
     (symmetrize(W11 - W12 L), L, W, R_X^+, certified) with L = R_X^+ W21.
     certified says whether the inverse was kept, so a sweep whose
-    curvature stays singular stops asking.  M = [A B] with the Popov matrix
-    as Pi is the full backward step, L its gain K; the reduction applies the
-    same map to the trailing block.  X_next must be symmetric and is not
-    checked; no other premise is made on it.
+    curvature stays singular stops asking; certify=None keeps the LU
+    inverse unchecked, for a sweep that certifies its steps together.
+    M = [A B] with the Popov matrix as Pi is the full backward step, L its
+    gain K; the reduction applies the same map to the trailing block.
+    X_next must be symmetric and is not checked; no other premise is made
+    on it.
     """
     k = M.shape[0]
     W = M.T @ (X_next @ M) + Pi
@@ -61,10 +66,14 @@ def _schur_step(X_next, M, Pi, certify: bool = True):
     return symmetrize(W[:k, :k] - W[:k, k:] @ L), L, W, R_X_pinv, certified
 
 
-def _certified_inverse(R_X, scale: float = 0.0, certify: bool = True):
+def _certified_inverse(R_X, scale: float = 0.0, certify: bool | None = True):
     """(R_X^+, certified), every curvature's one factorisation: np.linalg.inv
     where certify is set and linalg._certified_nonsingular(R_X, scale) proves
-    that the SVD keeps every singular value (R_X^{-1} = R_X^+), else the pinv."""
+    that the SVD keeps every singular value (R_X^{-1} = R_X^+), else the pinv.
+    certify=None gives (np.linalg.inv(R_X), None), a LinAlgError raised:
+    the caller certifies it (see _sweep)."""
+    if certify is None:
+        return np.linalg.inv(R_X), None
     try:
         R_X_inv = np.linalg.inv(R_X) if certify else None
     except np.linalg.LinAlgError:
@@ -106,12 +115,35 @@ class _States:
         return first
 
 
+# A sweep of fewer steps checks each curvature in its own step: below
+# this, one stacked check costs more than the checks it replaces.
+_STACKED_FROM = 12
+
+
 def _sweep(X_end, M, Pi, steps: int, stop=None):
     """`steps` Schur-complement steps back from X_end, in backward order, or
     fewer: stop(||X||_F), if given, is asked before each step and ends the
     sweep.  Each step inverts its curvature where certified (see
     _schur_step); the first that is not makes the rest of the sweep take
     the SVD, so a curvature that stays singular costs one failed inverse.
+
+    Step 0 certifies its own curvature, and so does every step of a sweep
+    of fewer than _STACKED_FROM steps, as in the plain loop.  In a longer
+    sweep each later step keeps its LU inverse unchecked, with numpy's
+    floating-point errors ignored (an inverse that fails its check may
+    overflow before the check sees it; an overflow in a step that
+    certifies then goes unreported too, where the plain loop would warn),
+    and linalg._certified_nonsingular checks them all in one stacked call,
+    before the sweep replays or when it ends.  Where a slice fails, or an
+    LU factorisation does, the sweep returns to that step and takes the
+    rest by the SVD, as the plain loop would have from there: the lists
+    are the plain loop's, and the waste is at most one pass over the
+    unchecked steps.  The states it recorded after that step have the
+    certify flag set, which no later state has, so no replay reads them;
+    it records that step's state again without the flag, which is the
+    state of the step it now takes there (an uncertified curvature takes
+    the SVD either way).  stop is asked again for the steps redone, so it
+    must answer from its argument alone.
 
     A sweep without a stop rule replays its own float cycle.  A step is a
     deterministic function of its state, the certify flag and the exact
@@ -124,37 +156,74 @@ def _sweep(X_end, M, Pi, steps: int, stop=None):
     different answer.  A sweep with a stop rule ends at its certified tail
     and looks for no cycle.
 
-    Returns the lists X (X_end first), L, R_X and R_X^+ (or R_X^{-1}, where
-    certified); whatever else a solver reports is formed from them after
-    the loop.
+    Returns the lists X (X_end first) and L, and the stacks (len(L), m, m)
+    of R_X and R_X^+ (or R_X^{-1}, where certified); whatever else a solver
+    reports is formed from them after the loop.
     """
     k = M.shape[0]
-    X, L, R_X, R_X_pinv = [X_end], [], [], []
-    certify = True
+    m = M.shape[1] - k
+    X, L, R_X, R_X_inv = [X_end], [], [], []
     states = _States() if stop is None else None
-    for s in range(steps):
-        if stop is not None and stop(float(np.linalg.norm(X[-1]))):
-            break
-        first = None if states is None else states.repeat(X, certify)
-        if first is not None:
-            left, period = steps - s, s - first
-            for seq, start in ((X, first + 1), (L, first), (R_X, first), (R_X_pinv, first)):
-                cycle = [_read_only(a) for a in seq[start:]]
-                seq += (cycle * (left // period + 1))[:left]
-            break
-        X_prev, L_t, W, R_pinv_t, certify = _schur_step(X[-1], M, Pi, certify)
-        X.append(X_prev)
-        L.append(L_t)
-        R_X.append(W[k:, k:])
-        R_X_pinv.append(R_pinv_t)
-    return X, L, R_X, R_X_pinv
+
+    def plain(certify, limit):
+        """The plain loop's steps, certify carried from step to step, until
+        limit are taken: (certify, first, ended), first the step that held
+        the state the sweep holds again.  certify=None keeps each LU inverse
+        unchecked and records its state as certified; an LU factorisation
+        that fails returns certify False before its step."""
+        while len(L) < limit:
+            if stop is not None and stop(math.sqrt(np.vdot(X[-1], X[-1]))):
+                return certify, None, True
+            if states is not None and (first := states.repeat(X, certify is not False)) is not None:
+                return certify, first, True
+            try:
+                X_prev, L_t, W, R_inv_t, certify = _schur_step(X[-1], M, Pi, certify)
+            except np.linalg.LinAlgError:
+                if certify is not None:  # the SVD's, not an unchecked LU's
+                    raise
+                return False, None, False
+            X.append(X_prev)
+            L.append(L_t)
+            R_X.append(W[k:, k:])
+            R_X_inv.append(R_inv_t)
+        return certify, None, len(L) == steps
+
+    def stacked():
+        if not R_X:
+            return np.empty((0, m, m)), np.empty((0, m, m))
+        return np.array(R_X), np.array(R_X_inv)
+
+    certify, first, ended = plain(True, 1 if steps >= _STACKED_FROM else steps)
+    if certify and not ended:
+        with np.errstate(all="ignore"):
+            certify, first, _ = plain(None, steps)
+        stacks = stacked()
+        certified = _certified_nonsingular(stacks[0][1:], 0.0, stacks[1][1:])
+        failed = len(L) if certify is False else None  # its LU factorisation failed
+        if not certified.all():
+            failed = 1 + int(certified.argmin())
+        if failed is not None:
+            del X[failed + 1 :], L[failed:], R_X[failed:], R_X_inv[failed:]
+            _, first, _ = plain(False, steps)
+            stacks = stacked()
+    else:
+        if not ended:
+            _, first, _ = plain(certify, steps)
+        stacks = stacked()
+    if first is not None:
+        s = len(L)
+        left, period = steps - s, s - first
+        for seq, start in ((X, first + 1), (L, first)):
+            cycle = [_read_only(a) for a in seq[start:]]
+            seq += (cycle * (left // period + 1))[:left]
+        replayed = np.concatenate([np.arange(s), first + np.arange(left) % period])
+        stacks = stacks[0][replayed], stacks[1][replayed]
+    return X, L, *stacks
 
 
 def _projectors(R_X, R_X_pinv) -> tuple:
-    """G = I - R_X^+ R_X for every step of a sweep, in one stacked product."""
-    if not len(R_X):
-        return ()
-    return tuple(np.eye(R_X[0].shape[-1]) - np.asarray(R_X_pinv) @ np.asarray(R_X))
+    """G = I - R_X^+ R_X for every step of a sweep, from its stacks."""
+    return tuple(np.eye(R_X.shape[-1]) - R_X_pinv @ R_X)
 
 
 def gain_and_projector(X_next, triple: PopovTriple):

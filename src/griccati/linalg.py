@@ -4,9 +4,10 @@ Every rank, kernel, and inertia decision in this package flows through the
 helpers and the three constants below, so that all modules share one notion
 of "numerically zero".  Two certificates settle some full-rank decisions
 without the decomposition, never differently: ``_certified_nonsingular`` a
-square matrix's without an SVD, ``_certified_positive_definite`` a symmetric
-one's without an eigen-solve.  The nilpotent eigenspace, its complement and
-its index come from one staircase (``nilpotent_eigenspace``).  Every
+square matrix's without an SVD, or each slice's of a stack in one call,
+``_certified_positive_definite`` a symmetric one's without an eigen-solve.
+The nilpotent eigenspace, its complement and its index come from one
+staircase (``nilpotent_eigenspace``).  Every
 residual check reads ``residual_limit``, relative to the scale of what it
 tests and with no absolute floor, so scaling the weights keeps its verdict.
 Each kind of input has one check: ``as_matrix``, ``as_square``,
@@ -195,7 +196,17 @@ def _certified_nonsingular(A: np.ndarray, scale: float = 0.0, A_inv=None) -> boo
     norm errs by about n u cond(A) <= 1e-6 (u the unit round-off), the SVD's
     values by n u sigma_max, 1e-6 of the cutoff.  False means "ask the SVD".
     A_inv is A's inverse, else taken here; a LinAlgError is not certified.
+
+    A stack (s, n, n), with the stack of its inverses, gets one verdict per
+    slice by the same formula, an array of s bools: its squared norms come
+    from one einsum, which may round them differently from vdot in the
+    last bit, so a verdict can differ only where the product is within
+    rounding of 1, and both are sound there.
     """
+    if A.ndim > 2:
+        with np.errstate(all="ignore"):  # inf or nan certifies nothing
+            cutoff = RANK_REL * np.maximum(np.sqrt(np.einsum("sij,sij->s", A, A)), scale) * A.shape[-1]
+            return 2.0 * cutoff * np.sqrt(np.einsum("sij,sij->s", A_inv, A_inv)) < 1.0
     if A_inv is None:
         try:
             A_inv = np.linalg.inv(A)

@@ -22,6 +22,7 @@ X_t is the reference itself, so those are its own X, K_X and G_X.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -226,7 +227,7 @@ def _hybrid_rule(Psi_terminal, steps: int, rd: ReductionData, stop):
     B2^T Psi B2 and of its pinv (its inverse, where the sweep certifies it).
     """
     Psi, _, R_X, R_X_pinv = _sweep(Psi_terminal, rd.ZB2, rd.Pi, steps, stop)
-    return np.array(Psi), np.array(R_X), np.array(R_X_pinv)
+    return np.array(Psi), R_X, R_X_pinv
 
 
 def _stein_norm(Z) -> float | None:
@@ -244,10 +245,10 @@ def _stein_norm(Z) -> float | None:
         for _ in range(64):
             increment = A @ L @ A.T
             L = L + increment
-            L_F = float(np.linalg.norm(L))
-            if not np.isfinite(L_F):
+            L_F = math.sqrt(np.vdot(L, L))
+            if not math.isfinite(L_F):
                 return None
-            if np.linalg.norm(increment) <= _EPS * L_F:
+            if math.sqrt(np.vdot(increment, increment)) <= _EPS * L_F:
                 return float(np.linalg.norm(L, 2))
             A = A @ A
     return None

@@ -55,7 +55,8 @@ def plain_sweep(problem):
         K.append(K_t)
         R_X.append(W[problem.n :, problem.n :])
         R_X_pinv.append(R_pinv_t)
-    return tuple(X[::-1]), tuple(K[::-1]), grde._projectors(R_X, R_X_pinv)[::-1]
+    stacks = (np.reshape(R, (-1, problem.m, problem.m)) for R in (R_X, R_X_pinv))
+    return tuple(X[::-1]), tuple(K[::-1]), grde._projectors(*stacks)[::-1]
 
 
 def riccati_iterate(triple, steps):

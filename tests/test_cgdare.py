@@ -256,6 +256,27 @@ def test_doubling_agrees_with_plain_iteration(kind, n, m, nilpotent_dim, seed):
         assert _reduction_outcome(problem, got) == _reduction_outcome(problem, want)
 
 
+def test_search_returns_the_iterate_of_its_last_doubling():
+    # a = 0.5, b = r = 1, q = 1e-4: X is 1.3e-4 against ||Pi||_F = 1, so the
+    # search stops at its polish floor after k = 5 doublings, where the
+    # last doubling still moved X by 2.3e-10 of itself.  Its answer is the
+    # iterate that doubling reached, X_{b+2^k}, not the one before it.  The
+    # bound: the plain loop and the doubling are two float evaluations of
+    # X_{b+2^k} under a contraction of rate a_X^2 = 1/4, each step and
+    # doubling rounding at a few ulps of x, so both are within about 20 u |x|
+    # of the exact iterate; 1e-13 |x| (450 u) covers that and still
+    # resolves the last doubling's step a thousand times over.
+    triple = PopovTriple([[0.5]], [[1.0]], [[1e-4]], [[0.0]], [[1.0]])
+    search = find_reference(LQProblem(triple, [[0.0]], 1))
+    k = search.iterations
+    steps = _doubled_steps(search.message, k)
+    want = riccati_iterate(triple, steps)[0, 0]
+    before = riccati_iterate(triple, steps - 2 ** (k - 1))[0, 0]
+    bound = 1e-13 * abs(want)
+    assert search.found and k == 5
+    assert abs(search.solution.X[0, 0] - want) <= bound < abs(want - before) / 1000
+
+
 def test_find_reference_accepts_supplied_solution():
     problem = _scalar_problem()
     res = find_reference(problem, X_ref=np.array([[PHI]]))

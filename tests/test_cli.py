@@ -9,7 +9,7 @@ import pytest
 from griccati import cli, grde, linalg, model, solve
 from griccati.cgdare import ReferenceRejectedError, find_reference
 from griccati.cli import main
-from griccati.linalg import InternalInconsistencyError, NumericalRefusal
+from griccati.linalg import InternalInconsistencyError
 from griccati.model import problem_to_json, random_problem, save_problem
 from griccati.reduction import build_reduction
 
@@ -525,8 +525,6 @@ def test_validate_fails_a_check_whose_limit_overflows(tmp_path, capsys):
     [
         (ValueError("bad input"), 1, "error"),
         (FileNotFoundError("no file"), 1, "error"),
-        (NumericalRefusal("cannot"), 2, "numerical refusal"),
-        (InternalInconsistencyError("broken"), 3, "internal inconsistency"),
     ],
 )
 def test_error_exit_codes(tmp_path, capsys, monkeypatch, exc, code, prefix):
@@ -546,6 +544,22 @@ def test_error_exit_codes(tmp_path, capsys, monkeypatch, exc, code, prefix):
         "reason": str(exc),
     }
     assert err == f"{prefix}: {exc}\n"
+
+
+def test_verify_exits_3_when_the_cost_routes_disagree(tmp_path, capsys, monkeypatch):
+    # Exit code 3 is verify's own status: a batch QP whose cost is off by
+    # 1e-3 of the recursion's makes the routes disagree, and the report
+    # says by how much.
+    batch_optimal = cli.batch_optimal
+
+    def off(qp):
+        u, cost = batch_optimal(qp)
+        return u, cost * (1.0 + 1e-3)
+
+    monkeypatch.setattr(cli, "batch_optimal", off)
+    code, report, _ = _run(capsys, ["verify", _write(tmp_path, scalar_two_step())])
+    assert code == 3 and report["status"] == "error"
+    assert report["reason"].startswith("cost routes disagree")
 
 
 def test_tolerance_flags_rejected(tmp_path, capsys):

@@ -187,8 +187,9 @@ def _count_factorisations(monkeypatch):
     """Patch the curvature's factorisations, all taken by
     grde._certified_inverse, to record them: calls gets one entry per
     factorisation kept, the number of slices pinv'd with None, or 1 with
-    the matrix where grde keeps a certified inverse; attempts gets every
-    matrix np.linalg.inv is asked to invert in grde, certified or not."""
+    the matrix where grde keeps a certified inverse, a stacked verdict
+    slice by slice; attempts gets every matrix np.linalg.inv is asked to
+    invert in grde, certified or not."""
     calls, attempts = [], []
 
     def counting_pinv(A):
@@ -204,8 +205,7 @@ def _count_factorisations(monkeypatch):
 
     def counting_certificate(A, scale=0.0, A_inv=None):
         certified = linalg._certified_nonsingular(A, scale, A_inv)
-        if certified:
-            calls.append((1, A))
+        calls.extend((1, A_s) for A_s, c in zip(A.reshape(-1, *A.shape[-2:]), np.ravel(certified)) if c)
         return certified
 
     monkeypatch.setattr(grde, "_pinv", counting_pinv)
@@ -217,7 +217,7 @@ def _count_factorisations(monkeypatch):
 def _svd_only_sweep(monkeypatch, problem):
     """The plain sweep's X, K and G with every curvature pinv'd by the SVD."""
     with monkeypatch.context() as patch:
-        patch.setattr(grde, "_certified_nonsingular", lambda A, scale=0.0, A_inv=None: False)
+        patch.setattr(grde, "_certified_nonsingular", lambda A, scale=0.0, A_inv=None: np.zeros(A.shape[:-2], bool))
         return plain_sweep(problem)
 
 
@@ -243,7 +243,7 @@ def test_one_curvature_factorisation_per_step(monkeypatch):
         assert not solve(problem, rd).used_fallback
         assert sum(c for c, _ in calls) == problem.T, solve.__name__
         assert any(A is not None for _, A in calls), solve.__name__
-        # nu full steps, then one per phase-two step: no stacked call.
+        # nu full steps, then one per phase-two step: no stacked pinv.
         assert len(calls) == problem.T, solve.__name__
 
     # The closed form's sweep inverts, solves and decomposes nothing of the
@@ -364,6 +364,175 @@ def test_solve_full_replays_its_float_cycle(monkeypatch):
     t = problem.triple
     _, L, _, _ = grde._sweep(grde.symmetrize(problem.P), t.AB, t.Pi, problem.T, lambda norm: False)
     assert len(calls) == len(L) == problem.T and all(K.flags.writeable for K in L)
+
+
+def _certificates(monkeypatch, fail_at=None):
+    """Patch grde's certificate to record each call as (stacked, slices),
+    a single matrix as (False, 1), and to refuse the step fail_at, counting
+    the slices of all calls in order as steps: the plain loop and the sweep
+    both ask for steps 0, 1, ... in turn until one fails."""
+    calls = []
+
+    def certificate(A, scale=0.0, A_inv=None):
+        verdict = linalg._certified_nonsingular(A, scale, A_inv)
+        first = sum(c for _, c in calls)
+        calls.append((A.ndim > 2, len(A) if A.ndim > 2 else 1))
+        if fail_at is None:
+            return verdict
+        if A.ndim > 2:
+            return verdict & (np.arange(first, first + len(A)) != fail_at)
+        return verdict and first != fail_at
+
+    monkeypatch.setattr(grde, "_certified_nonsingular", certificate)
+    return calls
+
+
+def _lift_problem(r2, lift=(1.0, 1.0, 1.0), T=12):
+    """Two decoupled parts: a stable pair driven by input 1, and a 3-chain
+    driven by input 2 at its last coordinate, whose terminal weights lift
+    A shifts out one coordinate a step.  With R = diag(1, r2) and S = 0 the
+    curvature is diag(c, r2 + x), x the last chain weight: lift[2], lift[1]
+    and lift[0] at steps 0, 1 and 2, exactly 0 from step 3 on."""
+    A = np.zeros((5, 5))
+    A[:2, :2] = [[0.9, 0.2], [0.0, 0.5]]
+    A[2, 3] = A[3, 4] = 1.0
+    B = np.zeros((5, 2))
+    B[:2, 0] = [1.0, 0.5]
+    B[4, 1] = 1.0
+    Q, P = np.diag([1.0, 1.0, 0.0, 0.0, 0.0]), np.diag([0.0, 0.0, *lift])
+    return LQProblem(PopovTriple(A, B, Q, np.zeros((5, 2)), np.diag([1.0, r2])), P, T)
+
+
+def _run_against_plain(monkeypatch, problem, fail_at=None):
+    """solve_full and conftest.plain_sweep under np.errstate(all="raise"),
+    each with its certificate calls (see _certificates) and its LU attempts."""
+    runs = []
+    for solve in (solve_full, plain_sweep):
+        with monkeypatch.context() as patch:
+            _, attempts = _count_factorisations(patch)
+            calls = _certificates(patch, fail_at)
+            with np.errstate(all="raise"):
+                got = solve(problem)
+        runs.append((got, calls, len(attempts)))
+    (traj, calls, attempts), (want, _, plain_attempts) = runs
+    assert same_bits(traj, want)
+    return calls, attempts - plain_attempts
+
+
+def test_curvature_that_loses_its_certificate_after_step_0(monkeypatch):
+    # r2 = 1e-10 is under the certificate's threshold 4e-10 c: steps 0-2
+    # are certified, step 3 is not.  The sweep inverts every step by LU,
+    # and its one stacked check at the end returns it to step 3, which it
+    # redoes by the SVD, as the plain loop does from there.  The waste is
+    # the LU inverses of the steps after 3, fewer than the steps checked.
+    problem = _lift_problem(1e-10)
+    calls, extra = _run_against_plain(monkeypatch, problem)
+    assert calls == [(False, 1), (True, problem.T - 1)]
+    assert extra == problem.T - 4 <= calls[1][1]
+
+
+@pytest.mark.parametrize("lift, extra_inverses", [((1.0, 1.0, 1.0), 0), ((1.0, 1e-10, 1.0), 2)])
+def test_singular_curvature_after_certified_steps(monkeypatch, lift, extra_inverses):
+    # r2 = 0: step 3's curvature diag(c, 0) is exactly singular, and its LU
+    # factorisation fails.  The sweep then checks steps 1 and 2 and goes
+    # on from the first that fails, by the SVD: from step 3 where both
+    # pass, with no LU inverse wasted, and from step 1 where its lift
+    # 1e-10 is under the threshold, with the inverses of steps 2 and 3.
+    problem = _lift_problem(0.0, lift)
+    calls, extra = _run_against_plain(monkeypatch, problem)
+    assert calls == [(False, 1), (True, 2)] and extra == extra_inverses
+
+
+@pytest.mark.parametrize("lift", [(0.0, 0.0, 0.0), (1.0, 1.0, 1.0)])
+def test_sweep_passes_on_a_failed_svd(monkeypatch, lift):
+    # The sweep catches only the LinAlgError of an LU inverse it keeps
+    # unchecked; one from the SVD reaches the caller, as from the plain
+    # loop, whether step 0 takes the SVD (no lift: its curvature is
+    # singular) or the redo after step 3's LU factorisation fails.
+    def failing_svd(A):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(grde, "_pinv", failing_svd)
+    with pytest.raises(np.linalg.LinAlgError, match="SVD"):
+        solve_full(_lift_problem(0.0, lift))
+
+
+def test_unchecked_step_that_overflows_raises_nothing():
+    # Step 0's curvature is I; the swap A moves the weight out of B's
+    # block, so step 1's curvature is Q's block [[t, t], [t, t (1 + 1e-10)]],
+    # t = 1e-290, of condition 4e10, past the certificate.  Its LU inverse,
+    # about 1e300, times Q's cross terms 1e5 overflows the step's products,
+    # where the plain loop's SVD drops the small singular value.  The
+    # indefinite Q stands for phase two's indefinite Psi.  Under
+    # np.errstate(all="raise") a sweep long enough to check its steps
+    # together raises nothing and returns the plain loop's X bit for bit.
+    A = np.zeros((4, 4))
+    A[0, 2] = A[1, 3] = A[2, 0] = A[3, 1] = 1.0
+    M = np.hstack([A, np.eye(4)[:, :2]])
+    t = 1e-290
+    Pi = np.zeros((6, 6))
+    Pi[:2, :2] = [[t, t], [t, t * (1.0 + 1e-10)]]
+    Pi[0, 2] = Pi[2, 0] = 1e5
+    Pi[1, 3] = Pi[3, 1] = -1e5
+    X, certify = [np.diag([1.0, 1.0, 0.0, 0.0])], True
+    with np.errstate(all="raise"):
+        for _ in range(grde._STACKED_FROM):
+            X_prev, _, _, _, certify = grde._schur_step(X[-1], M, Pi, certify)
+            X.append(X_prev)
+        got = grde._sweep(X[0], M, Pi, grde._STACKED_FROM)[0]
+    assert not certify and len(got) == len(X)
+    assert all(np.array_equal(a, b) for a, b in zip(got, X))
+
+
+@pytest.mark.parametrize("fail_at", [1, 7, 19])
+def test_check_before_a_replay_returns_to_the_failed_step(monkeypatch, fail_at):
+    # The headline problem that replays after a few dozen steps, with the
+    # certificate made to refuse one step: the check before the replay
+    # finds it, the sweep goes on from there by the SVD, and the trajectory
+    # is the plain loop's with the same refusal.  Every step up to the
+    # replay is checked in that one call.
+    problem = random_problem(20, 2, 3, "nilpotent_block", horizon=500, nilpotent_dim=15)
+    calls, extra = _run_against_plain(monkeypatch, problem, fail_at)
+    (single, _), (stacked, checked) = calls
+    assert not single and stacked and fail_at < checked < problem.T - 1
+    assert extra == checked - fail_at <= checked
+
+
+def test_sweep_certifies_in_at_most_three_calls(monkeypatch):
+    # Where every curvature certifies, a sweep of grde._STACKED_FROM steps
+    # or more asks for step 0's certificate alone and for the other steps'
+    # in stacked calls, before its replay or at its end: at most three calls
+    # a sweep, on the full sweep that replays, the one that does not, and
+    # each phase of the hybrid solve, live_psi's phase two cut short by its
+    # tail after 32 steps and headline's at once.  A shorter sweep checks
+    # each step in the step, as the plain loop does.
+    calls, sweeps, sweep = _certificates(monkeypatch), [], grde._sweep
+
+    def recording(X_end, M, Pi, steps, stop=None):
+        sweeps.append((len(calls), steps))
+        return sweep(X_end, M, Pi, steps, stop)
+
+    monkeypatch.setattr(grde, "_sweep", recording)
+    monkeypatch.setattr(reduction, "_sweep", recording)
+    for n, seed, nilpotent_dim in ((20, 3, 15), (12, 1, 2)):
+        problem = random_problem(n, 2, seed, "nilpotent_block", horizon=500, nilpotent_dim=nilpotent_dim)
+        rd = reduction.build_reduction(problem, cgdare.find_reference(problem).solution)
+        calls.clear()
+        sweeps.clear()
+        traj = solve_full(problem)
+        result = reduction.solve_hybrid(problem, rd)
+        assert not result.used_fallback
+        phase_two = result.reduced_steps - result.tail_steps
+        ends = [start for start, _ in sweeps[1:]] + [len(calls)]
+        taken = []
+        for (start, steps), end in zip(sweeps, ends):
+            made = calls[start:end]
+            taken.append(sum(c for _, c in made))
+            if steps >= grde._STACKED_FROM:
+                assert len(made) <= 3 and [s for s, _ in made] == [False, True, True][: len(made)]
+            else:
+                assert made == [(False, 1)] * len(made)
+        assert taken == [len({id(K) for K in traj.K}), rd.nu, phase_two]
 
 
 @pytest.mark.parametrize("collide", [False, True])

@@ -364,6 +364,31 @@ def test_certificate_boundary_never_certifies_a_singular_matrix(monkeypatch, c):
         assert _same_decisions(got, _decisions(A, scale)), (A, scale)
 
 
+@pytest.mark.parametrize("scale", [0.0, 3.0])
+def test_stacked_certificate_gives_each_slice_its_own_verdict(scale):
+    # One call on a stack gives each slice the verdict that the single
+    # matrix gets: across the boundary of diag(1, delta) at three scales,
+    # in rotated coordinates, and on a slice whose inverse holds 1e200, its
+    # squared norm an overflow that raises nothing under np.errstate; a
+    # stack of four, checked slice by slice, too.
+    rng = np.random.default_rng(7)
+    V, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+    mats = [np.diag([1.0, 1e-200])]
+    for c in (1e-8, 1.0, 1e8):
+        for delta in RANK_REL * np.geomspace(1.0, 10.0, 41):
+            D = c * np.diag([1.0, delta])
+            mats += [D, V @ D @ V.T]
+    A = np.array(mats)
+    A_inv = np.linalg.inv(A)
+    with np.errstate(all="raise"):
+        stacked = linalg._certified_nonsingular(A, scale, A_inv)
+        few = linalg._certified_nonsingular(A[:4], scale, A_inv[:4])
+        single = [linalg._certified_nonsingular(a, scale, a_inv) for a, a_inv in zip(A, A_inv)]
+    assert stacked.shape == (len(A),) and stacked.tolist() == single
+    assert few.dtype == bool and few.tolist() == single[:4]
+    assert any(single) and not all(single) and not single[0]
+
+
 def test_null_space_simple():
     K = null_space(np.array([[1.0, 0.0], [0.0, 0.0]]))
     assert K.shape == (2, 1)
