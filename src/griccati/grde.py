@@ -50,7 +50,9 @@ def _schur_step(X_next, M, Pi, certify: bool | None = True):
 
     With k = rows of M, W = [[W11, W12], [W21, R_X]] is split after k, and
     from one factorisation of R_X (_certified_inverse) this returns
-    (symmetrize(W11 - W12 L), L, W, R_X^+, certified) with L = R_X^+ W21.
+    (symmetrize(W11 - W12 L), L, W, R_X^+, certified) with L = R_X^+ W21;
+    the sum and the difference are formed in place, each by the formula's
+    own IEEE operation.
     certified says whether the inverse was kept, so a sweep whose
     curvature stays singular stops asking; certify=None keeps the LU
     inverse unchecked, for a sweep that certifies its steps together.
@@ -60,10 +62,12 @@ def _schur_step(X_next, M, Pi, certify: bool | None = True):
     on it.
     """
     k = M.shape[0]
-    W = M.T @ (X_next @ M) + Pi
+    W = M.T @ (X_next @ M)
+    W += Pi
     R_X_pinv, certified = _certified_inverse(W[k:, k:], certify=certify)
     L = R_X_pinv @ W[k:, :k]
-    return symmetrize(W[:k, :k] - W[:k, k:] @ L), L, W, R_X_pinv, certified
+    S = W[:k, k:] @ L
+    return symmetrize(np.subtract(W[:k, :k], S, out=S)), L, W, R_X_pinv, certified
 
 
 def _certified_inverse(R_X, scale: float = 0.0, certify: bool | None = True):
@@ -158,11 +162,15 @@ def _sweep(X_end, M, Pi, steps: int, stop=None):
 
     Returns the lists X (X_end first) and L, and the stacks (len(L), m, m)
     of R_X and R_X^+ (or R_X^{-1}, where certified); whatever else a solver
-    reports is formed from them after the loop.
+    reports is formed from them after the loop.  Each step writes its two
+    m x m blocks into `steps`-long buffers, allocated once and sliced to
+    the steps taken (a redone tail overwrites its rows), so no Popov block
+    W outlives its step.
     """
     k = M.shape[0]
     m = M.shape[1] - k
-    X, L, R_X, R_X_inv = [X_end], [], [], []
+    X, L = [X_end], []
+    R_X, R_X_inv = np.empty((steps, m, m)), np.empty((steps, m, m))
     states = _States() if stop is None else None
 
     def plain(certify, limit):
@@ -183,42 +191,34 @@ def _sweep(X_end, M, Pi, steps: int, stop=None):
                     raise
                 return False, None, False
             X.append(X_prev)
+            R_X[len(L)], R_X_inv[len(L)] = W[k:, k:], R_inv_t
             L.append(L_t)
-            R_X.append(W[k:, k:])
-            R_X_inv.append(R_inv_t)
         return certify, None, len(L) == steps
-
-    def stacked():
-        if not R_X:
-            return np.empty((0, m, m)), np.empty((0, m, m))
-        return np.array(R_X), np.array(R_X_inv)
 
     certify, first, ended = plain(True, 1 if steps >= _STACKED_FROM else steps)
     if certify and not ended:
         with np.errstate(all="ignore"):
             certify, first, _ = plain(None, steps)
-        stacks = stacked()
-        certified = _certified_nonsingular(stacks[0][1:], 0.0, stacks[1][1:])
-        failed = len(L) if certify is False else None  # its LU factorisation failed
+        s = len(L)
+        certified = _certified_nonsingular(R_X[1:s], 0.0, R_X_inv[1:s])
+        failed = s if certify is False else None  # its LU factorisation failed
         if not certified.all():
             failed = 1 + int(certified.argmin())
         if failed is not None:
-            del X[failed + 1 :], L[failed:], R_X[failed:], R_X_inv[failed:]
+            del X[failed + 1 :], L[failed:]
             _, first, _ = plain(False, steps)
-            stacks = stacked()
-    else:
-        if not ended:
-            _, first, _ = plain(certify, steps)
-        stacks = stacked()
+    elif not ended:
+        _, first, _ = plain(certify, steps)
+    s = len(L)
     if first is not None:
-        s = len(L)
         left, period = steps - s, s - first
         for seq, start in ((X, first + 1), (L, first)):
             cycle = [_read_only(a) for a in seq[start:]]
             seq += (cycle * (left // period + 1))[:left]
-        replayed = np.concatenate([np.arange(s), first + np.arange(left) % period])
-        stacks = stacks[0][replayed], stacks[1][replayed]
-    return X, L, *stacks
+        replayed = first + np.arange(left) % period
+        R_X[s:], R_X_inv[s:] = R_X[replayed], R_X_inv[replayed]
+        s = steps
+    return X, L, R_X[:s], R_X_inv[:s]
 
 
 def _projectors(R_X, R_X_pinv) -> tuple:

@@ -86,8 +86,11 @@ def as_vector(x, length: int, name: str) -> np.ndarray:
 
 
 def symmetrize(M: np.ndarray) -> np.ndarray:
-    """Return the symmetric part 0.5 * (M + M^T); a stack slice by slice."""
-    return 0.5 * (M + M.swapaxes(-1, -2))
+    """Return the symmetric part 0.5 * (M + M^T) of a float M; a stack slice
+    by slice.  The sum is the one temporary, halved in place."""
+    S = M + M.swapaxes(-1, -2)
+    S *= 0.5
+    return S
 
 
 def check_symmetric(M, name: str = "matrix", size=None) -> np.ndarray:

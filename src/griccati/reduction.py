@@ -324,9 +324,11 @@ def _phase_two_outputs(Psi, R_X, R_X_pinv, rd: ReductionData):
     if rd.dim_u:
         U_c = ref.T_orth[:, rd.dim_u:]
         PsiU = (Psi[1:].reshape(N * d, d) @ U_c.T).reshape(N, d, n)
-        X = symmetrize(ref.X + (PsiU.transpose(0, 2, 1).reshape(N * n, d) @ U_c.T).reshape(N, n, n))
+        X = (PsiU.transpose(0, 2, 1).reshape(N * n, d) @ U_c.T).reshape(N, n, n)
+        X += ref.X
+        X = symmetrize(X)
     else:
-        X = ref.X + Psi[1:]
+        X = ref.X + Psi[1:]  # a new array: Psi is the caller's stack
     return X, K, _projectors(R_X, R_X_pinv)
 
 

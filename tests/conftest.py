@@ -59,6 +59,17 @@ def plain_sweep(problem):
     return tuple(X[::-1]), tuple(K[::-1]), grde._projectors(*stacks)[::-1]
 
 
+def textbook_step(X_next, M, Pi):
+    """(X_prev, L) of one backward step whose curvature W22 is inverted, out
+    of place as the formula reads: W = M^T (X_next M) + Pi, L = W22^{-1} W21
+    and the symmetric part 0.5 (D + D^T) of D = W11 - W12 L."""
+    k = M.shape[0]
+    W = M.T @ (X_next @ M) + Pi
+    L = np.linalg.inv(W[k:, k:]) @ W[k:, :k]
+    D = W[:k, :k] - W[:k, k:] @ L
+    return 0.5 * (D + D.T), L
+
+
 def riccati_iterate(triple, steps):
     """The steps-th iterate of the plain X <- riccati_map(X) from zero, one
     step at a time: the reference search's independent check."""

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from griccati.model import (
     random_problem,
 )
 
-from conftest import plain_sweep, same_bits, scalar_two_step, scaled_problem
+from conftest import plain_sweep, same_bits, scalar_two_step, scaled_problem, textbook_step
 
 
 def test_scalar_two_step_golden():
@@ -324,6 +325,42 @@ def test_certificate_boundary_is_sharp(monkeypatch):
         assert same_bits(traj, plain_sweep(problem)), delta
         if not certified:
             assert same_bits(traj, _svd_only_sweep(monkeypatch, problem)), delta
+
+
+@pytest.mark.parametrize("n, m, kind, T, nilpotent_dim", BENCH_SHAPES)
+def test_step_rounds_as_the_out_of_place_formula(n, m, kind, T, nilpotent_dim):
+    # _schur_step adds Pi into its product and writes W11 - W12 L into the
+    # buffer of W12 L: the same IEEE operations on the same operands as the
+    # formula's fresh arrays, so a certified step's X_prev and K are its
+    # bits.  plain_sweep calls _schur_step itself and cannot see a rounding
+    # moved inside it.
+    problem = random_problem(n, m, 1, kind, horizon=T, nilpotent_dim=nilpotent_dim)
+    t, certified = problem.triple, 0
+    for X_next in solve_full(problem).X[1:]:
+        X_prev, K, _, _, ok = grde._schur_step(X_next, t.AB, t.Pi)
+        if ok:
+            want = textbook_step(X_next, t.AB, t.Pi)
+            assert np.array_equal(X_prev, want[0]) and np.array_equal(K, want[1])
+            certified += 1
+    assert certified
+
+
+def test_sweep_holds_the_trajectory_and_one_step():
+    # On top of the T + 1 X's, T K's and T G's it returns, a sweep holds one
+    # step's Popov block W ((n + m)^2), one X M product (n (n + m)), the two
+    # (T, m, m) stacks of R_X and its inverse and the G stack's product:
+    # the peak read 1.05x the output here, and 1.25x leaves room for the
+    # lists.  A sweep that keeps a view of each step's curvature pins that
+    # step's whole W, and peaked at 2.1x the output here.
+    problem = random_problem(50, 5, 1, "generic", horizon=200)
+    tracemalloc.start()
+    try:
+        traj = solve_full(problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = {id(a): a.nbytes for f in (traj.X, traj.K, traj.G) for a in f}
+    assert peak <= 1.25 * sum(held.values())
 
 
 # (n, m, kind, seed, T, nilpotent_dim): the benchmark's shapes at seeds where

@@ -94,6 +94,15 @@ def test_private_pinv_matches_checked_pinv():
         assert np.linalg.norm(P - P_ref) <= 1e-15 * np.linalg.norm(P_ref)
 
 
+def test_symmetrize_rounds_as_the_out_of_place_formula():
+    # symmetrize halves its one temporary in place; the bits must be those
+    # of 0.5 * (M + M^T) on a single matrix and slice by slice on a stack.
+    rng = np.random.default_rng(5)
+    for shape in ((6, 6), (7, 4, 4)):
+        M = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+        assert np.array_equal(symmetrize(M), 0.5 * (M + M.swapaxes(-1, -2)))
+
+
 def test_symmetric_lstsq_rank_and_min_norm():
     # The eigen-solve must drop exactly the directions the SVD rank drops, and
     # its solution must have no component in the kernel (minimum norm).

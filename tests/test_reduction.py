@@ -268,6 +268,21 @@ def test_nu_zero_outputs_are_symmetric_without_symmetrize():
             assert np.array_equal(X, symmetrize(X)), rule.__name__
 
 
+def test_outputs_with_dim_u_are_exactly_symmetric():
+    # With dim U > 0 phase two forms X_t = X_circ + U_c Psi_t U_c^T by two
+    # products, whose rounding is not symmetric: without its symmetrize, 5
+    # of these 8 problems kept an X_t unequal to its transpose.  Every X_t of
+    # either reduced route must equal its transpose exactly.
+    for seed in range(1, 9):
+        problem = random_problem(20, 2, seed, "nilpotent_block", horizon=500, nilpotent_dim=15)
+        rd = build_reduction(problem, find_reference(problem).solution)
+        assert rd.dim_u > 0
+        for solve in (solve_hybrid, solve_closed_form):
+            result = solve(problem, rd)
+            assert not result.used_fallback
+            assert all(np.array_equal(X, X.T) for X in result.trajectory.X), (seed, solve.__name__)
+
+
 def test_hybrid_headline_matches_full_sweep_to_rounding():
     # n = 20, nu = 15, T = 500: the nilpotent block settles one step after
     # nu.  A reference short of the polish floor left the hybrid's X 2e-12
