@@ -3,11 +3,11 @@
 The recursion uses the Moore-Penrose pseudo-inverse of the control curvature
 R + B^T X B, so it stays well defined when R (or the curvature itself) is
 singular; wherever linalg._certified_nonsingular proves a curvature of full
-rank, whatever X is, the step inverts it by LU instead.  A long sweep
-checks its first curvature alone and the others in one stacked call (see
-_sweep), with the plain loop's outputs bit for bit.  Optimal inputs are
-then a feedback term plus an arbitrary component in the curvature's null
-space, captured by a projector G_t.
+rank, whatever X is, the step inverts it by LU instead (a failed LU gives
+NaN, not an exception).  A long sweep checks its first curvature alone and
+the others in one stacked call (see _sweep), with the plain loop's outputs
+bit for bit.  Optimal inputs are then a feedback term plus an arbitrary
+component in the curvature's null space, captured by a projector G_t.
 
 A sweep without a stop rule (solve_full, the reduced solve's first phase)
 replays its own float cycle: once the converging iterate returns, bit for
@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import _certified_nonsingular, _pinv, as_vector, check_symmetric, symmetrize
+from .linalg import _certified_nonsingular, _lu_inverse, _pinv, as_vector, check_symmetric, symmetrize
 from .model import LQProblem, PopovTriple, _fmt_matrix, _json_object, _read_only, require_valid
 
 
@@ -71,19 +71,18 @@ def _schur_step(X_next, M, Pi, certify: bool | None = True):
 
 
 def _certified_inverse(R_X, scale: float = 0.0, certify: bool | None = True):
-    """(R_X^+, certified), every curvature's one factorisation: np.linalg.inv
+    """(R_X^+, certified), every curvature's one factorisation: _lu_inverse
     where certify is set and linalg._certified_nonsingular(R_X, scale) proves
     that the SVD keeps every singular value (R_X^{-1} = R_X^+), else the pinv.
-    certify=None gives (np.linalg.inv(R_X), None), a LinAlgError raised:
-    the caller certifies it (see _sweep)."""
+    certify=None gives (_lu_inverse(R_X), None), all NaN where the LU
+    factorisation fails: the caller certifies it (see _sweep)."""
     if certify is None:
-        return np.linalg.inv(R_X), None
-    try:
-        R_X_inv = np.linalg.inv(R_X) if certify else None
-    except np.linalg.LinAlgError:
-        R_X_inv = None
-    if R_X_inv is not None and _certified_nonsingular(R_X, scale, R_X_inv):
-        return R_X_inv, True
+        return _lu_inverse(R_X), None
+    if certify:
+        with np.errstate(all="ignore"):
+            R_X_inv = _lu_inverse(R_X)
+        if _certified_nonsingular(R_X, scale, R_X_inv):
+            return R_X_inv, True
     return _pinv(R_X), False
 
 
@@ -119,9 +118,8 @@ class _States:
         return first
 
 
-# A sweep of fewer steps checks each curvature in its own step: below
-# this, one stacked check costs more than the checks it replaces.
-_STACKED_FROM = 12
+# Shorter sweeps certify step by step; one stacked check costs more there.
+_STACKED_FROM = 8
 
 
 def _sweep(X_end, M, Pi, steps: int, stop=None):
@@ -138,16 +136,16 @@ def _sweep(X_end, M, Pi, steps: int, stop=None):
     overflow before the check sees it; an overflow in a step that
     certifies then goes unreported too, where the plain loop would warn),
     and linalg._certified_nonsingular checks them all in one stacked call,
-    before the sweep replays or when it ends.  Where a slice fails, or an
-    LU factorisation does, the sweep returns to that step and takes the
-    rest by the SVD, as the plain loop would have from there: the lists
-    are the plain loop's, and the waste is at most one pass over the
-    unchecked steps.  The states it recorded after that step have the
-    certify flag set, which no later state has, so no replay reads them;
-    it records that step's state again without the flag, which is the
-    state of the step it now takes there (an uncertified curvature takes
-    the SVD either way).  stop is asked again for the steps redone, so it
-    must answer from its argument alone.
+    before the sweep replays or when it ends.  Where a slice fails, or an LU
+    factorisation does (a NaN inverse, not an exception), the sweep returns
+    to that step and takes the rest by the SVD, as the plain loop would have
+    from there: the lists are the plain loop's, and the waste is at most one
+    pass over the unchecked steps.  The states it recorded after that step
+    have the certify flag set, which no later state has, so no replay reads
+    them; it records that step's state again without the flag, which is the
+    state of the step it now takes there (an uncertified curvature takes the
+    SVD either way).  stop is asked again for the steps redone, so it must
+    answer from its argument alone.
 
     A sweep without a stop rule replays its own float cycle.  A step is a
     deterministic function of its state, the certify flag and the exact
@@ -178,17 +176,14 @@ def _sweep(X_end, M, Pi, steps: int, stop=None):
         limit are taken: (certify, first, ended), first the step that held
         the state the sweep holds again.  certify=None keeps each LU inverse
         unchecked and records its state as certified; an LU factorisation
-        that fails returns certify False before its step."""
+        that fails (a NaN inverse) returns certify False before its step."""
         while len(L) < limit:
             if stop is not None and stop(math.sqrt(np.vdot(X[-1], X[-1]))):
                 return certify, None, True
             if states is not None and (first := states.repeat(X, certify is not False)) is not None:
                 return certify, first, True
-            try:
-                X_prev, L_t, W, R_inv_t, certify = _schur_step(X[-1], M, Pi, certify)
-            except np.linalg.LinAlgError:
-                if certify is not None:  # the SVD's, not an unchecked LU's
-                    raise
+            X_prev, L_t, W, R_inv_t, certify = _schur_step(X[-1], M, Pi, certify)
+            if certify is None and R_inv_t.size and R_inv_t[0, 0] != R_inv_t[0, 0]:
                 return False, None, False
             X.append(X_prev)
             R_X[len(L)], R_X_inv[len(L)] = W[k:, k:], R_inv_t

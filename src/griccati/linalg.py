@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 
 class NumericalRefusal(RuntimeError):
@@ -190,6 +191,12 @@ def numerical_rank(M, scale: float = 0.0) -> int:
     return int(np.count_nonzero(s > cutoff))
 
 
+def _lu_inverse(A: np.ndarray) -> np.ndarray:
+    """np.linalg.inv(A) bit for bit, by its LAPACK gufunc without the wrapper:
+    a failed LU is all NaN with numpy's invalid flag set, not a LinAlgError."""
+    return _umath_linalg.inv(A, signature="d->d")
+
+
 def _certified_nonsingular(A: np.ndarray, scale: float = 0.0, A_inv=None) -> bool:
     """True only where the square A passes numerical_rank(A, scale) == n: as
     sigma_min >= 1 / ||A^{-1}||_F and sigma_max <= ||A||_F, every singular
@@ -198,7 +205,7 @@ def _certified_nonsingular(A: np.ndarray, scale: float = 0.0, A_inv=None) -> boo
     rounding: cond_F(A) < 1 / (2 RANK_REL n) there, so the computed inverse's
     norm errs by about n u cond(A) <= 1e-6 (u the unit round-off), the SVD's
     values by n u sigma_max, 1e-6 of the cutoff.  False means "ask the SVD".
-    A_inv is A's inverse, else taken here; a LinAlgError is not certified.
+    A_inv is A's inverse, else _lu_inverse's here, all NaN where LU fails.
 
     A stack (s, n, n), with the stack of its inverses, gets one verdict per
     slice by the same formula, an array of s bools: its squared norms come
@@ -211,10 +218,8 @@ def _certified_nonsingular(A: np.ndarray, scale: float = 0.0, A_inv=None) -> boo
             cutoff = RANK_REL * np.maximum(np.sqrt(np.einsum("sij,sij->s", A, A)), scale) * A.shape[-1]
             return 2.0 * cutoff * np.sqrt(np.einsum("sij,sij->s", A_inv, A_inv)) < 1.0
     if A_inv is None:
-        try:
-            A_inv = np.linalg.inv(A)
-        except np.linalg.LinAlgError:
-            return False
+        with np.errstate(all="ignore"):
+            A_inv = _lu_inverse(A)
     # Frobenius norms by vdot, as np.linalg.norm takes them but without its
     # warning where a near-singular A's inverse overflows: inf or nan
     # certifies nothing.

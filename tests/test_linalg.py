@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -354,7 +356,7 @@ def test_certificate_boundary_never_certifies_a_singular_matrix(monkeypatch, c):
     # about delta > 4 RANK_REL: between the two the certificate says
     # "unknown", never "non-singular" where the SVD says singular.  The same
     # holds at every scale c, in rotated coordinates, against a scale above
-    # ||A|| and at delta = 0, where np.linalg.inv raises.
+    # ||A|| and at delta = 0, where the LU factorisation fails.
     rng = np.random.default_rng(7)
     V, _ = np.linalg.qr(rng.normal(size=(2, 2)))
     W, _ = np.linalg.qr(rng.normal(size=(2, 2)))
@@ -371,6 +373,35 @@ def test_certificate_boundary_never_certifies_a_singular_matrix(monkeypatch, c):
     _svd_only(monkeypatch)
     for (A, scale), got in zip(cases, with_certificate):
         assert _same_decisions(got, _decisions(A, scale)), (A, scale)
+
+
+def test_lu_inverse_is_np_linalg_inv_bit_for_bit():
+    # Every LU inverse in the package calls numpy's private gufunc
+    # directly; a numpy release that moves it or rounds it differently
+    # from np.linalg.inv fails here.  Random 1x1 to 6x6 matrices, a 4x4 of
+    # condition 1e12, a strided trailing block (as a step's curvature is
+    # read from its Popov block) and a (s, m, m) stack; an exactly
+    # singular matrix, where np.linalg.inv raises, gives all NaN and, under
+    # np.errstate(all="ignore"), neither warns nor raises.
+    rng = np.random.default_rng(3)
+    mats = [rng.normal(size=(n, n)) for n in range(1, 7) for _ in range(5)]
+    U, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    V, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    ill = U @ np.diag(np.geomspace(1.0, 1e-12, 4)) @ V.T
+    assert 1e11 < np.linalg.cond(ill) < 1e13
+    mats += [ill, rng.normal(size=(7, 7))[5:, 5:], rng.normal(size=(9, 2, 2)), rng.normal(size=(4, 5, 5))]
+    for A in mats:
+        got = linalg._lu_inverse(A)
+        assert got.shape == A.shape and np.array_equal(got, np.linalg.inv(A)), A.shape
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="ignore"):
+            singular = linalg._lu_inverse(np.array([[1.0, 2.0], [2.0, 4.0]]))
+            stack = linalg._lu_inverse(np.array([np.eye(2), np.zeros((2, 2))]))
+    assert np.isnan(singular).all() and np.isnan(stack[1]).all()
+    assert np.array_equal(stack[0], np.eye(2))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
 
 @pytest.mark.parametrize("scale", [0.0, 3.0])
